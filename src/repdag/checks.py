@@ -71,6 +71,15 @@ class RbVerdict:
         return f"reliable-broadcast: violation, {len(self.missing)} missing deliveries"
 
 
+class DeliveryBoundVerdict(RbVerdict):
+    """``missing`` lists the (node, vertex) first deliveries that came late."""
+
+    def __str__(self) -> str:
+        if self.ok:
+            return "delivery-bound: ok"
+        return f"delivery-bound: violation, {len(self.missing)} late first deliveries"
+
+
 def ordered_sequence(records: list[dict[str, Any]]) -> list[tuple[int, int]]:
     entries = [r for r in records if r["kind"] == "vertex-ordered"]
     entries.sort(key=lambda r: r["seqIndex"])
@@ -224,7 +233,7 @@ def check_rb_agreement(records_by_node: Records, manifest: dict[str, Any]) -> Rb
     return RbVerdict(ok=not missing, missing=tuple(missing))
 
 
-def check_delivery_bound(records_by_node: Records, manifest: dict[str, Any]) -> RbVerdict:
+def check_delivery_bound(records_by_node: Records, manifest: dict[str, Any]) -> DeliveryBoundVerdict:
     """First delivery at each honest node respects Delta + max(GST, send time)."""
     cfg = manifest["config"]
     honest = honest_nodes(manifest)
@@ -241,4 +250,4 @@ def check_delivery_bound(records_by_node: Records, manifest: dict[str, Any]) -> 
             sent = created[vid]
             if at > cfg["Delta"] + max(cfg["GST"], sent):
                 late.append((node, vid))
-    return RbVerdict(ok=not late, missing=tuple(late))
+    return DeliveryBoundVerdict(ok=not late, missing=tuple(late))

@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 from .checks import (
+    check_delivery_bound,
     check_leader_utilization,
     check_rb_agreement,
     check_rb_validity,
@@ -20,6 +21,7 @@ from .checks import (
 )
 from .config import ConfigInvalid, SimConfig, load_config
 from .harness import compare, load_run, rows_to_csv, run_scenario, sweep
+from .traces import TraceInvalid
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -31,29 +33,26 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+# Each checker with the flag that selects it alone; the ones without a flag
+# run only with --all or when no flag is given.
+CHECKERS = (
+    ("total_order", lambda records, manifest: check_total_order(records)),
+    ("schedules", lambda records, manifest: check_schedule_agreement(records, manifest)),
+    ("utilization", lambda records, manifest: check_leader_utilization(records, manifest)),
+    (None, lambda records, manifest: check_rb_validity(records, manifest)),
+    (None, lambda records, manifest: check_rb_agreement(records, manifest)),
+    (None, lambda records, manifest: check_delivery_bound(records, manifest)),
+)
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
     manifest, records = load_run(args.trace)
-    wanted = []
-    if args.all or args.total_order:
-        wanted.append(("total-order", lambda: check_total_order(records)))
-    if args.all or args.schedules:
-        wanted.append(("schedules", lambda: check_schedule_agreement(records, manifest)))
-    if args.all or args.utilization:
-        wanted.append(("utilization", lambda: check_leader_utilization(records, manifest)))
-    if args.all:
-        wanted.append(("rb-validity", lambda: check_rb_validity(records, manifest)))
-        wanted.append(("rb-agreement", lambda: check_rb_agreement(records, manifest)))
-    if not wanted:
-        wanted = [
-            ("total-order", lambda: check_total_order(records)),
-            ("schedules", lambda: check_schedule_agreement(records, manifest)),
-            ("utilization", lambda: check_leader_utilization(records, manifest)),
-            ("rb-validity", lambda: check_rb_validity(records, manifest)),
-            ("rb-agreement", lambda: check_rb_agreement(records, manifest)),
-        ]
+    wanted = [runner for flag, runner in CHECKERS if flag and getattr(args, flag)]
+    if args.all or not wanted:
+        wanted = [runner for _flag, runner in CHECKERS]
     failed = False
-    for name, runner in wanted:
-        verdict = runner()
+    for runner in wanted:
+        verdict = runner(records, manifest)
         print(str(verdict))
         if not verdict.ok and getattr(verdict, "status", None) != "inconclusive":
             failed = True
@@ -136,6 +135,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except TraceInvalid as exc:
+        print(f"trace error: {exc}", file=sys.stderr)
         return 2
     except (OSError, json.JSONDecodeError, FileNotFoundError) as exc:
         print(f"io error: {exc}", file=sys.stderr)

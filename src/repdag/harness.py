@@ -12,7 +12,7 @@ from . import __version__
 from .config import SimConfig
 from .metrics import Metrics, Records, compute_metrics
 from .simnet import RunResult, run
-from .traces import parse, serialize
+from .traces import TraceInvalid, parse, serialize
 
 MANIFEST_NAME = "manifest.json"
 
@@ -35,11 +35,33 @@ def write_run(result: RunResult, out_dir: str | Path) -> Path:
 
 
 def load_run(run_dir: str | Path) -> tuple[dict[str, Any], Records]:
+    """Read a persisted run: its manifest and one trace per validator.
+
+    Raises ``TraceInvalid`` unless every validator the manifest lists has
+    exactly one trace, named after it and with its node in the header, so a
+    checker never reports on traces it was not given.
+    """
     run_dir = Path(run_dir)
     manifest = json.loads((run_dir / MANIFEST_NAME).read_text())
+    try:
+        n = len(manifest["config"]["stakes"])
+    except (TypeError, KeyError):
+        raise TraceInvalid(f"{run_dir / MANIFEST_NAME}: no config.stakes list") from None
+    expected = {f"node-{v:02d}.jsonl": v for v in range(n)}
+    found = {path.name for path in run_dir.glob("node-*.jsonl")}
+    if found != expected.keys():
+        raise TraceInvalid(
+            f"{run_dir}: expected one trace per validator 0..{n - 1}; "
+            f"missing {sorted(expected.keys() - found)}, unexpected {sorted(found - expected.keys())}"
+        )
     records: Records = {}
-    for path in sorted(run_dir.glob("node-*.jsonl")):
-        node, recs = parse(path.read_text())
+    for name, validator in expected.items():
+        try:
+            node, recs = parse((run_dir / name).read_text())
+        except (TraceInvalid, json.JSONDecodeError) as exc:
+            raise TraceInvalid(f"{run_dir / name}: {exc}") from None
+        if node != validator:
+            raise TraceInvalid(f"{run_dir / name}: header names node {node}")
         records[node] = recs
     return manifest, records
 

@@ -6,6 +6,14 @@ seeded random delay, clamped to the bound); after GST delays are seeded
 uniform in [1, Delta]. Time is integer ticks, events execute in (time, seq)
 order, and the whole run is a pure function of the config, so identical
 configs give bit-identical traces.
+
+Every receiver echoes a vertex to all peers, but a copy is queued only when
+it can change its receiver: copies that would land at or after the
+receiver's crash, or at or after another copy of the same vertex already
+headed there, are never queued. Their delays are still drawn, so the random
+stream and the traces do not depend on this. ``events_executed`` therefore
+counts only events that can act, and ``now`` after a drained run is the tick
+of the last of them.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from typing import Any, NamedTuple
 
 from .committee import Committee, ValidatorId, new_committee
 from .config import SimConfig
-from .dag import Vertex
+from .dag import Vertex, VertexId
 from .node import Node
 from .reputation import initial_schedule
 from .traces import Tracer
@@ -26,7 +34,8 @@ from .traces import Tracer
 # Event kinds; crash sorts before boot at equal (time, seq) by construction,
 # because fault-plan events are enqueued first.
 CRASH, BOOT, DELIVER, TIMER = 0, 1, 2, 3
-_KIND_NAMES = {CRASH: "crash", BOOT: "boot", DELIVER: "deliver", TIMER: "timer"}
+# A tick later than any run reaches: "no crash" and "no copy yet".
+_NEVER = 1 << 62
 
 
 class SimEvent(NamedTuple):
@@ -36,10 +45,6 @@ class SimEvent(NamedTuple):
     target: ValidatorId
     vertex: Vertex | None
     sender: ValidatorId | None
-
-    @property
-    def kind_name(self) -> str:
-        return _KIND_NAMES[self.kind]
 
 
 class ClientPool:
@@ -127,7 +132,12 @@ class Simulation:
         self.events_executed = 0
         self._seq = 0
         self._queue: list[SimEvent] = []
+        # Per vertex with copies in flight: the earliest tick a copy lands at
+        # each peer (queued or executed), then the number of copies queued.
+        self._arrivals: dict[VertexId, list[int]] = {}
+        self._crash_at = [_NEVER] * self.committee.n
         for validator, crash_at in cfg.fault_plan:
+            self._crash_at[validator] = crash_at
             self._push(crash_at, CRASH, validator, None, None)
         for v in self.committee.members:
             self._push(0, BOOT, v, None, None)
@@ -152,12 +162,25 @@ class Simulation:
         return min(held + 1 + int(rand() * delta), gst + delta)
 
     def broadcast(self, sender: ValidatorId, v: Vertex, now: int) -> None:
+        """Send ``v`` to every peer, queueing only the copies that can act.
+
+        A delay is drawn for every peer. The copy is dropped when the peer
+        crashes at or before it lands (crash events are queued first, so
+        they pop first) or when a copy of ``v`` already lands there at or
+        before it (that copy pops first, so this one would hit ``_seen``).
+        """
         push, seq = heapq.heappush, self._seq
-        queue = self._queue
+        queue, crash_at = self._queue, self._crash_at
+        arrivals = self._arrivals.get(v.id)
+        if arrivals is None:
+            arrivals = self._arrivals[v.id] = [_NEVER] * self.committee.n + [0]
         for peer in self.committee.members:
             at = now if peer == sender else self._delivery_time(now)
-            push(queue, SimEvent(at, seq, DELIVER, peer, v, sender))
-            seq += 1
+            if at < arrivals[peer] and at < crash_at[peer]:
+                arrivals[peer] = at
+                push(queue, SimEvent(at, seq, DELIVER, peer, v, sender))
+                seq += 1
+        arrivals[-1] += seq - self._seq
         self._seq = seq
 
     def step(self) -> SimEvent | None:
@@ -171,7 +194,8 @@ class Simulation:
             node.crashed = True
             return ev
         if node.crashed:
-            # Deliveries and timers to crashed nodes are dropped at execution.
+            # Timers to crashed nodes are dropped at execution; deliveries to
+            # them are never queued.
             return ev
         self.tracers[ev.target].now = ev.at
         if ev.kind == DELIVER:
@@ -187,6 +211,13 @@ class Simulation:
                 self.broadcast(ev.target, v, ev.at)
         for deadline in effects.timers:
             self._push(deadline, TIMER, ev.target, None, None)
+        if ev.kind == DELIVER:
+            arrivals = self._arrivals[ev.vertex.id]
+            arrivals[-1] -= 1
+            if not arrivals[-1]:
+                # No copy is left to deliver it for the first time anywhere,
+                # so nobody can echo it again.
+                del self._arrivals[ev.vertex.id]
         return ev
 
 

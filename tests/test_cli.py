@@ -101,3 +101,63 @@ def test_scenario_files_round_trip(tmp_path):
     manifest, records = load_run(run_dir)
     assert manifest["config"] == cfg.to_json_dict()
     assert set(records) == {0, 1, 2, 3}
+
+
+def persisted_run(tmp_path):
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(write_config(tmp_path)), "--out", str(out_dir)]) == 0
+    return out_dir
+
+
+def test_check_all_runs_the_delivery_bound(tmp_path, capsys):
+    out_dir = persisted_run(tmp_path)
+    capsys.readouterr()
+    assert main(["check", "--trace", str(out_dir), "--all"]) == 0
+    assert "delivery-bound: ok" in capsys.readouterr().out
+    assert main(["check", "--trace", str(out_dir)]) == 0
+    assert "delivery-bound: ok" in capsys.readouterr().out
+
+
+def test_check_bad_header_exits_two(tmp_path, capsys):
+    out_dir = persisted_run(tmp_path)
+    trace = out_dir / "node-02.jsonl"
+    lines = trace.read_text().splitlines()
+    lines[0] = json.dumps({"format": "something-else", "version": 1, "node": 2})
+    trace.write_text("\n".join(lines) + "\n")
+    assert main(["check", "--trace", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert "node-02.jsonl" in err and "header" in err
+
+
+def test_check_without_traces_exits_two(tmp_path, capsys):
+    out_dir = persisted_run(tmp_path)
+    for trace in out_dir.glob("node-*.jsonl"):
+        trace.unlink()
+    capsys.readouterr()
+    assert main(["check", "--trace", str(out_dir), "--all"]) == 2
+    captured = capsys.readouterr()
+    assert "ok" not in captured.out
+    assert "one trace per validator" in captured.err
+
+
+def test_check_missing_one_validator_exits_two(tmp_path, capsys):
+    out_dir = persisted_run(tmp_path)
+    (out_dir / "node-03.jsonl").unlink()
+    assert main(["check", "--trace", str(out_dir)]) == 2
+    assert "node-03.jsonl" in capsys.readouterr().err
+
+
+def test_check_header_node_must_match_file_name(tmp_path, capsys):
+    out_dir = persisted_run(tmp_path)
+    (out_dir / "node-01.jsonl").write_text((out_dir / "node-00.jsonl").read_text())
+    assert main(["check", "--trace", str(out_dir)]) == 2
+    assert "header names node 0" in capsys.readouterr().err
+
+
+def test_check_unknown_record_kind_exits_two(tmp_path, capsys):
+    out_dir = persisted_run(tmp_path)
+    trace = out_dir / "node-01.jsonl"
+    extra = json.dumps({"at": 1, "node": 1, "kind": "vertex-teleported"})
+    trace.write_text(trace.read_text() + extra + "\n")
+    assert main(["check", "--trace", str(out_dir)]) == 2
+    assert "vertex-teleported" in capsys.readouterr().err

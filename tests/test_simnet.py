@@ -1,4 +1,7 @@
 import random
+from collections import Counter
+
+import pytest
 
 from repdag.checks import (
     check_delivery_bound,
@@ -8,7 +11,7 @@ from repdag.checks import (
 )
 from repdag.config import parse_config
 from repdag.reputation import initial_schedule
-from repdag.simnet import ClientPool, Simulation, run
+from repdag.simnet import DELIVER, TIMER, ClientPool, Simulation, run
 from repdag.traces import serialize
 
 from .conftest import manifest_for, quick_run
@@ -75,6 +78,69 @@ class TestStep:
         for tracer in result.tracers[1:]:
             delivered = {tuple(r["id"]) for r in tracer.records if r["kind"] == "vertex-delivered"}
             assert all(src != 0 for _, src in delivered)
+
+
+class TestQueuedCopies:
+    """Only copies that can change their receiver are queued."""
+
+    def test_delta_one_delivers_each_vertex_once_per_peer(self):
+        cfg = parse_config({"stakes": [1] * 7, "Delta": 1, "stop": {"maxRound": 30}, "seed": 5})
+        sim = Simulation(cfg)
+        events = []
+        while (ev := sim.step()) is not None:
+            events.append(ev)
+        deliveries = Counter((ev.vertex.id, ev.target) for ev in events if ev.kind == DELIVER)
+        vertices = sum(r["kind"] == "vertex-created" for t in sim.tracers for r in t.records)
+        timers = sum(ev.kind == TIMER for ev in events)
+        assert set(deliveries.values()) == {1}
+        assert len(deliveries) == cfg.n * vertices
+        assert sim.events_executed == cfg.n * vertices + cfg.n + timers
+
+    def test_no_copy_is_queued_for_a_crashed_peer(self):
+        cfg = parse_config(
+            {
+                "stakes": [1] * 7,
+                "Delta": 4,
+                "GST": 30,
+                "preGstPolicy": "random:10",
+                "faultPlan": [[2, 23], [5, 41]],
+                "stop": {"maxRound": 30},
+                "seed": 6,
+            }
+        )
+        crash_at = dict(cfg.fault_plan)
+        sim = Simulation(cfg)
+        delivered_to_crashed = 0
+        while (ev := sim.step()) is not None:
+            for queued in sim._queue:
+                if queued.kind == DELIVER and queued.target in crash_at:
+                    assert queued.at < crash_at[queued.target], queued
+            if ev.kind == DELIVER and ev.target in crash_at:
+                delivered_to_crashed += 1
+        # The crashed validators took part before their crash, and the
+        # others kept broadcasting to them after it.
+        assert delivered_to_crashed > 0
+        for tracer in sim.tracers:
+            if tracer.node not in crash_at:
+                assert tracer.records[-1]["at"] > max(crash_at.values())
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {"stakes": [1] * 7, "Delta": 1, "seed": 2},
+            {"stakes": [1] * 4, "Delta": 3, "faultPlan": [[3, 40]], "seed": 2},
+        ],
+    )
+    def test_arrival_map_stays_bounded(self, raw):
+        def peak(rounds):
+            sim = Simulation(parse_config({**raw, "stop": {"maxRound": rounds}}))
+            high = 0
+            while sim.step() is not None:
+                high = max(high, len(sim._arrivals))
+            assert not sim._arrivals
+            return high
+
+        assert peak(100) == peak(400)
 
 
 class TestDeterminism:

@@ -48,3 +48,20 @@ def test_tracer_accumulates_with_current_time():
     t.now = 7
     t.emit("round-advanced", round=3)
     assert t.records == [{"at": 7, "node": 2, "kind": "round-advanced", "round": 3}]
+
+
+def test_parse_accepts_every_emitted_kind_and_rejects_others():
+    records = [{"at": 3, "node": 1, "kind": "stale-anchor", "round": 4}]
+    assert parse(serialize(1, records)) == (1, records)
+    with pytest.raises(ValueError, match="vertex-teleported"):
+        parse(serialize(1, [{"at": 3, "node": 1, "kind": "vertex-teleported"}]))
+    with pytest.raises(ValueError):
+        parse(serialize(1, [[3, 1, "stale-anchor"]]))
+
+
+def test_parse_requires_one_record_per_line():
+    record = '{"at":1,"node":0,"kind":"round-advanced","round":1}'
+    with pytest.raises(ValueError, match="2 records"):
+        parse(header_line(0) + "\n" + record + "," + record + "\n")
+    with pytest.raises(ValueError):
+        parse(header_line(0) + "\n" + record + "\n\n")
