@@ -52,7 +52,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
         wanted = [runner for _flag, runner in CHECKERS]
     failed = False
     for runner in wanted:
-        verdict = runner(records, manifest)
+        try:
+            verdict = runner(records, manifest)
+        except (KeyError, TypeError) as exc:
+            # The parser checks record kinds, not payloads; a checker that
+            # trips over a missing or mistyped field read a bad trace.
+            raise TraceInvalid(f"a record lacks a field or has one of the wrong type: {exc!r}") from exc
         print(str(verdict))
         if not verdict.ok and getattr(verdict, "status", None) != "inconclusive":
             failed = True

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .committee import Committee
-from .dag import AnchorReach, DagState, Vertex, VertexId, path
+from .dag import DagState, Vertex, VertexId, path
 from .reputation import (
     ScheduleBook,
     ScheduleChange,
@@ -49,29 +49,34 @@ class CommitState:
     anchor_stack: list[tuple[Vertex, bool]] = field(default_factory=list)
     discarded_anchors: list[VertexId] = field(default_factory=list)
 
-    @property
-    def active_schedule(self):
-        return self.book.active
-
 
 def try_committing(state: CommitState, dag: DagState, v: Vertex, tracer: Tracer) -> int | None:
     """Direct-commit check for a freshly inserted vertex.
 
-    Returns the anchor round when at least f+1 of the vertex's parents have a
-    path to the anchor two rounds below, else None. Odd and genesis rounds
-    never commit anything.
+    Returns the anchor round when at least f+1 of the vertex's parents vote
+    for the anchor two rounds below (see :func:`anchor_votes`), else None.
+    Odd and genesis rounds never commit anything.
     """
     if v.round % 2 == 1 or v.round == 0:
         return None
     anchor = get_anchor(dag, state.book, v.round - 2)
     if anchor is None:
         return None
-    reach = AnchorReach(dag, anchor.id, max_round=v.round - 1)
-    votes = sum(1 for parent in v.edges if reach.covers(parent))
-    if votes < state.committee.commit_threshold:
+    if anchor_votes(dag, v, anchor.id) < state.committee.commit_threshold:
         return None
     order_anchors(state, dag, anchor, tracer)
     return anchor.round
+
+
+def anchor_votes(dag: DagState, v: Vertex, anchor: VertexId) -> int:
+    """How many parents of the inserted vertex ``v`` link to ``anchor``.
+
+    The parents sit one round above the anchor and edges drop exactly one
+    round, so a parent has a path to the anchor iff the anchor is among its
+    own edges: the direct links are the votes.
+    """
+    parents = dag.vertices_at(v.round - 1)
+    return sum(anchor in parents[e.source].edges for e in v.edges)
 
 
 def order_anchors(state: CommitState, dag: DagState, anchor: Vertex, tracer: Tracer) -> None:

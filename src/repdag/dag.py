@@ -25,12 +25,10 @@ class Block:
     """Transaction payload of a vertex.
 
     ``txs`` holds (tx id, created-at tick) pairs; tx ids are unique per
-    creating validator. ``schedule_epoch`` records which leader-schedule epoch
-    the creator was on, purely as informational metadata.
+    creating validator.
     """
 
     txs: tuple[tuple[int, int], ...] = ()
-    schedule_epoch: int = 0
 
 
 @dataclass(frozen=True)
@@ -65,9 +63,6 @@ class DagState:
         self.committee = committee
         self.by_round: dict[int, dict[ValidatorId, Vertex]] = {}
         self.highest_round = -1
-        # Reverse edges, maintained on insert; used to answer "who reaches
-        # this anchor" without rescanning the store.
-        self._children: dict[VertexId, list[VertexId]] = {}
 
     def __contains__(self, vid: VertexId) -> bool:
         return vid.source in self.by_round.get(vid.round, ())
@@ -78,9 +73,6 @@ class DagState:
     def vertices_at(self, round: int) -> dict[ValidatorId, Vertex]:
         return self.by_round.get(round, {})
 
-    def children_of(self, vid: VertexId) -> list[VertexId]:
-        return self._children.get(vid, [])
-
     def all_vertices(self) -> Iterator[Vertex]:
         for r in sorted(self.by_round):
             for s in sorted(self.by_round[r]):
@@ -88,12 +80,11 @@ class DagState:
 
     def even_vertices_from(self, round: int) -> list[Vertex]:
         """Even-round vertices with round >= the given bound, (round, source) ascending."""
-        out = []
-        for r in sorted(self.by_round):
-            if r < round or r % 2 != 0:
-                continue
-            for s in sorted(self.by_round[r]):
-                out.append(self.by_round[r][s])
+        out: list[Vertex] = []
+        for r in range(round + round % 2, self.highest_round + 1, 2):
+            row = self.by_round.get(r)
+            if row:
+                out.extend(row[s] for s in sorted(row))
         return out
 
     def structurally_valid(self, v: Vertex) -> bool:
@@ -110,17 +101,21 @@ class DagState:
 
         MISSING_PARENTS means the caller should buffer and retry once the
         parents arrive; DUPLICATE signals reliable-broadcast integrity
-        handling (same id already present).
+        handling (same id already present). A valid vertex's parents all sit
+        one round below it, so one row of the store answers for all of them.
         """
         if not self.structurally_valid(v):
             return InsertOutcome.MALFORMED_EDGES
-        if v.id in self:
+        row = self.by_round.get(v.round)
+        if row is not None and v.source in row:
             return InsertOutcome.DUPLICATE
-        if any(e not in self for e in v.edges):
-            return InsertOutcome.MISSING_PARENTS
-        self.by_round.setdefault(v.round, {})[v.source] = v
+        below = self.by_round.get(v.round - 1, {})
         for e in v.edges:
-            self._children.setdefault(e, []).append(v.id)
+            if e.source not in below:
+                return InsertOutcome.MISSING_PARENTS
+        if row is None:
+            row = self.by_round[v.round] = {}
+        row[v.source] = v
         if v.round > self.highest_round:
             self.highest_round = v.round
         return InsertOutcome.INSERTED
@@ -155,26 +150,25 @@ def path(dag: DagState, frm: VertexId, to: VertexId) -> bool:
 
 
 class AnchorReach:
-    """Memoized reachability toward one fixed target vertex.
+    """Every vertex up to ``max_round`` with a path to one target vertex.
 
-    Built once per commit attempt: walks the reverse-edge index upward from
-    the target (bounded by ``max_round``) and answers membership queries in
-    O(1). Equivalent to calling :func:`path` per query; the plain search
-    stays available as the cross-check.
+    Scans the store upward one round at a time from the target: a vertex
+    reaches the target iff one of its parents, all one round below it, does.
+    Answers membership queries in O(1) and is equivalent to calling
+    :func:`path` per query. The commit rule no longer uses it (direct
+    parent links decide its votes, see ``commit.anchor_votes``); it stays
+    as a cross-check of :func:`path`.
     """
 
     def __init__(self, dag: DagState, target: VertexId, max_round: int):
         self.target = target
         reached = {target}
-        frontier = [target]
-        while frontier:
-            nxt = []
-            for vid in frontier:
-                for child in dag.children_of(vid):
-                    if child.round <= max_round and child not in reached:
-                        reached.add(child)
-                        nxt.append(child)
-            frontier = nxt
+        layer = {target}
+        for r in range(target.round + 1, max_round + 1):
+            layer = {v.id for v in dag.vertices_at(r).values() if not layer.isdisjoint(v.edges)}
+            if not layer:
+                break
+            reached |= layer
         self._reached = reached
 
     def covers(self, vid: VertexId) -> bool:

@@ -168,7 +168,7 @@ class Node:
             edges = frozenset(v.id for v in self.dag.vertices_at(round - 1).values())
         v = Vertex(
             id=VertexId(round, self.me),
-            block=Block(txs=txs, schedule_epoch=self.commit.book.active.epoch),
+            block=Block(txs=txs),
             edges=edges,
         )
         self.tracer.emit("vertex-created", id=[round, self.me], txCount=len(txs))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .committee import Committee, ValidatorId
@@ -78,17 +79,14 @@ class ScheduleBook:
         self.schedules.append(schedule)
 
     def covering(self, round: int) -> Schedule:
+        """The schedule governing ``round``: the last one starting at or before it."""
         if round < 0:
             raise UncoveredRound(f"negative round {round}")
-        chosen = None
-        for s in self.schedules:
-            if s.initial_round <= round:
-                chosen = s
-            else:
-                break
-        if chosen is None:
-            raise UncoveredRound(f"round {round} precedes the first schedule")
-        return chosen
+        schedules = self.schedules
+        if round >= schedules[-1].initial_round:
+            return schedules[-1]
+        # The first schedule starts at round 0, so the index is never -1.
+        return schedules[bisect_right(schedules, round, key=lambda s: s.initial_round) - 1]
 
     def leader_for(self, round: int) -> ValidatorId:
         return self.covering(round).leader_for(round)

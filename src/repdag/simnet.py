@@ -11,9 +11,14 @@ Every receiver echoes a vertex to all peers, but a copy is queued only when
 it can change its receiver: copies that would land at or after the
 receiver's crash, or at or after another copy of the same vertex already
 headed there, are never queued. Their delays are still drawn, so the random
-stream and the traces do not depend on this. ``events_executed`` therefore
-counts only events that can act, and ``now`` after a drained run is the tick
-of the last of them.
+stream and the traces do not depend on this. The one exception: after GST
+with Delta 1 every draw is 0, so none is made. Time never goes back and the
+random stream feeds only delivery delays, so no later draw can tell.
+
+A queued copy can still be overtaken by a faster echo queued after it
+(Delta >= 2). When it pops, its target has already seen the vertex, so it is
+retired without running. ``events_executed`` counts only events that can
+act, and ``now`` after a drained run is the tick of the last of them.
 """
 
 from __future__ import annotations
@@ -164,18 +169,28 @@ class Simulation:
     def broadcast(self, sender: ValidatorId, v: Vertex, now: int) -> None:
         """Send ``v`` to every peer, queueing only the copies that can act.
 
-        A delay is drawn for every peer. The copy is dropped when the peer
-        crashes at or before it lands (crash events are queued first, so
-        they pop first) or when a copy of ``v`` already lands there at or
-        before it (that copy pops first, so this one would hit ``_seen``).
+        A delay is drawn for every other peer, as :meth:`_delivery_time`
+        would, except after GST with Delta 1, where every draw is 0. The
+        copy is dropped when the peer crashes at or before it lands (crash
+        events are queued first, so they pop first) or when a copy of ``v``
+        already lands there at or before it (that copy pops first, so this
+        one would hit ``_seen``).
         """
         push, seq = heapq.heappush, self._seq
         queue, crash_at = self._queue, self._crash_at
+        pre_gst, delta, rand = now < self.cfg.gst, self.cfg.delta, self.rng.random
         arrivals = self._arrivals.get(v.id)
         if arrivals is None:
             arrivals = self._arrivals[v.id] = [_NEVER] * self.committee.n + [0]
         for peer in self.committee.members:
-            at = now if peer == sender else self._delivery_time(now)
+            if peer == sender:
+                at = now
+            elif pre_gst:
+                at = self._delivery_time(now)
+            elif delta == 1:
+                at = now + 1
+            else:
+                at = now + 1 + int(rand() * delta)
             if at < arrivals[peer] and at < crash_at[peer]:
                 arrivals[peer] = at
                 push(queue, SimEvent(at, seq, DELIVER, peer, v, sender))
@@ -184,9 +199,18 @@ class Simulation:
         self._seq = seq
 
     def step(self) -> SimEvent | None:
+        """Pop and handle the next event; None once the queue is empty.
+
+        A delivery whose target already has an earlier copy of the vertex
+        was overtaken: it is retired without running, without moving ``now``
+        and without counting in ``events_executed``.
+        """
         if not self._queue:
             return None
         ev = heapq.heappop(self._queue)
+        if ev.kind == DELIVER and self._arrivals[ev.vertex.id][ev.target] < ev.at:
+            self._retire(ev.vertex.id)
+            return ev
         self.now = ev.at
         self.events_executed += 1
         node = self.nodes[ev.target]
@@ -212,13 +236,17 @@ class Simulation:
         for deadline in effects.timers:
             self._push(deadline, TIMER, ev.target, None, None)
         if ev.kind == DELIVER:
-            arrivals = self._arrivals[ev.vertex.id]
-            arrivals[-1] -= 1
-            if not arrivals[-1]:
-                # No copy is left to deliver it for the first time anywhere,
-                # so nobody can echo it again.
-                del self._arrivals[ev.vertex.id]
+            self._retire(ev.vertex.id)
         return ev
+
+    def _retire(self, vid: VertexId) -> None:
+        """Count one queued copy of ``vid`` as gone."""
+        arrivals = self._arrivals[vid]
+        arrivals[-1] -= 1
+        if not arrivals[-1]:
+            # No copy is left to deliver it for the first time anywhere, so
+            # nobody can echo it again.
+            del self._arrivals[vid]
 
 
 def run(cfg: SimConfig) -> RunResult:

@@ -161,3 +161,22 @@ def test_check_unknown_record_kind_exits_two(tmp_path, capsys):
     trace.write_text(trace.read_text() + extra + "\n")
     assert main(["check", "--trace", str(out_dir)]) == 2
     assert "vertex-teleported" in capsys.readouterr().err
+
+
+def test_check_record_missing_a_field_exits_two(tmp_path, capsys):
+    out_dir = persisted_run(tmp_path)
+    trace = out_dir / "node-01.jsonl"
+    lines = trace.read_text().splitlines()
+    for i, line in enumerate(lines):
+        rec = json.loads(line)
+        if rec.get("kind") == "vertex-ordered":
+            del rec["seqIndex"]
+            lines[i] = json.dumps(rec, separators=(",", ":"))
+            break
+    else:
+        raise AssertionError("the run ordered no vertex")
+    trace.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["check", "--trace", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("trace error:") and "seqIndex" in err

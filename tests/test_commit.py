@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repdag.commit import (
     CommitState,
     PrematureScheduleSwitch,
+    anchor_votes,
     order_anchors,
     retro_recheck,
     try_committing,
@@ -17,6 +18,7 @@ from repdag.dag import DagState, VertexId
 from repdag.reputation import Schedule, ScheduleBook
 
 from .conftest import full_dag, mk_vertex, random_dag_vertices, replay
+from .oracles import naive_path
 
 
 def fresh_state(committee, slots=(0, 1, 2, 3), span=None):
@@ -87,6 +89,31 @@ class TestTryCommitting:
         state = fresh_state(committee4)
         v = dag.get(VertexId(2, 0))
         assert try_committing(state, dag, v, tracer0()) is None
+
+
+class TestAnchorVotes:
+    """The commit rule counts direct links; the oracle counts paths."""
+
+    @pytest.mark.parametrize("stakes", [[1] * 4, [1] * 7])
+    def test_direct_links_count_the_parents_with_a_path(self, stakes):
+        committee = new_committee(stakes)
+        counts = set()
+        for trial in range(60):
+            rng = random.Random(trial)
+            vertices = random_dag_vertices(rng, committee, rng.randint(2, 8))
+            dag = DagState(committee)
+            for v in vertices:
+                dag.insert(v)
+            for v in vertices:
+                if v.round < 2:
+                    continue
+                for anchor in dag.vertices_at(v.round - 2).values():
+                    want = sum(naive_path(dag, parent, anchor.id) for parent in v.edges)
+                    assert anchor_votes(dag, v, anchor.id) == want
+                    counts.add((want, len(v.edges)))
+        # Both full and partial support occur, so the equality is not vacuous.
+        assert any(want < edges for want, edges in counts)
+        assert any(want == edges for want, edges in counts)
 
 
 class TestOrderAnchors:

@@ -7,7 +7,9 @@ them byte-identical. ``manifest.json`` is left out on purpose, because its
 The corpus covers the cases where delivery order is subtle: Delta 3 and 5,
 where an echo can reach a peer before the direct copy; ``random:`` and
 ``hold`` pre-GST policies; crashes at t=0 and mid-run, with copies still in
-flight to the crashed validator; a ``maxTime`` stop; round-robin mode.
+flight to the crashed validator; a ``maxTime`` stop; round-robin mode; Delta 1
+across GST, where post-GST delays are fixed and draw nothing; and 75 schedule
+epochs, where old rounds are looked up in a long schedule book.
 """
 
 import hashlib
@@ -82,6 +84,14 @@ CORPUS = {
     "n5-slots-no-tx": (
         {"stakes": [2, 2, 1, 1, 1], "L": 10, "Delta": 4, "txRatePerNode": 0, "stop": {"maxRound": 24}, "seed": 13},
         "0ff60df23697b425f845f3ac85e74b47797d1b1addd3cb3b4c33707c16f1d739",
+    ),
+    "n7-d1-gst-crash": (
+        {"stakes": [1] * 7, "GST": 30, "preGstPolicy": "random:9", "Delta": 1, "faultPlan": [[4, 18]], "stop": {"maxRound": 30}, "seed": 10},
+        "0d801779e5e1f79aea2e824084676395dec166514a1037b257800432e3e02342",
+    ),
+    "n4-t2-long-crash-zero": (
+        {"stakes": [1] * 4, "T": 2, "faultPlan": [[2, 0]], "stop": {"maxRound": 300}, "seed": 12},
+        "6a01c8cdc726325b069f701be1c96f03f4bf6adfec69b9744603093c84e17786",
     ),
 }
 

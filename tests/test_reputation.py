@@ -11,6 +11,7 @@ from repdag.reputation import (
     ReputationScores,
     Schedule,
     ScheduleBook,
+    UncoveredRound,
     build_next_schedule,
     compute_scores,
     initial_schedule,
@@ -23,6 +24,24 @@ from .oracles import brute_scores, brute_swap
 
 def book_with(slots):
     return ScheduleBook(Schedule(epoch=0, initial_round=0, slots=tuple(slots)))
+
+
+class TestScheduleBookCovering:
+    def test_matches_a_linear_scan(self):
+        rng = random.Random(3)
+        book = book_with([0, 1, 2, 3])
+        start = 0
+        for epoch in range(1, 64):
+            start += rng.choice([2, 4, 6, 12])
+            book.append(Schedule(epoch=epoch, initial_round=start, slots=(epoch % 4, 0, 1, 2)))
+        for r in range(start + 20):
+            want = [s for s in book.schedules if s.initial_round <= r][-1]
+            assert book.covering(r) is want
+        assert book.covering(start - 1) is book.schedules[-2]
+
+    def test_negative_round_is_uncovered(self):
+        with pytest.raises(UncoveredRound):
+            book_with([0, 1, 2, 3]).covering(-2)
 
 
 class TestInitialSchedule:

@@ -124,6 +124,36 @@ class TestQueuedCopies:
             if tracer.node not in crash_at:
                 assert tracer.records[-1]["at"] > max(crash_at.values())
 
+    def test_overtaken_copies_do_not_reach_the_node(self):
+        cfg = parse_config(
+            {
+                "stakes": [1] * 7,
+                "Delta": 3,
+                "GST": 30,
+                "preGstPolicy": "random:9",
+                "stop": {"maxRound": 30},
+                "seed": 3,
+            }
+        )
+        sim = Simulation(cfg)
+        calls = Counter()
+        for node in sim.nodes:
+
+            def on_deliver(v, now, node=node, deliver=node.on_deliver):
+                calls["repeat" if v.id in node._seen else "first"] += 1
+                return deliver(v, now)
+
+            node.on_deliver = on_deliver
+        popped = Counter()
+        while (ev := sim.step()) is not None:
+            popped[ev.kind] += 1
+        assert calls["repeat"] == 0
+        # Some copies were overtaken: they popped, never ran, and are not
+        # counted as executed.
+        retired = popped[DELIVER] - calls["first"]
+        assert retired > 0
+        assert sim.events_executed == sum(popped.values()) - retired
+
     @pytest.mark.parametrize(
         "raw",
         [
