@@ -50,14 +50,15 @@ def _cmd_check(args: argparse.Namespace) -> int:
     wanted = [runner for flag, runner in CHECKERS if flag and getattr(args, flag)]
     if args.all or not wanted:
         wanted = [runner for _flag, runner in CHECKERS]
+    try:
+        verdicts = [runner(records, manifest) for runner in wanted]
+    except (KeyError, TypeError) as exc:
+        # The parser checks record kinds, not payloads; a checker that trips
+        # over a missing or mistyped field read a bad trace. This also
+        # reports a checker's own KeyError or TypeError as a trace error.
+        raise TraceInvalid(f"a record lacks a field or has one of the wrong type: {exc!r}") from exc
     failed = False
-    for runner in wanted:
-        try:
-            verdict = runner(records, manifest)
-        except (KeyError, TypeError) as exc:
-            # The parser checks record kinds, not payloads; a checker that
-            # trips over a missing or mistyped field read a bad trace.
-            raise TraceInvalid(f"a record lacks a field or has one of the wrong type: {exc!r}") from exc
+    for verdict in verdicts:
         print(str(verdict))
         if not verdict.ok and getattr(verdict, "status", None) != "inconclusive":
             failed = True

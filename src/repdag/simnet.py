@@ -169,28 +169,26 @@ class Simulation:
     def broadcast(self, sender: ValidatorId, v: Vertex, now: int) -> None:
         """Send ``v`` to every peer, queueing only the copies that can act.
 
-        A delay is drawn for every other peer, as :meth:`_delivery_time`
-        would, except after GST with Delta 1, where every draw is 0. The
-        copy is dropped when the peer crashes at or before it lands (crash
+        A delay is drawn for every other peer with :meth:`_delivery_time`,
+        except after GST with Delta 1, where every draw is 0. The copy is
+        dropped when the peer crashes at or before it lands (crash
         events are queued first, so they pop first) or when a copy of ``v``
         already lands there at or before it (that copy pops first, so this
         one would hit ``_seen``).
         """
         push, seq = heapq.heappush, self._seq
         queue, crash_at = self._queue, self._crash_at
-        pre_gst, delta, rand = now < self.cfg.gst, self.cfg.delta, self.rng.random
+        unit_delay = now >= self.cfg.gst and self.cfg.delta == 1
         arrivals = self._arrivals.get(v.id)
         if arrivals is None:
             arrivals = self._arrivals[v.id] = [_NEVER] * self.committee.n + [0]
         for peer in self.committee.members:
             if peer == sender:
                 at = now
-            elif pre_gst:
-                at = self._delivery_time(now)
-            elif delta == 1:
+            elif unit_delay:
                 at = now + 1
             else:
-                at = now + 1 + int(rand() * delta)
+                at = self._delivery_time(now)
             if at < arrivals[peer] and at < crash_at[peer]:
                 arrivals[peer] = at
                 push(queue, SimEvent(at, seq, DELIVER, peer, v, sender))
@@ -203,7 +201,10 @@ class Simulation:
 
         A delivery whose target already has an earlier copy of the vertex
         was overtaken: it is retired without running, without moving ``now``
-        and without counting in ``events_executed``.
+        and without counting in ``events_executed``, and it is still
+        returned. So a returned ``DELIVER`` may not have run: it ran exactly
+        when ``events_executed`` grew across the call. Only Delta >= 2 runs
+        have overtaken copies.
         """
         if not self._queue:
             return None

@@ -163,20 +163,35 @@ def test_check_unknown_record_kind_exits_two(tmp_path, capsys):
     assert "vertex-teleported" in capsys.readouterr().err
 
 
-def test_check_record_missing_a_field_exits_two(tmp_path, capsys):
-    out_dir = persisted_run(tmp_path)
+def _edit_first_ordered_record(out_dir, edit):
     trace = out_dir / "node-01.jsonl"
     lines = trace.read_text().splitlines()
     for i, line in enumerate(lines):
         rec = json.loads(line)
         if rec.get("kind") == "vertex-ordered":
-            del rec["seqIndex"]
+            edit(rec)
             lines[i] = json.dumps(rec, separators=(",", ":"))
             break
     else:
         raise AssertionError("the run ordered no vertex")
     trace.write_text("\n".join(lines) + "\n")
+
+
+def test_check_record_missing_a_field_exits_two(tmp_path, capsys):
+    out_dir = persisted_run(tmp_path)
+    _edit_first_ordered_record(out_dir, lambda rec: rec.pop("seqIndex"))
     capsys.readouterr()
     assert main(["check", "--trace", str(out_dir)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("trace error:") and "seqIndex" in err
+
+
+def test_check_record_with_a_mistyped_field_exits_two(tmp_path, capsys):
+    out_dir = persisted_run(tmp_path)
+    _edit_first_ordered_record(out_dir, lambda rec: rec.update(seqIndex=None))
+    capsys.readouterr()
+    assert main(["check", "--trace", str(out_dir)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("trace error:") and "TypeError" in err
+    # No verdict is printed for a run that turned out to be unreadable.
+    assert out == ""
