@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Callable
 
 from .checks import (
     check_delivery_bound,
@@ -19,7 +20,7 @@ from .checks import (
     check_schedule_agreement,
     check_total_order,
 )
-from .config import ConfigInvalid, SimConfig, load_config
+from .config import ConfigInvalid, load_config, parse_config
 from .harness import compare, load_run, rows_to_csv, run_scenario, sweep
 from .traces import TraceInvalid
 
@@ -73,20 +74,14 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "comparison.csv").write_text(comparison.to_csv())
+        (out / "comparison.csv").write_text(rows_to_csv(comparison.to_rows()))
         print(f"wrote {out / 'comparison.csv'}")
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    base = load_config(args.config) if args.config else SimConfig(stakes=(1, 1, 1, 1), slot_length=4, batch_size=8)
-    rows = sweep(
-        base,
-        sizes=[int(x) for x in args.n.split(",")],
-        fault_counts=[int(x) for x in args.faults.split(",")],
-        spans=[int(x) for x in args.T.split(",")],
-        seeds=list(range(args.seeds)),
-    )
+    base = load_config(args.config) if args.config else parse_config({"stakes": [1, 1, 1, 1]})
+    rows = sweep(base, sizes=args.n, fault_counts=args.faults, spans=args.T, seeds=list(range(args.seeds)))
     csv_text = rows_to_csv(rows)
     if args.out:
         out = Path(args.out)
@@ -96,6 +91,22 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     else:
         print(csv_text, end="")
     return 0
+
+
+def _at_least(minimum: int) -> Callable[[str], int]:
+    """An argparse type for a count: an unsigned integer of at least ``minimum``."""
+
+    def count(text: str) -> int:
+        if not text.strip().isdecimal() or int(text) < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
+        return int(text)
+
+    return count
+
+
+def _list_of(item: Callable[[str], int]) -> Callable[[str], list[int]]:
+    """An argparse type for a comma-separated list of ``item`` values."""
+    return lambda text: [item(x) for x in text.split(",")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -118,16 +129,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="paired runs of two configs over shared seeds")
     p_cmp.add_argument("--a", required=True)
     p_cmp.add_argument("--b", required=True)
-    p_cmp.add_argument("--seeds", type=int, default=5)
+    p_cmp.add_argument("--seeds", type=_at_least(1), default=5)
     p_cmp.add_argument("--out")
     p_cmp.set_defaults(func=_cmd_compare)
 
     p_sweep = sub.add_parser("sweep", help="grid of runs over n, fault count, and epoch length")
     p_sweep.add_argument("--config", help="base config; defaults apply if omitted")
-    p_sweep.add_argument("--n", default="4,7,10")
-    p_sweep.add_argument("--faults", default="0,1")
-    p_sweep.add_argument("--T", default="10")
-    p_sweep.add_argument("--seeds", type=int, default=3)
+    p_sweep.add_argument("--n", type=_list_of(_at_least(1)), default="4,7,10")
+    p_sweep.add_argument("--faults", type=_list_of(_at_least(0)), default="0,1")
+    p_sweep.add_argument("--T", type=_list_of(_at_least(1)), default="10")
+    p_sweep.add_argument("--seeds", type=_at_least(1), default=3)
     p_sweep.add_argument("--out")
     p_sweep.set_defaults(func=_cmd_sweep)
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .committee import Committee
-from .dag import DagState, Vertex, VertexId, path
+from .dag import DagState, Vertex, VertexId, causal_history, path
 from .reputation import (
     ScheduleBook,
     ScheduleChange,
@@ -118,7 +118,9 @@ def order_history(state: CommitState, dag: DagState, tracer: Tracer) -> list[Ver
             continue
         if anchor.round <= state.last_ordered_round:
             continue
-        for vid in _unordered_history(dag, anchor.id, state.ordered):
+        # Ordered vertices are downward closed (histories are ordered
+        # atomically), so the walk stops at the first ordered ancestor.
+        for vid in sorted(causal_history(dag, anchor.id, exclude=state.ordered)):
             seq = len(state.commit_log)
             state.commit_log.append((seq, vid, anchor.round))
             state.ordered.add(vid)
@@ -138,24 +140,6 @@ def order_history(state: CommitState, dag: DagState, tracer: Tracer) -> list[Ver
                 scores={str(v): p for v, p in sorted(change.scores.points.items())},
             )
     return newly_ordered
-
-
-def _unordered_history(dag: DagState, anchor: VertexId, ordered: set[VertexId]) -> list[VertexId]:
-    # Ordered vertices are downward closed (histories are ordered atomically),
-    # so the walk can stop at the first ordered ancestor.
-    if anchor in ordered:
-        return []
-    found = {anchor}
-    frontier = [anchor]
-    while frontier:
-        nxt = []
-        for vid in frontier:
-            for e in dag.get(vid).edges:
-                if e not in ordered and e not in found:
-                    found.add(e)
-                    nxt.append(e)
-        frontier = nxt
-    return sorted(found)
 
 
 def update_schedule(state: CommitState, dag: DagState, anchor: Vertex) -> ScheduleChange:

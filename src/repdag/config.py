@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
 
@@ -49,26 +49,7 @@ class SimConfig:
         return None if self.mode == "round-robin" else self.commits_per_epoch
 
     def with_seed(self, seed: int) -> "SimConfig":
-        return SimConfig(**{**self.to_kwargs(), "seed": seed})
-
-    def to_kwargs(self) -> dict[str, Any]:
-        return {
-            "stakes": self.stakes,
-            "mode": self.mode,
-            "commits_per_epoch": self.commits_per_epoch,
-            "exclusion_fraction": self.exclusion_fraction,
-            "slot_length": self.slot_length,
-            "gst": self.gst,
-            "delta": self.delta,
-            "leader_timeout": self.leader_timeout,
-            "pre_gst_policy": self.pre_gst_policy,
-            "seed": self.seed,
-            "fault_plan": self.fault_plan,
-            "max_round": self.max_round,
-            "max_time": self.max_time,
-            "tx_rate_per_node": self.tx_rate_per_node,
-            "batch_size": self.batch_size,
-        }
+        return replace(self, seed=seed)
 
     def to_json_dict(self) -> dict[str, Any]:
         """Canonical wire form, same keys a config file uses."""
@@ -95,22 +76,9 @@ class SimConfig:
         }
 
 
-_KNOWN_KEYS = {
-    "stakes",
-    "mode",
-    "T",
-    "exclusionFraction",
-    "L",
-    "GST",
-    "Delta",
-    "leaderTimeout",
-    "preGstPolicy",
-    "seed",
-    "faultPlan",
-    "stop",
-    "txRatePerNode",
-    "batchSize",
-}
+# The wire form names every key a config file may use, so parsing accepts
+# exactly what ``to_json_dict`` writes.
+_KNOWN_KEYS = frozenset(SimConfig(stakes=(1,)).to_json_dict())
 
 
 def _require_int(raw: dict, key: str, default: int, minimum: int) -> int:

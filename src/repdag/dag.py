@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from typing import AbstractSet, Iterator, NamedTuple
 
 from .committee import Committee, ValidatorId
 
@@ -125,28 +125,9 @@ def path(dag: DagState, frm: VertexId, to: VertexId) -> bool:
     """True iff an edge chain leads from ``frm`` down to ``to``.
 
     A single vertex counts as a chain, so ``path(v, v)`` is true. Edges drop
-    exactly one round per hop, so anything at a round above ``frm`` or below
-    ``to`` is unreachable and the search prunes on round.
+    exactly one round per hop, so nothing below ``to``'s round can lead to it.
     """
-    if frm not in dag:
-        raise UnknownVertex(frm)
-    if frm == to:
-        return True
-    if to.round >= frm.round:
-        return False
-    frontier = [frm]
-    seen = {frm}
-    while frontier:
-        nxt = []
-        for vid in frontier:
-            for e in dag.get(vid).edges:
-                if e == to:
-                    return True
-                if e.round > to.round and e not in seen:
-                    seen.add(e)
-                    nxt.append(e)
-        frontier = nxt
-    return False
+    return to in causal_history(dag, frm, min_round=to.round)
 
 
 class AnchorReach:
@@ -175,17 +156,26 @@ class AnchorReach:
         return vid in self._reached
 
 
-def causal_history(dag: DagState, anchor: VertexId, min_round: int = 0) -> set[VertexId]:
-    """All vertices reachable from ``anchor`` (itself included) at round >= min_round."""
+def causal_history(
+    dag: DagState, anchor: VertexId, min_round: int = 0, exclude: AbstractSet[VertexId] = frozenset()
+) -> set[VertexId]:
+    """All vertices reachable from ``anchor`` (itself included) at round >= min_round.
+
+    The walk does not enter ``exclude``. For a downward-closed ``exclude``,
+    such as the vertices a node has already ordered, the result is the
+    history minus ``exclude``.
+    """
     if anchor not in dag:
         raise UnknownVertex(anchor)
+    if anchor in exclude:
+        return set()
     out = {anchor}
     frontier = [anchor]
     while frontier:
         nxt = []
         for vid in frontier:
             for e in dag.get(vid).edges:
-                if e.round >= min_round and e not in out:
+                if e not in out and e not in exclude and e.round >= min_round:
                     out.add(e)
                     nxt.append(e)
         frontier = nxt

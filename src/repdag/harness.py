@@ -9,7 +9,7 @@ from pathlib import Path
 from typing import Any
 
 from . import __version__
-from .config import SimConfig
+from .config import SimConfig, parse_config
 from .metrics import Metrics, Records, compute_metrics
 from .simnet import RunResult, run
 from .traces import TraceInvalid, parse, serialize
@@ -113,14 +113,6 @@ class Comparison:
             )
         return rows
 
-    def to_csv(self) -> str:
-        rows = self.to_rows()
-        cols = list(rows[0].keys())
-        lines = [",".join(cols)]
-        for row in rows:
-            lines.append(",".join(str(row[c]) for c in cols))
-        return "\n".join(lines) + "\n"
-
     def summary(self) -> str:
         lines = [
             f"{'seed':>6} {'tput A':>10} {'tput B':>10} {'lat A':>8} {'lat B':>8} {'skip A':>7} {'skip B':>7}"
@@ -168,15 +160,15 @@ def sweep(
                 continue
             for span in spans:
                 for seed in seeds:
-                    cfg = SimConfig(
-                        **{
-                            **base.to_kwargs(),
-                            "stakes": tuple([1] * n),
-                            "slot_length": n,
-                            "commits_per_epoch": span,
-                            "fault_plan": tuple((n - 1 - i, base.gst) for i in range(c)),
+                    cfg = parse_config(
+                        {
+                            **base.to_json_dict(),
+                            "stakes": [1] * n,
+                            "L": n,
+                            "T": span,
+                            "faultPlan": [[n - 1 - i, base.gst] for i in range(c)],
                             "seed": seed,
-                            "batch_size": max(1, n * base.tx_rate_per_node),
+                            "batchSize": max(1, n * base.tx_rate_per_node),
                         }
                     )
                     metrics, _ = run_in_memory(cfg)

@@ -111,17 +111,8 @@ class ReputationScores:
 
 
 @dataclass(frozen=True)
-class SwapTable:
-    """Slot counts per validator before and after a schedule change."""
-
-    before: dict[ValidatorId, int]
-    after: dict[ValidatorId, int]
-
-
-@dataclass(frozen=True)
 class ScheduleChange:
     schedule: Schedule
-    swap: SwapTable
     demoted: tuple[ValidatorId, ...]
     promoted: tuple[ValidatorId, ...]
     scores: ReputationScores
@@ -253,12 +244,6 @@ def build_next_schedule(
             if holder in demoted_set:
                 new_slots[i] = promoted[k % len(promoted)]
                 k += 1
-    before: dict[ValidatorId, int] = {v: 0 for v in committee.members}
-    after: dict[ValidatorId, int] = {v: 0 for v in committee.members}
-    for v in prev.slots:
-        before[v] += 1
-    for v in new_slots:
-        after[v] += 1
     schedule = Schedule(
         epoch=prev.epoch + 1,
         initial_round=prev.initial_round + 2 if initial_round is None else initial_round,
@@ -266,7 +251,6 @@ def build_next_schedule(
     )
     return ScheduleChange(
         schedule=schedule,
-        swap=SwapTable(before=before, after=after),
         demoted=tuple(demoted),
         promoted=tuple(promoted),
         scores=scores,

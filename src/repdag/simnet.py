@@ -151,9 +151,6 @@ class Simulation:
         heapq.heappush(self._queue, SimEvent(at, self._seq, kind, target, vertex, sender))
         self._seq += 1
 
-    def next_event_at(self) -> int | None:
-        return self._queue[0].at if self._queue else None
-
     def _delivery_time(self, now: int) -> int:
         gst, delta = self.cfg.gst, self.cfg.delta
         rand = self.rng.random

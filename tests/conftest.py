@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from repdag.commit import CommitState, retro_recheck, try_committing
 from repdag.committee import Committee, new_committee
 from repdag.config import parse_config
 from repdag.dag import Block, DagState, InsertOutcome, Vertex, VertexId
-from repdag.reputation import Schedule, ScheduleBook, initial_schedule
+from repdag.node import Node
+from repdag.reputation import initial_schedule
 from repdag.simnet import run
 from repdag.traces import Tracer
 
@@ -59,39 +59,16 @@ def random_dag_vertices(rng: random.Random, committee, max_rounds):
     return vertices
 
 
-def replay(committee, vertices, order, schedule_seed=0, switch_span=None, slots=None):
-    """Feed vertices to a fresh commit state in the given order, buffering
-    out-of-order arrivals the way a node would. Returns the commit state."""
-    dag = DagState(committee)
-    if slots is not None:
-        genesis = Schedule(epoch=0, initial_round=0, slots=tuple(slots))
-    else:
-        genesis = initial_schedule(committee, schedule_seed, committee.n)
-    state = CommitState(committee=committee, book=ScheduleBook(genesis), switch_span=switch_span)
-    tracer = Tracer(0)
-    pending = {}
+def replay(committee, vertices, order, schedule_seed=0, switch_span=None):
+    """Deliver vertices to a fresh node in the given order; the node buffers
+    out-of-order arrivals and runs its commit pass. ``round_cap=0`` keeps it
+    from creating vertices of its own. Returns its commit state, dag and
+    tracer."""
+    genesis = initial_schedule(committee, schedule_seed, committee.n)
+    node = Node(0, committee, genesis, Tracer(0), leader_timeout=1, batch_size=1, round_cap=0, switch_span=switch_span)
     for idx in order:
-        v = vertices[idx]
-        outcome = dag.insert(v)
-        inserted = []
-        if outcome is InsertOutcome.INSERTED:
-            inserted.append(v)
-            progress = True
-            while progress:
-                progress = False
-                for vid in sorted(pending):
-                    if dag.insert(pending[vid]) is InsertOutcome.INSERTED:
-                        inserted.append(pending.pop(vid))
-                        progress = True
-        elif outcome is InsertOutcome.MISSING_PARENTS:
-            pending[v.id] = v
-        inserted.sort(key=lambda x: x.id)
-        for w in inserted:
-            before = state.book.epoch_count
-            try_committing(state, dag, w, tracer)
-            if state.book.epoch_count != before:
-                retro_recheck(state, dag, tracer)
-    return state, dag, tracer
+        node.on_deliver(vertices[idx], now=0)
+    return node.commit, node.dag, node.tracer
 
 
 def quick_run(**overrides):

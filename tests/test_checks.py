@@ -1,12 +1,17 @@
 import copy
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repdag.checks import (
+    check_delivery_bound,
     check_leader_utilization,
     check_rb_agreement,
     check_rb_validity,
     check_schedule_agreement,
     check_total_order,
 )
+from repdag.config import MODES
 
 from .conftest import manifest_for, quick_run
 
@@ -108,3 +113,37 @@ class TestReliableBroadcast:
                 break
         assert not check_rb_agreement(records, manifest_for(cfg)).ok
         assert not check_rb_validity(records, manifest_for(cfg)).ok
+
+
+@st.composite
+def scenarios(draw):
+    """A random scenario: n in 4..10, at most f crashes at random ticks,
+    random GST, Delta, leader timeout and pre-GST policy, either mode."""
+    n = draw(st.integers(min_value=4, max_value=10))
+    crashed = draw(st.lists(st.integers(min_value=0, max_value=n - 1), unique=True, max_size=(n - 1) // 3))
+    delta = draw(st.integers(min_value=1, max_value=5))
+    return {
+        "stakes": [1] * n,
+        "mode": draw(st.sampled_from(MODES)),
+        "T": draw(st.integers(min_value=1, max_value=10)),
+        "GST": draw(st.integers(min_value=0, max_value=40)),
+        "Delta": delta,
+        "leaderTimeout": draw(st.integers(min_value=1, max_value=4 * delta)),
+        "preGstPolicy": draw(st.just("hold") | st.integers(min_value=1, max_value=20).map("random:{}".format)),
+        "faultPlan": [[v, draw(st.integers(min_value=0, max_value=100))] for v in crashed],
+        "seed": draw(st.integers(min_value=0, max_value=10**6)),
+        "stop": {"maxRound": draw(st.integers(min_value=1, max_value=40))},
+    }
+
+
+class TestRandomScenarios:
+    @settings(max_examples=60, deadline=None)
+    @given(scenarios())
+    def test_every_checker_reports_ok(self, raw):
+        cfg, result = quick_run(**raw)
+        records, manifest = result.records_by_node, manifest_for(cfg)
+        assert check_total_order(records).ok
+        assert check_schedule_agreement(records, manifest).status == "ok"
+        assert check_rb_validity(records, manifest).ok
+        assert check_rb_agreement(records, manifest).ok
+        assert check_delivery_bound(records, manifest).ok

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from repdag.cli import main
 from repdag.harness import compare, load_run, run_scenario
 from repdag.config import parse_config
@@ -90,6 +92,26 @@ def test_sweep_cli(tmp_path):
     rows = (out / "sweep.csv").read_text().splitlines()
     assert rows[0].startswith("n,faults,T,seed,mode")
     assert len(rows) == 3  # header + (faults 0, faults 1)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["compare", "--seeds", "0", "--out", "d"],
+        ["sweep", "--n", "4,x"],
+        ["sweep", "--n", "0"],
+        ["sweep", "--seeds", "0"],
+        ["compare", "--seeds", "-2"],
+    ],
+)
+def test_bad_count_argument_exits_two(tmp_path, capsys, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)
+    if args[0] == "compare":
+        args = [*args, "--a", str(write_config(tmp_path, "a.json")), "--b", str(write_config(tmp_path, "b.json"))]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert "expected an integer" in capsys.readouterr().err
 
 
 def test_scenario_files_round_trip(tmp_path):

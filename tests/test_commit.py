@@ -230,7 +230,7 @@ class TestUpdateSchedule:
         change = update_schedule(state, dag, dag.get(VertexId(6, 2)))
         assert change.scores.points == {0: 2, 1: 2, 2: 2, 3: 0}
         assert change.demoted == (3,)
-        assert change.swap.after[3] == 0
+        assert 3 not in change.schedule.slots
         assert change.schedule.slots == (0, 1, 0, 2)
 
     def test_premature_switch_rejected(self, committee4):

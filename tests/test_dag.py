@@ -111,6 +111,14 @@ class TestPath:
                 if path(dag, a.id, b.id):
                     assert b.round <= a.round
 
+        def ancestors(vid):
+            return {v.id for v in vertices if naive_path(dag, vid, v.id)}
+
+        # A union of histories is downward closed, like a node's ordered set.
+        closed = set().union(*(ancestors(v.id) for v in rng.sample(vertices, k=2)))
+        for a in probes:
+            assert causal_history(dag, a.id, exclude=closed) == ancestors(a.id) - closed
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=10**6))
     def test_insert_order_independence(self, seed):
