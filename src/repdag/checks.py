@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from .metrics import Records, honest_nodes
+from .metrics import Records, committed_anchor_rounds, honest_nodes
 
 
 @dataclass(frozen=True)
@@ -164,11 +164,7 @@ def check_leader_utilization(
     span = cfg["T"]
     if warmup is None:
         warmup = (span + 1) // 2 + 2
-    committed: set[int] = set()
-    for node in honest:
-        for rec in records_by_node.get(node, []):
-            if rec["kind"] == "anchor-committed":
-                committed.add(rec["round"])
+    committed = committed_anchor_rounds(records_by_node, honest)
     start = _pre_gst_round(records_by_node, honest, cfg["GST"]) + 1
     start = start + (start % 2)  # first even round after pre-GST progress
     start = max(start, 2)

@@ -6,13 +6,17 @@ which all honest nodes agree on (eventually for content, by induction for the
 book), so replicas produce identical commit logs no matter how deliveries
 interleave.
 
-The delicate part is a schedule switch that lands in the middle of draining
-the anchor stack. Anchors still on the stack live at rounds the new schedule
-now governs, so each one is re-validated against the current book before it
-is ordered and silently discarded if its round's leader changed. Discards do
-not advance ``last_ordered_round``; otherwise the new leader's vertex for a
-discarded round could never be committed retroactively and replicas that
-switched earlier would diverge.
+Each anchor round is decided once: committed directly, committed by
+back-chaining from a later anchor, or skipped. Once ``last_ordered_round``
+has passed a round, a later certifier of that round's anchor is not looked at.
+
+The delicate part is a schedule switch that lands in the middle of ordering
+a back-chained run of anchors. Anchors still waiting in the chain live at
+rounds the new schedule now governs, so each one is re-validated against the
+current book before it is ordered and silently discarded if its round's
+leader changed. Discards do not advance ``last_ordered_round``; otherwise the
+new leader's vertex for a discarded round could never be committed
+retroactively and replicas that switched earlier would diverge.
 """
 
 from __future__ import annotations
@@ -46,7 +50,6 @@ class CommitState:
     ordered: set[VertexId] = field(default_factory=set)
     last_ordered_round: int = 0
     commit_log: list[tuple[int, VertexId, int]] = field(default_factory=list)
-    anchor_stack: list[tuple[Vertex, bool]] = field(default_factory=list)
     discarded_anchors: list[VertexId] = field(default_factory=list)
 
 
@@ -55,9 +58,10 @@ def try_committing(state: CommitState, dag: DagState, v: Vertex, tracer: Tracer)
 
     Returns the anchor round when at least f+1 of the vertex's parents vote
     for the anchor two rounds below (see :func:`anchor_votes`), else None.
-    Odd and genesis rounds never commit anything.
+    Odd rounds commit nothing, and neither does a vertex whose anchor round
+    is already decided (at or below ``last_ordered_round``, genesis included).
     """
-    if v.round % 2 == 1 or v.round == 0:
+    if v.round % 2 == 1 or v.round - 2 <= state.last_ordered_round:
         return None
     anchor = get_anchor(dag, state.book, v.round - 2)
     if anchor is None:
@@ -82,41 +86,32 @@ def anchor_votes(dag: DagState, v: Vertex, anchor: VertexId) -> int:
 def order_anchors(state: CommitState, dag: DagState, anchor: Vertex, tracer: Tracer) -> None:
     """Chain backwards from a directly committed anchor and order everything.
 
-    Walks even rounds below the anchor down to the last ordered round,
-    stacking every prior anchor reachable from the newest element of the
-    chain. Anchors at or below the last ordered round are stale: a concurrent
-    direct commit already covered them, so they are dropped with a trace
-    record only.
+    ``anchor`` sits above ``last_ordered_round`` (see :func:`try_committing`).
+    Walks the even rounds below it down to, but not including, the last
+    ordered round, and chains every prior anchor reachable from the newest
+    element of the chain. The chain, newest first, goes to
+    :func:`order_history`.
     """
-    if anchor.round <= state.last_ordered_round:
-        tracer.emit("stale-anchor", round=anchor.round)
-        return
-    state.anchor_stack.append((anchor, True))
-    tip = anchor
-    r = anchor.round - 2
-    while r > state.last_ordered_round:
+    chain = [anchor]
+    for r in range(anchor.round - 2, state.last_ordered_round, -2):
         prev = get_anchor(dag, state.book, r)
-        if prev is not None and path(dag, tip.id, prev.id):
-            state.anchor_stack.append((prev, False))
-            tip = prev
-        r -= 2
-    order_history(state, dag, tracer)
+        if prev is not None and path(dag, chain[-1].id, prev.id):
+            chain.append(prev)
+    order_history(state, dag, chain, tracer)
 
 
-def order_history(state: CommitState, dag: DagState, tracer: Tracer) -> list[VertexId]:
-    """Drain the anchor stack oldest-first, ordering each causal history.
+def order_history(state: CommitState, dag: DagState, chain: list[Vertex], tracer: Tracer) -> None:
+    """Order the causal history of each anchor in ``chain``, oldest first.
 
+    ``chain`` is newest first; its head is the directly committed anchor.
     Every anchor is re-validated against the current book right before it is
     ordered (see module docstring). After ordering, the anchor may trigger a
-    schedule switch; draining then continues under the new schedule.
+    schedule switch; the rest of the chain is then ordered under the new
+    schedule.
     """
-    newly_ordered: list[VertexId] = []
-    while state.anchor_stack:
-        anchor, direct = state.anchor_stack.pop()
+    for anchor in reversed(chain):
         if state.book.leader_for(anchor.round) != anchor.source:
             state.discarded_anchors.append(anchor.id)
-            continue
-        if anchor.round <= state.last_ordered_round:
             continue
         # Ordered vertices are downward closed (histories are ordered
         # atomically), so the walk stops at the first ordered ancestor.
@@ -124,10 +119,9 @@ def order_history(state: CommitState, dag: DagState, tracer: Tracer) -> list[Ver
             seq = len(state.commit_log)
             state.commit_log.append((seq, vid, anchor.round))
             state.ordered.add(vid)
-            newly_ordered.append(vid)
             tracer.emit("vertex-ordered", id=[vid.round, vid.source], seqIndex=seq)
         state.last_ordered_round = anchor.round
-        tracer.emit("anchor-committed", round=anchor.round, leader=anchor.source, direct=direct)
+        tracer.emit("anchor-committed", round=anchor.round, leader=anchor.source, direct=anchor is chain[0])
         active = state.book.active
         if state.switch_span is not None and active.initial_round + state.switch_span <= anchor.round:
             change = update_schedule(state, dag, anchor)
@@ -139,7 +133,6 @@ def order_history(state: CommitState, dag: DagState, tracer: Tracer) -> list[Ver
                 slots=list(change.schedule.slots),
                 scores={str(v): p for v, p in sorted(change.scores.points.items())},
             )
-    return newly_ordered
 
 
 def update_schedule(state: CommitState, dag: DagState, anchor: Vertex) -> ScheduleChange:
@@ -177,10 +170,9 @@ def retro_recheck(state: CommitState, dag: DagState, tracer: Tracer) -> list[int
     while True:
         epochs_before = state.book.epoch_count
         start = state.book.active.initial_round
-        for v in dag.even_vertices_from(max(start, 2)):
-            before = state.last_ordered_round
+        for v in dag.even_vertices_from(start):
             r = try_committing(state, dag, v, tracer)
-            if r is not None and r > before and state.last_ordered_round >= r:
+            if r is not None and state.last_ordered_round >= r:
                 committed.append(r)
         if state.book.epoch_count == epochs_before:
             return committed

@@ -100,6 +100,10 @@ def parse_config(raw: dict[str, Any]) -> SimConfig:
         if not isinstance(s, int) or isinstance(s, bool) or s <= 0:
             raise ConfigInvalid("stakes", f"stake entries must be positive integers, got {s!r}")
     n = len(stakes)
+    if n < 2:
+        # A lone validator's own copy lands at once, so every round would
+        # run at tick 0 and the run would never reach a time horizon.
+        raise ConfigInvalid("stakes", "expected at least two validators")
     f = (n - 1) // 3
 
     mode = raw.get("mode", "hammerhead")

@@ -43,6 +43,16 @@ def honest_nodes(manifest: dict[str, Any]) -> list[int]:
     return [v for v in range(len(manifest["config"]["stakes"])) if v not in crashed]
 
 
+def committed_anchor_rounds(records_by_node: Records, honest: list[int]) -> set[int]:
+    """Anchor rounds some honest node committed, directly or by back-chaining."""
+    return {
+        rec["round"]
+        for node in honest
+        for rec in records_by_node.get(node, [])
+        if rec["kind"] == "anchor-committed"
+    }
+
+
 def _nearest_rank(sorted_samples: list[int], q: float) -> float:
     idx = max(0, int(q * len(sorted_samples) + 0.999999) - 1)
     return float(sorted_samples[min(idx, len(sorted_samples) - 1)])
@@ -84,11 +94,7 @@ def compute_metrics(records_by_node: Records, manifest: dict[str, Any]) -> Metri
     else:
         p50 = p95 = avg = None
 
-    committed_rounds: set[int] = set()
-    for node in honest:
-        for rec in records_by_node.get(node, []):
-            if rec["kind"] == "anchor-committed":
-                committed_rounds.add(rec["round"])
+    committed_rounds = committed_anchor_rounds(records_by_node, honest)
     skipped = 0
     if committed_rounds:
         top = max(committed_rounds)

@@ -108,21 +108,20 @@ class Node:
     # -- internals -------------------------------------------------------
 
     def _drain_pending(self) -> list[Vertex]:
+        # Parents sit exactly one round below their child, so one pass in
+        # (round, source) order inserts everything that can be inserted.
         drained: list[Vertex] = []
-        progress = True
-        while progress:
-            progress = False
-            for vid in sorted(self.pending):
-                v = self.pending[vid]
-                if self.dag.insert(v) is InsertOutcome.INSERTED:
-                    del self.pending[vid]
-                    drained.append(v)
-                    self.tracer.emit("vertex-delivered", id=[v.round, v.source])
-                    progress = True
+        for vid in sorted(self.pending):
+            v = self.pending[vid]
+            if self.dag.insert(v) is InsertOutcome.INSERTED:
+                del self.pending[vid]
+                drained.append(v)
+                self.tracer.emit("vertex-delivered", id=[v.round, v.source])
         return drained
 
     def _commit_pass(self, inserted: list[Vertex]) -> None:
-        inserted.sort(key=lambda v: v.id)
+        # ``inserted`` is already in (round, source) order: the delivered
+        # vertex first, then the drained ones, which all descend from it.
         for v in inserted:
             epochs_before = self.commit.book.epoch_count
             try_committing(self.commit, self.dag, v, self.tracer)

@@ -22,7 +22,6 @@ RECORD_KINDS = frozenset(
         "round-advanced",
         "leader-timeout",
         "anchor-committed",
-        "stale-anchor",
         "vertex-ordered",
         "schedule-switched",
     }

@@ -114,6 +114,13 @@ def test_bad_count_argument_exits_two(tmp_path, capsys, monkeypatch, args):
     assert "expected an integer" in capsys.readouterr().err
 
 
+def test_one_validator_sweep_exits_two(tmp_path, capsys, monkeypatch):
+    # A lone validator would run every round at tick 0 and never stop on time.
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", "--n", "1", "--faults", "0", "--seeds", "1"]) == 2
+    assert "config error: stakes" in capsys.readouterr().err
+
+
 def test_scenario_files_round_trip(tmp_path):
     cfg_path = write_config(tmp_path)
     from repdag.config import load_config

@@ -8,7 +8,6 @@ from repdag.commit import (
     CommitState,
     PrematureScheduleSwitch,
     anchor_votes,
-    order_anchors,
     retro_recheck,
     try_committing,
     update_schedule,
@@ -40,37 +39,36 @@ def committed_anchors(tracer):
 
 
 class TestTryCommitting:
-    """Built on the nine-vertex dag: four genesis vertices, three round-one
-    vertices, and one round-two committer whose parents vote for the
-    round-zero anchor."""
+    """Built on a full dag up to round two, three round-three vertices, and
+    one round-four committer whose parents vote for the round-two anchor.
+    The anchor sits above the last ordered round (0), so its round is still
+    undecided and the vote count alone decides."""
 
     def build(self, committee, linking_parents):
-        dag = DagState(committee)
-        g = [mk_vertex(0, s) for s in range(4)]
-        for v in g:
-            dag.insert(v)
-        anchor = g[0].id  # leader(0) = 0 under slots (0, 1, 2, 3)
+        dag = full_dag(committee, 2)
+        anchor = VertexId(2, 1)  # leader(2) = 1 under slots (0, 1, 2, 3)
         parents = []
         for s in range(3):
             if s < linking_parents:
-                edges = [g[0].id, g[1].id, g[2].id]
+                edges = [VertexId(2, 0), anchor, VertexId(2, 2)]
             else:
-                edges = [g[1].id, g[2].id, g[3].id]
-            parents.append(mk_vertex(1, s, edges))
+                edges = [VertexId(2, 0), VertexId(2, 2), VertexId(2, 3)]
+            parents.append(mk_vertex(3, s, edges))
             dag.insert(parents[-1])
-        committer = mk_vertex(2, 0, [p.id for p in parents])
+        committer = mk_vertex(4, 0, [p.id for p in parents])
         dag.insert(committer)
         return dag, committer, anchor
 
     def test_two_votes_commit(self, committee4):
         dag, committer, _ = self.build(committee4, linking_parents=2)
         state = fresh_state(committee4)
-        assert try_committing(state, dag, committer, tracer0()) == 0
+        assert try_committing(state, dag, committer, tracer0()) == 2
 
     def test_one_vote_is_not_enough(self, committee4):
         dag, committer, _ = self.build(committee4, linking_parents=1)
         state = fresh_state(committee4)
         assert try_committing(state, dag, committer, tracer0()) is None
+        assert state.commit_log == []
 
     def test_odd_round_is_a_no_op(self, committee4):
         dag = full_dag(committee4, 3)
@@ -143,15 +141,17 @@ class TestOrderAnchors:
         assert try_committing(state, dag, dag.get(VertexId(8, 0)), tr) == 6
         assert committed_anchors(tr) == [(2, 1, False), (6, 3, True)]
 
-    def test_stale_anchor_dropped_with_record(self, committee4):
+    def test_second_certifier_of_a_decided_round_is_a_no_op(self, committee4):
         dag = full_dag(committee4, 8)
         state = fresh_state(committee4)
         tr = tracer0()
-        try_committing(state, dag, dag.get(VertexId(8, 0)), tr)
+        assert try_committing(state, dag, dag.get(VertexId(8, 0)), tr) == 6
         log_before = list(state.commit_log)
-        order_anchors(state, dag, dag.get(VertexId(4, 2)), tr)
+        records_before = len(tr.records)
+        # (8, 1) also certifies the round-6 anchor, which is already ordered
+        assert try_committing(state, dag, dag.get(VertexId(8, 1)), tr) is None
         assert state.commit_log == log_before
-        assert any(r["kind"] == "stale-anchor" and r["round"] == 4 for r in tr.records)
+        assert len(tr.records) == records_before
 
 
 class TestOrderHistory:

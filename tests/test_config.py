@@ -51,6 +51,7 @@ def test_unknown_key_rejected():
         ("stop", {"maxRound": 0}),
         ("txRatePerNode", -1),
         ("batchSize", 0),
+        ("stakes", [5]),
     ],
 )
 def test_invalid_fields_rejected(field, value):

@@ -23,75 +23,75 @@ from repdag.simnet import run
 CORPUS = {
     "n4-d2": (
         {"stakes": [1] * 4, "Delta": 2, "stop": {"maxRound": 24}, "seed": 0},
-        "faa46cab91ead50c467d6f539589be758373daa9430ebb26bc168c9d1dbd0f7b",
+        "12a98d90e82a3aec7e666b4b7e2ea7f7bae37fb402b629de92027c5d01adc7c5",
     ),
     "n7-d1": (
         {"stakes": [1] * 7, "Delta": 1, "stop": {"maxRound": 30}, "seed": 11},
-        "7fae4e22c1043b4095bc3e00dff78cdc9e52b932244854fa9cfa19f18f4c7cc5",
+        "0c50e2d7c90fbc232ec98838012f05df4ed255fb390ea373d3512ffbfc35b298",
     ),
     "n4-d3": (
         {"stakes": [1] * 4, "Delta": 3, "stop": {"maxRound": 30}, "seed": 1},
-        "666906ff110bddc1046aa184f98c6e48350787fb5c156c1c75d8a2db178ab524",
+        "7d0e4554c3600dc4ed9be4d634cb4844363a9a6b0d7fc3b13620fea7bb671bc1",
     ),
     "n7-d5": (
         {"stakes": [1] * 7, "Delta": 5, "stop": {"maxRound": 24}, "seed": 2},
-        "ef46240bf8cb51dfbf5dc08097b1fe49bdc1935d40f7fa46b47b351af604ec03",
+        "ec83921f82ecbcaa8a29fbd926aaf83cf3fb4eb333aec1974f5e357fe203ef32",
     ),
     "n4-d5-rr": (
         {"stakes": [1] * 4, "mode": "round-robin", "Delta": 5, "stop": {"maxRound": 24}, "seed": 3},
-        "1aa97956b0eda34d2dcae1716be5566bfb8bbbd9a180cbe81b6458cfe8f56187",
+        "586ecc9d6178371034e4cf393770433891a9f7b6d2a1e0c05903c7d0d4292995",
     ),
     "n7-random-gst": (
         {"stakes": [1] * 7, "GST": 25, "preGstPolicy": "random:9", "Delta": 3, "stop": {"maxRound": 24}, "seed": 4},
-        "ca7a93cdc47a1358adbe86c2d37777c5aa18fd86cbd1b7704f768a5a2552901c",
+        "285d497edd16561eeed19c8f5954ee8055899f79eac750b45c064a92213ba218",
     ),
     "n4-hold-gst": (
         {"stakes": [1] * 4, "GST": 30, "Delta": 3, "stop": {"maxRound": 24}, "seed": 5},
-        "0e9f5e222c2c79eb82d14ba7302426fd09a82458850da9ef1855be3603d66ecd",
+        "02fec53c8b53f202a62b3874228ad7cc86896b68a7c22ae8caf38eb93c68e3be",
     ),
     "n10-crash-mid": (
         {"stakes": [1] * 10, "Delta": 3, "faultPlan": [[9, 5], [8, 5], [7, 5]], "stop": {"maxRound": 24}, "seed": 6},
-        "15c078376a479345b579edc493fd5b0f2a64782ffe077966d8d54b83452c6b57",
+        "84944ecc8b46ca5e23d500727cf5b3bf0640829a1ed9a17da0de744ce69a56bc",
     ),
     "n4-crash-zero": (
         {"stakes": [1] * 4, "leaderTimeout": 9, "faultPlan": [[0, 0]], "stop": {"maxRound": 24}, "seed": 29},
-        "175d44cb817d475fdf654e557d970604e9ccbb75849ae9ba6e5a350f9a2dcf39",
+        "6cb016c63e0f01da5c077204adc31320b8ba0ce6187de5bec573fe98f128db44",
     ),
     "n7-crash-late-random": (
         {"stakes": [1] * 7, "GST": 20, "preGstPolicy": "random:12", "Delta": 5, "faultPlan": [[3, 40], [5, 17]], "stop": {"maxRound": 30}, "seed": 7},
-        "0b001fdc1a1426155a71ee1f4414556487805eeb7685dd33f8950f6b5c47d649",
+        "e8dd10ea6a85cd6e36b2060b5e9b0c793b218971b9935d31c8c5c6f303ac8b61",
     ),
     "n4-maxtime": (
         {"stakes": [1] * 4, "stop": {"maxTime": 90}, "seed": 17},
-        "42f0eff67c641cf8926285b503a8310def5dfc3f659fa2536750e11d09b08bb8",
+        "f5ada2fbfada6a332463b596b4bd68abc5d573c7bd29a12762958ada8bcf9e41",
     ),
     "n4-maxtime-crash": (
         {"stakes": [1] * 4, "GST": 20, "preGstPolicy": "random:6", "Delta": 5, "faultPlan": [[2, 30]], "stop": {"maxTime": 60}, "seed": 8},
-        "64c9bb0ba4174369493a061011f17bfcb63c585d484a793d24c9961c653e3514",
+        "1a2a623fd74dcd80199d597d2eebf51c57e59098d17e0c81ddf93c6b530a1e7a",
     ),
     "n4-epochs": (
         {"stakes": [1] * 4, "T": 4, "Delta": 3, "stop": {"maxRound": 30}, "seed": 21},
-        "0a310530ded1d0af0a1ea78a335d34c7b612f38b66f2389d9b01c9a4a7c20f38",
+        "7a8a3578e74cc76bd81ed10cb62a6691c7f32758c480a1e0bfff3ddf818b612c",
     ),
     "n7-weighted": (
         {"stakes": [3, 1, 1, 1, 1, 1, 1], "Delta": 3, "stop": {"maxRound": 24}, "seed": 8},
-        "7f42488511d4b767f7512cc7514cf8fc73fd8247890744aa15c6bce7745be065",
+        "5be03617da47480860faa1cd9befdd89b2d68cb1098105c6b144168a6f62a905",
     ),
     "n10-rr-crash-zero": (
         {"stakes": [1] * 10, "mode": "round-robin", "GST": 10, "preGstPolicy": "random:8", "Delta": 3, "leaderTimeout": 12, "faultPlan": [[9, 0], [2, 0]], "stop": {"maxRound": 24}, "seed": 9},
-        "4c519c52cf19ec11ae53bfa128910a5a02eb0055269f6ae6951232a25bfac210",
+        "66ae143680898bff8155e09eeb8a4675ea02ffb05b02942ab5a32e90035052a9",
     ),
     "n5-slots-no-tx": (
         {"stakes": [2, 2, 1, 1, 1], "L": 10, "Delta": 4, "txRatePerNode": 0, "stop": {"maxRound": 24}, "seed": 13},
-        "0ff60df23697b425f845f3ac85e74b47797d1b1addd3cb3b4c33707c16f1d739",
+        "f6e39ca4664e2c2ec800cbe434d8a4f4f909aed594dc05e8ccd2b399c2e623d9",
     ),
     "n7-d1-gst-crash": (
         {"stakes": [1] * 7, "GST": 30, "preGstPolicy": "random:9", "Delta": 1, "faultPlan": [[4, 18]], "stop": {"maxRound": 30}, "seed": 10},
-        "0d801779e5e1f79aea2e824084676395dec166514a1037b257800432e3e02342",
+        "5c7c74937a7d0bb1edf696ff5026452dddb596d0fffa4b5ba29862091d0014d0",
     ),
     "n4-t2-long-crash-zero": (
         {"stakes": [1] * 4, "T": 2, "faultPlan": [[2, 0]], "stop": {"maxRound": 300}, "seed": 12},
-        "6a01c8cdc726325b069f701be1c96f03f4bf6adfec69b9744603093c84e17786",
+        "7820e3e098f2fe58e935ff77c6686dccfc393c5cc9cc8a6f7fa9649da8e552ac",
     ),
 }
 
@@ -103,4 +103,5 @@ def test_node_trace_digest_is_pinned(name, tmp_path):
     digest = hashlib.sha256()
     for trace_file in sorted(out.glob("node-*.jsonl")):
         digest.update(trace_file.read_bytes())
-    assert digest.hexdigest() == pinned
+    actual = digest.hexdigest()
+    assert actual == pinned, f"{name}: node traces hash to {actual}"

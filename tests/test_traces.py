@@ -51,12 +51,15 @@ def test_tracer_accumulates_with_current_time():
 
 
 def test_parse_accepts_every_emitted_kind_and_rejects_others():
-    records = [{"at": 3, "node": 1, "kind": "stale-anchor", "round": 4}]
+    records = [{"at": 3, "node": 1, "kind": "leader-timeout", "round": 4}]
     assert parse(serialize(1, records)) == (1, records)
     with pytest.raises(ValueError, match="vertex-teleported"):
         parse(serialize(1, [{"at": 3, "node": 1, "kind": "vertex-teleported"}]))
+    # No longer emitted: a trace written by an older build is refused by name.
+    with pytest.raises(ValueError, match="stale-anchor"):
+        parse(serialize(1, [{"at": 3, "node": 1, "kind": "stale-anchor", "round": 4}]))
     with pytest.raises(ValueError):
-        parse(serialize(1, [[3, 1, "stale-anchor"]]))
+        parse(serialize(1, [[3, 1, "leader-timeout"]]))
 
 
 def test_parse_requires_one_record_per_line():
