@@ -35,10 +35,6 @@ from .reputation import (
 from .traces import Tracer
 
 
-class PrematureScheduleSwitch(ValueError):
-    pass
-
-
 @dataclass
 class CommitState:
     """Per-node ordering state. Never shared across nodes."""
@@ -122,9 +118,8 @@ def order_history(state: CommitState, dag: DagState, chain: list[Vertex], tracer
             tracer.emit("vertex-ordered", id=[vid.round, vid.source], seqIndex=seq)
         state.last_ordered_round = anchor.round
         tracer.emit("anchor-committed", round=anchor.round, leader=anchor.source, direct=anchor is chain[0])
-        active = state.book.active
-        if state.switch_span is not None and active.initial_round + state.switch_span <= anchor.round:
-            change = update_schedule(state, dag, anchor)
+        change = update_schedule(state, dag, anchor)
+        if change is not None:
             state.book.append(change.schedule)
             tracer.emit(
                 "schedule-switched",
@@ -135,19 +130,18 @@ def order_history(state: CommitState, dag: DagState, chain: list[Vertex], tracer
             )
 
 
-def update_schedule(state: CommitState, dag: DagState, anchor: Vertex) -> ScheduleChange:
+def update_schedule(state: CommitState, dag: DagState, anchor: Vertex) -> ScheduleChange | None:
     """Score the closing epoch and build its successor schedule.
 
-    Scores cover rounds from the active schedule's start up to, but not
-    including, the triggering anchor's round. The successor takes effect at
-    the next anchor round after the trigger.
+    Returns None unless a switch is due: the mode switches at all and the
+    just-ordered ``anchor`` sits at least ``switch_span`` rounds past the
+    active schedule's start. Scores cover rounds from the active schedule's
+    start up to, but not including, the triggering anchor's round. The
+    successor takes effect at the next anchor round after the trigger.
     """
     active = state.book.active
     if state.switch_span is None or anchor.round < active.initial_round + state.switch_span:
-        raise PrematureScheduleSwitch(
-            f"anchor round {anchor.round} precedes the switch point "
-            f"{active.initial_round} + {state.switch_span}"
-        )
+        return None
     scores = compute_scores(dag, state.book, active.initial_round, anchor.round)
     return build_next_schedule(
         active,

@@ -33,6 +33,12 @@ class Block:
 
 @dataclass(frozen=True)
 class Vertex:
+    """A DAG vertex; its shape is checked once, here, for every receiver.
+
+    Raises ``ValueError`` for a negative round, a genesis vertex with edges,
+    or an edge that does not drop exactly one round.
+    """
+
     id: VertexId
     block: Block
     edges: frozenset[VertexId]
@@ -41,7 +47,10 @@ class Vertex:
     source: ValidatorId = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "round", self.id.round)
+        r = self.id.round
+        if r < 0 or (r == 0 and self.edges) or any(e.round != r - 1 for e in self.edges):
+            raise ValueError(f"malformed vertex {self.id}: edges {sorted(self.edges)}")
+        object.__setattr__(self, "round", r)
         object.__setattr__(self, "source", self.id.source)
 
 
@@ -87,24 +96,17 @@ class DagState:
                 out.extend(row[s] for s in sorted(row))
         return out
 
-    def structurally_valid(self, v: Vertex) -> bool:
-        if v.round < 0:
-            return False
-        if v.round == 0:
-            return not v.edges
-        if len(v.edges) < self.committee.quorum_threshold:
-            return False
-        return all(e.round == v.round - 1 for e in v.edges)
-
     def insert(self, v: Vertex) -> InsertOutcome:
-        """Insert ``v`` if structurally valid and causally complete.
+        """Insert ``v`` if it has quorum edges and is causally complete.
 
+        MALFORMED_EDGES means a non-genesis vertex with fewer than quorum
+        edges; the rest of its shape was checked when it was built.
         MISSING_PARENTS means the caller should buffer and retry once the
         parents arrive; DUPLICATE signals reliable-broadcast integrity
-        handling (same id already present). A valid vertex's parents all sit
-        one round below it, so one row of the store answers for all of them.
+        handling (same id already present). A vertex's parents all sit one
+        round below it, so one row of the store answers for all of them.
         """
-        if not self.structurally_valid(v):
+        if v.round and len(v.edges) < self.committee.quorum_threshold:
             return InsertOutcome.MALFORMED_EDGES
         row = self.by_round.get(v.round)
         if row is not None and v.source in row:

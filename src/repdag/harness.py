@@ -9,7 +9,7 @@ from pathlib import Path
 from typing import Any
 
 from . import __version__
-from .config import SimConfig, parse_config
+from .config import ConfigInvalid, SimConfig, parse_config
 from .metrics import Metrics, Records, compute_metrics
 from .simnet import RunResult, run
 from .traces import TraceInvalid, parse, serialize
@@ -37,16 +37,20 @@ def write_run(result: RunResult, out_dir: str | Path) -> Path:
 def load_run(run_dir: str | Path) -> tuple[dict[str, Any], Records]:
     """Read a persisted run: its manifest and one trace per validator.
 
-    Raises ``TraceInvalid`` unless every validator the manifest lists has
-    exactly one trace, named after it and with its node in the header, so a
-    checker never reports on traces it was not given.
+    Raises ``TraceInvalid`` unless the manifest holds a valid config and
+    every validator it lists has exactly one trace, named after it and with
+    its node in the header, so a checker never reports on traces it was not
+    given.
     """
     run_dir = Path(run_dir)
     manifest = json.loads((run_dir / MANIFEST_NAME).read_text())
+    config = manifest.get("config") if isinstance(manifest, dict) else None
+    if not isinstance(config, dict):
+        raise TraceInvalid(f"{run_dir / MANIFEST_NAME}: no config object")
     try:
-        n = len(manifest["config"]["stakes"])
-    except (TypeError, KeyError):
-        raise TraceInvalid(f"{run_dir / MANIFEST_NAME}: no config.stakes list") from None
+        n = parse_config(config).n
+    except ConfigInvalid as exc:
+        raise TraceInvalid(f"{run_dir / MANIFEST_NAME}: config {exc}") from None
     expected = {f"node-{v:02d}.jsonl": v for v in range(n)}
     found = {path.name for path in run_dir.glob("node-*.jsonl")}
     if found != expected.keys():

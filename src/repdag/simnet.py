@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import heapq
 import random
-from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, NamedTuple
 
 from .committee import Committee, ValidatorId, new_committee
@@ -49,48 +49,22 @@ class SimEvent(NamedTuple):
     kind: int
     target: ValidatorId
     vertex: Vertex | None
-    sender: ValidatorId | None
 
 
-class ClientPool:
-    """Constant offered load under crashes.
+def client_supply(crash_at: list[int], rate: int, node: ValidatorId, now: int) -> int:
+    """Transactions a live validator's clients hand it for one vertex at ``now``.
 
     Each validator carries one client producing ``rate`` transactions per
     vertex it creates. A crashed validator's client re-attaches to the next
-    live validator by id, so the system-wide injection rate stays n * rate
-    per round regardless of faults.
+    live validator by id, wrapping around, so the offered load stays n * rate
+    per round regardless of faults: ``node`` serves its own client and those
+    of the validators crashed at or before ``now`` directly below it.
     """
-
-    def __init__(self, committee: Committee, fault_plan: tuple[tuple[int, int], ...], rate: int):
-        self.n = committee.n
-        self.rate = rate
-        self.crash_at = {v: t for v, t in fault_plan}
-        # Attachment counts only change when somebody crashes; precompute one
-        # table per regime between crash times.
-        self._cut_times = sorted(set(t for _, t in fault_plan))
-        self._tables: list[list[int]] = []
-        for i in range(len(self._cut_times) + 1):
-            now = (self._cut_times[i - 1] if i else -1)
-            self._tables.append(self._attachment_counts(now))
-
-    def _alive(self, v: ValidatorId, now: int) -> bool:
-        return v not in self.crash_at or self.crash_at[v] > now
-
-    def _attachment_counts(self, now: int) -> list[int]:
-        counts = [0] * self.n
-        for client in range(self.n):
-            for hop in range(self.n):
-                candidate = (client + hop) % self.n
-                if self._alive(candidate, now):
-                    counts[candidate] += 1
-                    break
-        return counts
-
-    def supply(self, node: ValidatorId, now: int) -> int:
-        if self.rate == 0:
-            return 0
-        regime = bisect_right(self._cut_times, now)
-        return self._tables[regime][node] * self.rate
+    n = len(crash_at)
+    clients = 1
+    while clients < n and crash_at[node - clients] <= now:
+        clients += 1
+    return clients * rate
 
 
 @dataclass
@@ -115,7 +89,12 @@ class Simulation:
         self.committee = new_committee(list(cfg.stakes))
         genesis = initial_schedule(self.committee, cfg.seed, cfg.slot_length)
         self.rng = random.Random(cfg.seed)
-        self.pool = ClientPool(self.committee, cfg.fault_plan, cfg.tx_rate_per_node)
+        self._crash_at = [_NEVER] * self.committee.n
+        for validator, crash_at in cfg.fault_plan:
+            self._crash_at[validator] = crash_at
+        # A partial, not a bound method: a node holding the simulation would
+        # make a cycle that keeps each finished run alive until a full GC.
+        supply = partial(client_supply, self._crash_at, cfg.tx_rate_per_node)
         self.tracers = [Tracer(v) for v in self.committee.members]
         round_cap = cfg.max_round if cfg.max_round is not None else 10**9
         self.nodes = [
@@ -129,7 +108,7 @@ class Simulation:
                 round_cap=round_cap,
                 switch_span=cfg.switch_span,
                 exclusion_fraction=cfg.exclusion_fraction,
-                tx_supply=self.pool.supply,
+                tx_supply=supply,
             )
             for v in self.committee.members
         ]
@@ -140,15 +119,13 @@ class Simulation:
         # Per vertex with copies in flight: the earliest tick a copy lands at
         # each peer (queued or executed), then the number of copies queued.
         self._arrivals: dict[VertexId, list[int]] = {}
-        self._crash_at = [_NEVER] * self.committee.n
         for validator, crash_at in cfg.fault_plan:
-            self._crash_at[validator] = crash_at
-            self._push(crash_at, CRASH, validator, None, None)
+            self._push(crash_at, CRASH, validator, None)
         for v in self.committee.members:
-            self._push(0, BOOT, v, None, None)
+            self._push(0, BOOT, v, None)
 
-    def _push(self, at: int, kind: int, target: int, vertex: Vertex | None, sender: int | None) -> None:
-        heapq.heappush(self._queue, SimEvent(at, self._seq, kind, target, vertex, sender))
+    def _push(self, at: int, kind: int, target: int, vertex: Vertex | None) -> None:
+        heapq.heappush(self._queue, SimEvent(at, self._seq, kind, target, vertex))
         self._seq += 1
 
     def _delivery_time(self, now: int) -> int:
@@ -188,7 +165,7 @@ class Simulation:
                 at = self._delivery_time(now)
             if at < arrivals[peer] and at < crash_at[peer]:
                 arrivals[peer] = at
-                push(queue, SimEvent(at, seq, DELIVER, peer, v, sender))
+                push(queue, SimEvent(at, seq, DELIVER, peer, v))
                 seq += 1
         arrivals[-1] += seq - self._seq
         self._seq = seq
@@ -232,7 +209,7 @@ class Simulation:
             for v in effects.broadcasts:
                 self.broadcast(ev.target, v, ev.at)
         for deadline in effects.timers:
-            self._push(deadline, TIMER, ev.target, None, None)
+            self._push(deadline, TIMER, ev.target, None)
         if ev.kind == DELIVER:
             self._retire(ev.vertex.id)
         return ev

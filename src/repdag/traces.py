@@ -1,6 +1,7 @@
 """Trace records: the persisted per-node audit log.
 
-One JSON object per line, preceded by a versioned header line. Field names
+One JSON object per line, preceded by a header line that carries the format
+version and names the node, so records do not repeat the node. Field names
 are frozen; times are integer ticks. Everything the metrics and property
 checkers need is recomputable from these files alone.
 """
@@ -13,7 +14,7 @@ from typing import Any
 from .committee import ValidatorId
 
 TRACE_FORMAT = "repdag-trace"
-TRACE_VERSION = 1
+TRACE_VERSION = 2
 
 RECORD_KINDS = frozenset(
     {
@@ -41,7 +42,7 @@ class Tracer:
         self.records: list[dict[str, Any]] = []
 
     def emit(self, kind: str, **payload: Any) -> None:
-        rec = {"at": self.now, "node": self.node, "kind": kind}
+        rec = {"at": self.now, "kind": kind}
         rec.update(payload)
         self.records.append(rec)
 

@@ -1,8 +1,9 @@
 """Independent brute-force oracles the implementation is checked against.
 
 These stay deliberately naive: plain depth-first search for reachability,
-literal per-round enumeration for scores, and a step-by-step rendering of
-the swap rule. None of them share code with the package internals.
+literal per-round enumeration for scores, a step-by-step rendering of the
+swap rule, and a hop-by-hop scan of client re-attachment. None of them share
+code with the package internals.
 """
 
 from repdag.dag import DagState, UnknownVertex, VertexId
@@ -69,3 +70,17 @@ def brute_swap(prev_slots, points, committee, exclusion_fraction=0.33):
             slots[i] = promoted[replaced % len(promoted)]
             replaced += 1
     return slots, demoted, promoted
+
+
+def brute_client_counts(n, crash_at, now):
+    """Clients each validator serves at ``now``: every validator's client hops
+    up by id, wrapping around, to the first validator not crashed at or
+    before ``now``. ``crash_at`` maps crashed validators to their crash tick."""
+    counts = [0] * n
+    for client in range(n):
+        for hop in range(n):
+            candidate = (client + hop) % n
+            if candidate not in crash_at or crash_at[candidate] > now:
+                counts[candidate] += 1
+                break
+    return counts

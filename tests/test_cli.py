@@ -5,6 +5,7 @@ import pytest
 from repdag.cli import main
 from repdag.harness import compare, load_run, run_scenario
 from repdag.config import parse_config
+from repdag.traces import header_line
 
 
 def write_config(tmp_path, name="scenario.json", **extra):
@@ -121,6 +122,22 @@ def test_one_validator_sweep_exits_two(tmp_path, capsys, monkeypatch):
     assert "config error: stakes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("stakes", [[], [1]])
+def test_check_run_without_a_committee_exits_two(tmp_path, capsys, stakes):
+    # One empty trace per listed validator passes the trace-set check, so
+    # only the manifest's config can refuse the run.
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    config = {**parse_config({"stakes": [1, 1, 1, 1]}).to_json_dict(), "stakes": stakes}
+    (out_dir / "manifest.json").write_text(json.dumps({"config": config}))
+    for v in range(len(stakes)):
+        (out_dir / f"node-{v:02d}.jsonl").write_text(header_line(v) + "\n")
+    assert main(["check", "--trace", str(out_dir)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "manifest.json" in err and "stakes" in err
+
+
 def test_scenario_files_round_trip(tmp_path):
     cfg_path = write_config(tmp_path)
     from repdag.config import load_config
@@ -151,11 +168,17 @@ def test_check_bad_header_exits_two(tmp_path, capsys):
     out_dir = persisted_run(tmp_path)
     trace = out_dir / "node-02.jsonl"
     lines = trace.read_text().splitlines()
-    lines[0] = json.dumps({"format": "something-else", "version": 1, "node": 2})
-    trace.write_text("\n".join(lines) + "\n")
-    assert main(["check", "--trace", str(out_dir)]) == 2
-    err = capsys.readouterr().err
-    assert "node-02.jsonl" in err and "header" in err
+    foreign = {"format": "something-else", "version": 2, "node": 2}
+    # Version 1 records still named their node.
+    version_1 = {"format": "repdag-trace", "version": 1, "node": 2}
+    for header in (foreign, version_1):
+        lines[0] = json.dumps(header)
+        trace.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["check", "--trace", str(out_dir)]) == 2
+        out, err = capsys.readouterr()
+        assert "node-02.jsonl" in err and "header" in err
+        assert out == ""
 
 
 def test_check_without_traces_exits_two(tmp_path, capsys):
@@ -186,7 +209,7 @@ def test_check_header_node_must_match_file_name(tmp_path, capsys):
 def test_check_unknown_record_kind_exits_two(tmp_path, capsys):
     out_dir = persisted_run(tmp_path)
     trace = out_dir / "node-01.jsonl"
-    extra = json.dumps({"at": 1, "node": 1, "kind": "vertex-teleported"})
+    extra = json.dumps({"at": 1, "kind": "vertex-teleported"})
     trace.write_text(trace.read_text() + extra + "\n")
     assert main(["check", "--trace", str(out_dir)]) == 2
     assert "vertex-teleported" in capsys.readouterr().err

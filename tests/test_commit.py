@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repdag.commit import (
     CommitState,
-    PrematureScheduleSwitch,
     anchor_votes,
     retro_recheck,
     try_committing,
@@ -201,7 +200,6 @@ class TestOrderHistory:
         assert switch == [
             {
                 "at": 0,
-                "node": 0,
                 "kind": "schedule-switched",
                 "epoch": 1,
                 "initialRound": 4,
@@ -236,8 +234,10 @@ class TestUpdateSchedule:
     def test_premature_switch_rejected(self, committee4):
         dag = full_dag(committee4, 4)
         state = fresh_state(committee4, span=10)
-        with pytest.raises(PrematureScheduleSwitch):
-            update_schedule(state, dag, dag.get(VertexId(2, 1)))
+        assert update_schedule(state, dag, dag.get(VertexId(2, 1))) is None
+        # Round-robin never switches.
+        state = fresh_state(committee4, span=None)
+        assert update_schedule(state, dag, dag.get(VertexId(2, 1))) is None
 
 
 class TestRetroRecheck:

@@ -56,11 +56,16 @@ class TestInsert:
         dag = full_dag(committee4, 1)
         too_few = mk_vertex(2, 0, [VertexId(1, 0), VertexId(1, 1)])
         assert dag.insert(too_few) is InsertOutcome.MALFORMED_EDGES
-        wrong_round = mk_vertex(2, 0, [VertexId(0, 0), VertexId(0, 1), VertexId(0, 2)])
-        assert dag.insert(wrong_round) is InsertOutcome.MALFORMED_EDGES
-        genesis_with_edges = mk_vertex(0, 3, [VertexId(0, 0)])
-        dag.insert(mk_vertex(0, 3))
-        assert dag.insert(genesis_with_edges) is InsertOutcome.MALFORMED_EDGES
+        # The rest of a vertex's shape is checked once, when it is built.
+        for round, edges in (
+            (2, [VertexId(0, 0), VertexId(0, 1), VertexId(0, 2)]),  # wrong round
+            (2, [VertexId(1, 0), VertexId(1, 1), VertexId(0, 2)]),  # one wrong round
+            (0, [VertexId(0, 0)]),  # genesis with edges
+            (0, [VertexId(-1, 0)]),
+            (-1, []),  # negative round
+        ):
+            with pytest.raises(ValueError, match="malformed vertex"):
+                mk_vertex(round, 3, edges)
 
 
 class TestPath:

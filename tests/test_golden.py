@@ -23,75 +23,75 @@ from repdag.simnet import run
 CORPUS = {
     "n4-d2": (
         {"stakes": [1] * 4, "Delta": 2, "stop": {"maxRound": 24}, "seed": 0},
-        "12a98d90e82a3aec7e666b4b7e2ea7f7bae37fb402b629de92027c5d01adc7c5",
+        "2597a34ad8f64549f7843b4f84cccb84781ef7916b2c97c5bbfb6c5e88f9327d",
     ),
     "n7-d1": (
         {"stakes": [1] * 7, "Delta": 1, "stop": {"maxRound": 30}, "seed": 11},
-        "0c50e2d7c90fbc232ec98838012f05df4ed255fb390ea373d3512ffbfc35b298",
+        "c5429999f973ac091997d11fc362b7439b529210b13b90ac56861db82ae2a7b8",
     ),
     "n4-d3": (
         {"stakes": [1] * 4, "Delta": 3, "stop": {"maxRound": 30}, "seed": 1},
-        "7d0e4554c3600dc4ed9be4d634cb4844363a9a6b0d7fc3b13620fea7bb671bc1",
+        "62946c0025365889334bac327d535f90c6410804831d99c8efa506661f2d38f8",
     ),
     "n7-d5": (
         {"stakes": [1] * 7, "Delta": 5, "stop": {"maxRound": 24}, "seed": 2},
-        "ec83921f82ecbcaa8a29fbd926aaf83cf3fb4eb333aec1974f5e357fe203ef32",
+        "3100e850cbb5b2c1f8f362ef30d7a99b9ec3e425f25c63f892e20402f6563d04",
     ),
     "n4-d5-rr": (
         {"stakes": [1] * 4, "mode": "round-robin", "Delta": 5, "stop": {"maxRound": 24}, "seed": 3},
-        "586ecc9d6178371034e4cf393770433891a9f7b6d2a1e0c05903c7d0d4292995",
+        "05de3777a2afba196c9cd957257ad911ffc92f6ff6626f92fe94233d1a085f85",
     ),
     "n7-random-gst": (
         {"stakes": [1] * 7, "GST": 25, "preGstPolicy": "random:9", "Delta": 3, "stop": {"maxRound": 24}, "seed": 4},
-        "285d497edd16561eeed19c8f5954ee8055899f79eac750b45c064a92213ba218",
+        "40bc322bb0e79ddbe90a23c8b4e34a00972c171fa85ea395960a7211dc8a0015",
     ),
     "n4-hold-gst": (
         {"stakes": [1] * 4, "GST": 30, "Delta": 3, "stop": {"maxRound": 24}, "seed": 5},
-        "02fec53c8b53f202a62b3874228ad7cc86896b68a7c22ae8caf38eb93c68e3be",
+        "979811bc7d1404316a33851c8533a7fe76df519bc435641b0ba98d337d4a1617",
     ),
     "n10-crash-mid": (
         {"stakes": [1] * 10, "Delta": 3, "faultPlan": [[9, 5], [8, 5], [7, 5]], "stop": {"maxRound": 24}, "seed": 6},
-        "84944ecc8b46ca5e23d500727cf5b3bf0640829a1ed9a17da0de744ce69a56bc",
+        "ce84b13c727fdd1860b032e5ccb85f8d70bb0a104b42bf762d5614bff9bae913",
     ),
     "n4-crash-zero": (
         {"stakes": [1] * 4, "leaderTimeout": 9, "faultPlan": [[0, 0]], "stop": {"maxRound": 24}, "seed": 29},
-        "6cb016c63e0f01da5c077204adc31320b8ba0ce6187de5bec573fe98f128db44",
+        "c48397ff683e2742d1c5f4e7c6b0846d5e67080f7464a96cbd6b3f1e1de3e756",
     ),
     "n7-crash-late-random": (
         {"stakes": [1] * 7, "GST": 20, "preGstPolicy": "random:12", "Delta": 5, "faultPlan": [[3, 40], [5, 17]], "stop": {"maxRound": 30}, "seed": 7},
-        "e8dd10ea6a85cd6e36b2060b5e9b0c793b218971b9935d31c8c5c6f303ac8b61",
+        "4b8e500cca80e426c53689611d300d6066363d8df7ab502d77d793e1dac52d43",
     ),
     "n4-maxtime": (
         {"stakes": [1] * 4, "stop": {"maxTime": 90}, "seed": 17},
-        "f5ada2fbfada6a332463b596b4bd68abc5d573c7bd29a12762958ada8bcf9e41",
+        "4f23d79e13db2f2f66f8a4f399341d76612f0b55ad9c5a86b5b5d0efffb43532",
     ),
     "n4-maxtime-crash": (
         {"stakes": [1] * 4, "GST": 20, "preGstPolicy": "random:6", "Delta": 5, "faultPlan": [[2, 30]], "stop": {"maxTime": 60}, "seed": 8},
-        "1a2a623fd74dcd80199d597d2eebf51c57e59098d17e0c81ddf93c6b530a1e7a",
+        "abbb05db55adf5c7075f5d5377cfedf008a8447afb8200da7a375c54a74b16ee",
     ),
     "n4-epochs": (
         {"stakes": [1] * 4, "T": 4, "Delta": 3, "stop": {"maxRound": 30}, "seed": 21},
-        "7a8a3578e74cc76bd81ed10cb62a6691c7f32758c480a1e0bfff3ddf818b612c",
+        "fafac236147466ed06dcc89d8d88ea41fa6961ad44546608b1fbbdaa5002f3a0",
     ),
     "n7-weighted": (
         {"stakes": [3, 1, 1, 1, 1, 1, 1], "Delta": 3, "stop": {"maxRound": 24}, "seed": 8},
-        "5be03617da47480860faa1cd9befdd89b2d68cb1098105c6b144168a6f62a905",
+        "262493902eb2805f529a5448157d24a89e430ab35428c523330bcf61773cfbdf",
     ),
     "n10-rr-crash-zero": (
         {"stakes": [1] * 10, "mode": "round-robin", "GST": 10, "preGstPolicy": "random:8", "Delta": 3, "leaderTimeout": 12, "faultPlan": [[9, 0], [2, 0]], "stop": {"maxRound": 24}, "seed": 9},
-        "66ae143680898bff8155e09eeb8a4675ea02ffb05b02942ab5a32e90035052a9",
+        "cf46a8f51161c28425a43179ab7cc8276764e7fcdc2faec723d03c5c34008c88",
     ),
     "n5-slots-no-tx": (
         {"stakes": [2, 2, 1, 1, 1], "L": 10, "Delta": 4, "txRatePerNode": 0, "stop": {"maxRound": 24}, "seed": 13},
-        "f6e39ca4664e2c2ec800cbe434d8a4f4f909aed594dc05e8ccd2b399c2e623d9",
+        "de92a05c00349ee077727d30a1d410b78f8b2150751f17531f0f54d5bbe35056",
     ),
     "n7-d1-gst-crash": (
         {"stakes": [1] * 7, "GST": 30, "preGstPolicy": "random:9", "Delta": 1, "faultPlan": [[4, 18]], "stop": {"maxRound": 30}, "seed": 10},
-        "5c7c74937a7d0bb1edf696ff5026452dddb596d0fffa4b5ba29862091d0014d0",
+        "8d1c692675748c22d9f0e96fb49216f324e7e39d12d6a75a84f8bfb56b2649e8",
     ),
     "n4-t2-long-crash-zero": (
         {"stakes": [1] * 4, "T": 2, "faultPlan": [[2, 0]], "stop": {"maxRound": 300}, "seed": 12},
-        "7820e3e098f2fe58e935ff77c6686dccfc393c5cc9cc8a6f7fa9649da8e552ac",
+        "f4d3fd32538c31a5dbab0f172be07facfca2b55477ca14887883ccc900acc38d",
     ),
 }
 

@@ -10,13 +10,13 @@ def synthetic_manifest():
 def test_latency_and_throughput_hand_computed():
     records = {
         0: [
-            {"at": 5, "node": 0, "kind": "vertex-created", "id": [2, 0], "txCount": 3},
-            {"at": 9, "node": 0, "kind": "vertex-ordered", "id": [2, 0], "seqIndex": 0},
-            {"at": 11, "node": 0, "kind": "vertex-ordered", "id": [2, 0], "seqIndex": 1},
+            {"at": 5, "kind": "vertex-created", "id": [2, 0], "txCount": 3},
+            {"at": 9, "kind": "vertex-ordered", "id": [2, 0], "seqIndex": 0},
+            {"at": 11, "kind": "vertex-ordered", "id": [2, 0], "seqIndex": 1},
         ],
         1: [
-            {"at": 6, "node": 1, "kind": "vertex-created", "id": [2, 1], "txCount": 1},
-            {"at": 20, "node": 1, "kind": "vertex-ordered", "id": [2, 1], "seqIndex": 0},
+            {"at": 6, "kind": "vertex-created", "id": [2, 1], "txCount": 1},
+            {"at": 20, "kind": "vertex-ordered", "id": [2, 1], "seqIndex": 0},
         ],
         2: [],
         3: [],
@@ -35,11 +35,11 @@ def test_latency_and_throughput_hand_computed():
 def test_skipped_anchor_rounds_counted_between_commits():
     records = {
         0: [
-            {"at": 3, "node": 0, "kind": "anchor-committed", "round": 2, "leader": 1, "direct": True},
-            {"at": 9, "node": 0, "kind": "anchor-committed", "round": 8, "leader": 0, "direct": True},
+            {"at": 3, "kind": "anchor-committed", "round": 2, "leader": 1, "direct": True},
+            {"at": 9, "kind": "anchor-committed", "round": 8, "leader": 0, "direct": True},
         ],
         1: [
-            {"at": 4, "node": 1, "kind": "anchor-committed", "round": 6, "leader": 3, "direct": False},
+            {"at": 4, "kind": "anchor-committed", "round": 6, "leader": 3, "direct": False},
         ],
         2: [],
         3: [],
@@ -52,14 +52,14 @@ def test_skipped_anchor_rounds_counted_between_commits():
 def test_epoch_switch_lag_requires_all_honest():
     base = {"at": 0, "kind": "schedule-switched", "epoch": 1, "initialRound": 12, "slots": [0], "scores": {}}
     records = {
-        0: [{**base, "node": 0, "at": 10}],
-        1: [{**base, "node": 1, "at": 13}],
-        2: [{**base, "node": 2, "at": 11}],
+        0: [{**base, "at": 10}],
+        1: [{**base, "at": 13}],
+        2: [{**base, "at": 11}],
         3: [],  # never switched: epoch 1 is not counted
     }
     m = compute_metrics(records, synthetic_manifest())
     assert m.epoch_switch_lag_max == 0
-    records[3] = [{**base, "node": 3, "at": 18}]
+    records[3] = [{**base, "at": 18}]
     m = compute_metrics(records, synthetic_manifest())
     assert m.epoch_switch_lag_max == 8
 
@@ -68,10 +68,10 @@ def test_crashed_nodes_excluded_from_throughput():
     manifest = {"config": {"stakes": [1, 1, 1, 1], "faultPlan": [[0, 0]], "GST": 0, "Delta": 2, "T": 10}}
     records = {
         0: [
-            {"at": 1, "node": 0, "kind": "vertex-created", "id": [0, 0], "txCount": 9},
-            {"at": 2, "node": 0, "kind": "vertex-ordered", "id": [0, 0], "seqIndex": 0},
+            {"at": 1, "kind": "vertex-created", "id": [0, 0], "txCount": 9},
+            {"at": 2, "kind": "vertex-ordered", "id": [0, 0], "seqIndex": 0},
         ],
-        1: [{"at": 4, "node": 1, "kind": "vertex-created", "id": [0, 1], "txCount": 2}],
+        1: [{"at": 4, "kind": "vertex-created", "id": [0, 1], "txCount": 2}],
         2: [],
         3: [],
     }

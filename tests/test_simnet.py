@@ -2,6 +2,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repdag.checks import (
     check_delivery_bound,
@@ -11,10 +13,11 @@ from repdag.checks import (
 )
 from repdag.config import parse_config
 from repdag.reputation import initial_schedule
-from repdag.simnet import DELIVER, TIMER, ClientPool, Simulation, run
+from repdag.simnet import DELIVER, TIMER, Simulation, client_supply, run
 from repdag.traces import serialize
 
 from .conftest import manifest_for, quick_run
+from .oracles import brute_client_counts
 
 
 class TestDeliveryTiming:
@@ -284,15 +287,32 @@ class TestRoundProgress:
                     assert later - earlier <= bound, f"seed {seed} node {tracer.node}"
 
 
-class TestClientPool:
-    def test_load_conserved_after_crash(self, committee4):
-        pool = ClientPool(committee4, ((3, 10),), rate=2)
-        before = [pool.supply(v, 5) for v in range(4)]
-        after = [pool.supply(v, 10) for v in range(4)]
-        assert sum(before) == sum(after) == 8
-        assert before == [2, 2, 2, 2]
-        assert after == [4, 2, 2, 0]  # client of 3 re-attached to 0
+# n, {validator: crash tick}, rate, now
+supply_scenarios = st.integers(min_value=2, max_value=10).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.dictionaries(st.integers(0, n - 1), st.integers(0, 20), max_size=n),
+        st.integers(0, 4),
+        st.integers(0, 25),
+    )
+)
 
-    def test_zero_rate(self, committee4):
-        pool = ClientPool(committee4, (), rate=0)
-        assert pool.supply(0, 0) == 0
+
+class TestClientSupply:
+    @settings(max_examples=300, deadline=None)
+    @given(supply_scenarios)
+    @example((4, {3: 10}, 2, 5))  # before the crash: [2, 2, 2, 2]
+    @example((4, {3: 10}, 2, 10))  # 3's client re-attached to 0: [4, 2, 2, -]
+    @example((4, {}, 0, 0))  # zero rate
+    @example((5, {4: 0, 0: 2, 3: 7}, 1, 2))  # a crashed run wrapping past n-1 to 0
+    @example((6, {0: 1, 1: 0, 2: 1, 4: 1, 5: 0}, 3, 1))  # all but one crashed
+    def test_matches_brute_force_scan(self, scenario):
+        n, plan, rate, now = scenario
+        crash_at = [plan.get(v, 1 << 62) for v in range(n)]
+        counts = brute_client_counts(n, plan, now)
+        live = [v for v in range(n) if crash_at[v] > now]
+        supplies = [client_supply(crash_at, rate, v, now) for v in live]
+        assert supplies == [counts[v] * rate for v in live]
+        # Clients of crashed validators re-attach, so the offered load holds.
+        if live:
+            assert sum(supplies) == n * rate

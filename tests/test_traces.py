@@ -19,7 +19,7 @@ def test_header_is_versioned():
     import json
 
     header = json.loads(header_line(3))
-    assert header == {"format": "repdag-trace", "version": 1, "node": 3}
+    assert header == {"format": "repdag-trace", "version": 2, "node": 3}
 
 
 def test_parse_rejects_foreign_text():
@@ -47,23 +47,23 @@ def test_tracer_accumulates_with_current_time():
     t = Tracer(2)
     t.now = 7
     t.emit("round-advanced", round=3)
-    assert t.records == [{"at": 7, "node": 2, "kind": "round-advanced", "round": 3}]
+    assert t.records == [{"at": 7, "kind": "round-advanced", "round": 3}]
 
 
 def test_parse_accepts_every_emitted_kind_and_rejects_others():
-    records = [{"at": 3, "node": 1, "kind": "leader-timeout", "round": 4}]
+    records = [{"at": 3, "kind": "leader-timeout", "round": 4}]
     assert parse(serialize(1, records)) == (1, records)
     with pytest.raises(ValueError, match="vertex-teleported"):
-        parse(serialize(1, [{"at": 3, "node": 1, "kind": "vertex-teleported"}]))
+        parse(serialize(1, [{"at": 3, "kind": "vertex-teleported"}]))
     # No longer emitted: a trace written by an older build is refused by name.
     with pytest.raises(ValueError, match="stale-anchor"):
-        parse(serialize(1, [{"at": 3, "node": 1, "kind": "stale-anchor", "round": 4}]))
+        parse(serialize(1, [{"at": 3, "kind": "stale-anchor", "round": 4}]))
     with pytest.raises(ValueError):
         parse(serialize(1, [[3, 1, "leader-timeout"]]))
 
 
 def test_parse_requires_one_record_per_line():
-    record = '{"at":1,"node":0,"kind":"round-advanced","round":1}'
+    record = '{"at":1,"kind":"round-advanced","round":1}'
     with pytest.raises(ValueError, match="2 records"):
         parse(header_line(0) + "\n" + record + "," + record + "\n")
     with pytest.raises(ValueError):
