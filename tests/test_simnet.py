@@ -287,6 +287,21 @@ class TestRoundProgress:
                     assert later - earlier <= bound, f"seed {seed} node {tracer.node}"
 
 
+class TestClientPool:
+    """Direct cases of the client pool that ``client_supply`` reads from the crash table."""
+
+    def test_load_conserved_after_crash(self):
+        crash_at = [1 << 62, 1 << 62, 1 << 62, 10]
+        before = [client_supply(crash_at, 2, v, 5) for v in range(4)]
+        after = [client_supply(crash_at, 2, v, 10) for v in range(3)]  # 3 is crashed
+        assert sum(before) == sum(after) == 8
+        assert before == [2, 2, 2, 2]
+        assert after == [4, 2, 2]  # client of 3 re-attached to 0
+
+    def test_zero_rate(self):
+        assert client_supply([1 << 62] * 4, 0, 0, 0) == 0
+
+
 # n, {validator: crash tick}, rate, now
 supply_scenarios = st.integers(min_value=2, max_value=10).flatmap(
     lambda n: st.tuples(
