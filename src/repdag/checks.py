@@ -61,45 +61,40 @@ class LeaderUtilizationReport:
 
 
 @dataclass(frozen=True)
-class RbVerdict:
+class DeliveryVerdict:
+    """``missing`` lists the (node, vertex) deliveries that checker ``name``
+    found absent (rb-validity, rb-agreement) or late (delivery-bound)."""
+
+    name: str
     ok: bool
     missing: tuple[tuple[int, tuple[int, int]], ...] = ()  # (node, vertex id)
 
     def __str__(self) -> str:
         if self.ok:
-            return "reliable-broadcast: ok"
-        return f"reliable-broadcast: violation, {len(self.missing)} missing deliveries"
+            return f"{self.name}: ok"
+        return f"{self.name}: violation at {len(self.missing)} (node, vertex) deliveries"
 
 
-class DeliveryBoundVerdict(RbVerdict):
-    """``missing`` lists the (node, vertex) first deliveries that came late."""
-
-    def __str__(self) -> str:
-        if self.ok:
-            return "delivery-bound: ok"
-        return f"delivery-bound: violation, {len(self.missing)} late first deliveries"
-
-
-def ordered_sequence(records: list[dict[str, Any]]) -> list[tuple[int, int]]:
-    entries = [r for r in records if r["kind"] == "vertex-ordered"]
-    entries.sort(key=lambda r: r["seqIndex"])
-    return [tuple(r["id"]) for r in entries]
+def ordered_sequence(records: list[dict[str, Any]]) -> list[list[int]]:
+    """A node's ordered vertex ids, as ``[round, source]`` lists, in order."""
+    return [vid for r in records if r["kind"] == "anchor-committed" for vid in r["ordered"]]
 
 
 def check_total_order(records_by_node: Records) -> TotalOrderVerdict:
-    """Pairwise prefix consistency of every node's ordered sequence.
+    """Every node's ordered sequence is a prefix of the longest one.
 
-    Crashed nodes simply have shorter logs; the prefix rule covers them, so
-    all nodes participate.
+    That holds exactly when every pair of sequences agrees on its common
+    prefix. Crashed nodes simply have shorter logs; the prefix rule covers
+    them, so all nodes participate.
     """
-    sequences = {node: ordered_sequence(records) for node, records in records_by_node.items()}
-    nodes = sorted(sequences)
-    for i, a in enumerate(nodes):
-        for b in nodes[i + 1 :]:
-            seq_a, seq_b = sequences[a], sequences[b]
-            for idx in range(min(len(seq_a), len(seq_b))):
-                if seq_a[idx] != seq_b[idx]:
-                    return TotalOrderVerdict(ok=False, node_a=a, node_b=b, divergence_index=idx)
+    sequences = {node: ordered_sequence(records) for node, records in sorted(records_by_node.items())}
+    longest = max(sequences, key=lambda node: len(sequences[node]), default=None)
+    reference = sequences.get(longest, [])
+    for node, seq in sequences.items():
+        if seq != reference[: len(seq)]:
+            idx = next(i for i, (a, b) in enumerate(zip(seq, reference)) if a != b)
+            pair = sorted((node, longest))
+            return TotalOrderVerdict(ok=False, node_a=pair[0], node_b=pair[1], divergence_index=idx)
     return TotalOrderVerdict(ok=True)
 
 
@@ -139,8 +134,8 @@ def _pre_gst_round(records_by_node: Records, honest: list[int], gst: int) -> int
     top = 0
     for node in honest:
         for rec in records_by_node.get(node, []):
-            if rec["kind"] == "round-advanced" and rec["at"] <= gst:
-                top = max(top, rec["round"])
+            if rec["kind"] == "vertex-created" and rec["at"] <= gst:
+                top = max(top, rec["id"][0])
     return top
 
 
@@ -200,7 +195,7 @@ def _delivered_sets(records_by_node: Records, honest: list[int]) -> dict[int, se
     }
 
 
-def check_rb_validity(records_by_node: Records, manifest: dict[str, Any]) -> RbVerdict:
+def check_rb_validity(records_by_node: Records, manifest: dict[str, Any]) -> DeliveryVerdict:
     """Every vertex a never-crashed node broadcast reaches every honest node."""
     honest = honest_nodes(manifest)
     delivered = _delivered_sets(records_by_node, honest)
@@ -211,10 +206,10 @@ def check_rb_validity(records_by_node: Records, manifest: dict[str, Any]) -> RbV
         for node in honest:
             if vid not in delivered[node]:
                 missing.append((node, vid))
-    return RbVerdict(ok=not missing, missing=tuple(missing))
+    return DeliveryVerdict("rb-validity", not missing, tuple(missing))
 
 
-def check_rb_agreement(records_by_node: Records, manifest: dict[str, Any]) -> RbVerdict:
+def check_rb_agreement(records_by_node: Records, manifest: dict[str, Any]) -> DeliveryVerdict:
     """A vertex delivered by one honest node is delivered by all of them."""
     honest = honest_nodes(manifest)
     delivered = _delivered_sets(records_by_node, honest)
@@ -226,10 +221,10 @@ def check_rb_agreement(records_by_node: Records, manifest: dict[str, Any]) -> Rb
         for node in honest:
             if vid not in delivered[node]:
                 missing.append((node, vid))
-    return RbVerdict(ok=not missing, missing=tuple(missing))
+    return DeliveryVerdict("rb-agreement", not missing, tuple(missing))
 
 
-def check_delivery_bound(records_by_node: Records, manifest: dict[str, Any]) -> DeliveryBoundVerdict:
+def check_delivery_bound(records_by_node: Records, manifest: dict[str, Any]) -> DeliveryVerdict:
     """First delivery at each honest node respects Delta + max(GST, send time)."""
     cfg = manifest["config"]
     honest = honest_nodes(manifest)
@@ -246,4 +241,4 @@ def check_delivery_bound(records_by_node: Records, manifest: dict[str, Any]) -> 
             sent = created[vid]
             if at > cfg["Delta"] + max(cfg["GST"], sent):
                 late.append((node, vid))
-    return DeliveryBoundVerdict(ok=not late, missing=tuple(late))
+    return DeliveryVerdict("delivery-bound", not late, tuple(late))

@@ -111,13 +111,18 @@ def order_history(state: CommitState, dag: DagState, chain: list[Vertex], tracer
             continue
         # Ordered vertices are downward closed (histories are ordered
         # atomically), so the walk stops at the first ordered ancestor.
-        for vid in sorted(causal_history(dag, anchor.id, exclude=state.ordered)):
-            seq = len(state.commit_log)
-            state.commit_log.append((seq, vid, anchor.round))
-            state.ordered.add(vid)
-            tracer.emit("vertex-ordered", id=[vid.round, vid.source], seqIndex=seq)
+        history = sorted(causal_history(dag, anchor.id, exclude=state.ordered))
+        for vid in history:
+            state.commit_log.append((len(state.commit_log), vid, anchor.round))
+        state.ordered.update(history)
         state.last_ordered_round = anchor.round
-        tracer.emit("anchor-committed", round=anchor.round, leader=anchor.source, direct=anchor is chain[0])
+        tracer.emit(
+            "anchor-committed",
+            round=anchor.round,
+            leader=anchor.source,
+            direct=anchor is chain[0],
+            ordered=[list(vid) for vid in history],
+        )
         change = update_schedule(state, dag, anchor)
         if change is not None:
             state.book.append(change.schedule)

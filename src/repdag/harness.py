@@ -40,7 +40,8 @@ def load_run(run_dir: str | Path) -> tuple[dict[str, Any], Records]:
     Raises ``TraceInvalid`` unless the manifest holds a valid config and
     every validator it lists has exactly one trace, named after it and with
     its node in the header, so a checker never reports on traces it was not
-    given.
+    given. The returned manifest's config is the parsed one, with every
+    default filled in.
     """
     run_dir = Path(run_dir)
     manifest = json.loads((run_dir / MANIFEST_NAME).read_text())
@@ -48,14 +49,15 @@ def load_run(run_dir: str | Path) -> tuple[dict[str, Any], Records]:
     if not isinstance(config, dict):
         raise TraceInvalid(f"{run_dir / MANIFEST_NAME}: no config object")
     try:
-        n = parse_config(config).n
+        cfg = parse_config(config)
     except ConfigInvalid as exc:
         raise TraceInvalid(f"{run_dir / MANIFEST_NAME}: config {exc}") from None
-    expected = {f"node-{v:02d}.jsonl": v for v in range(n)}
+    manifest["config"] = cfg.to_json_dict()
+    expected = {f"node-{v:02d}.jsonl": v for v in range(cfg.n)}
     found = {path.name for path in run_dir.glob("node-*.jsonl")}
     if found != expected.keys():
         raise TraceInvalid(
-            f"{run_dir}: expected one trace per validator 0..{n - 1}; "
+            f"{run_dir}: expected one trace per validator 0..{cfg.n - 1}; "
             f"missing {sorted(expected.keys() - found)}, unexpected {sorted(found - expected.keys())}"
         )
     records: Records = {}

@@ -2,8 +2,9 @@
 
 Latency is measured at the transaction creator's node: from the tick its
 vertex was created (all transactions in a vertex share that tick) to the
-first tick that node ordered the vertex. Throughput counts distinct
-transactions ordered by any honest node over the whole run duration.
+first ``anchor-committed`` record of that node that orders the vertex.
+Throughput counts distinct transactions ordered by any honest node over the
+whole run duration.
 """
 
 from __future__ import annotations
@@ -73,12 +74,12 @@ def compute_metrics(records_by_node: Records, manifest: dict[str, Any]) -> Metri
     for node in honest:
         first_order_here: dict[tuple[int, int], int] = {}
         for rec in records_by_node.get(node, []):
-            if rec["kind"] != "vertex-ordered":
+            if rec["kind"] != "anchor-committed":
                 continue
-            vid = tuple(rec["id"])
-            ordered_ids.add(vid)
-            if vid[1] == node and vid not in first_order_here:
-                first_order_here[vid] = rec["at"]
+            for vid in map(tuple, rec["ordered"]):
+                ordered_ids.add(vid)
+                if vid[1] == node and vid not in first_order_here:
+                    first_order_here[vid] = rec["at"]
         for vid, at in first_order_here.items():
             created_at, tx_count = created[vid]
             samples.extend([at - created_at] * tx_count)

@@ -153,7 +153,6 @@ class Node:
             effects.broadcasts.append(self._make_vertex(self.current_round + 1, now))
             self.leader_wait_deadline = None
             self.current_round += 1
-            self.tracer.emit("round-advanced", round=self.current_round)
 
     def _make_vertex(self, round: int, now: int) -> Vertex:
         for _ in range(self.tx_supply(self.me, now)):

@@ -14,16 +14,14 @@ from typing import Any
 from .committee import ValidatorId
 
 TRACE_FORMAT = "repdag-trace"
-TRACE_VERSION = 2
+TRACE_VERSION = 3
 
 RECORD_KINDS = frozenset(
     {
         "vertex-created",
         "vertex-delivered",
-        "round-advanced",
         "leader-timeout",
         "anchor-committed",
-        "vertex-ordered",
         "schedule-switched",
     }
 )

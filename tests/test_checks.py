@@ -28,8 +28,9 @@ class TestTotalOrder:
     def test_swapped_entries_flagged(self):
         cfg, result = crashy_run()
         records = copy.deepcopy(result.records_by_node)
-        ordered = [r for r in records[0] if r["kind"] == "vertex-ordered"]
-        ordered[3]["seqIndex"], ordered[4]["seqIndex"] = ordered[4]["seqIndex"], ordered[3]["seqIndex"]
+        ordered = next(r["ordered"] for r in records[0] if r["kind"] == "anchor-committed")
+        assert len(ordered) > 4
+        ordered[3], ordered[4] = ordered[4], ordered[3]
         verdict = check_total_order(records)
         assert not verdict.ok
         assert verdict.divergence_index == 3
@@ -117,13 +118,19 @@ class TestReliableBroadcast:
 
 @st.composite
 def scenarios(draw):
-    """A random scenario: n in 4..10, at most f crashes at random ticks,
-    random GST, Delta, leader timeout and pre-GST policy, either mode."""
+    """A random scenario: n in 4..10 with stakes 1..5, crashes at random ticks
+    holding at most (total stake - 1) // 3, random GST, Delta, leader timeout
+    and pre-GST policy, either mode."""
     n = draw(st.integers(min_value=4, max_value=10))
-    crashed = draw(st.lists(st.integers(min_value=0, max_value=n - 1), unique=True, max_size=(n - 1) // 3))
+    stakes = draw(st.lists(st.integers(min_value=1, max_value=5), min_size=n, max_size=n))
+    crashed, budget = [], (sum(stakes) - 1) // 3
+    for v in draw(st.permutations(range(n)))[: draw(st.integers(min_value=0, max_value=n - 1))]:
+        if stakes[v] <= budget:
+            crashed.append(v)
+            budget -= stakes[v]
     delta = draw(st.integers(min_value=1, max_value=5))
     return {
-        "stakes": [1] * n,
+        "stakes": stakes,
         "mode": draw(st.sampled_from(MODES)),
         "T": draw(st.integers(min_value=1, max_value=10)),
         "GST": draw(st.integers(min_value=0, max_value=40)),

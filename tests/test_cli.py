@@ -34,23 +34,8 @@ def test_run_then_check_ok(tmp_path, capsys):
 
 
 def test_check_flags_corrupted_trace(tmp_path):
-    cfg_path = write_config(tmp_path)
-    out_dir = tmp_path / "out"
-    main(["run", "--config", str(cfg_path), "--out", str(out_dir)])
-    trace = out_dir / "node-01.jsonl"
-    lines = trace.read_text().splitlines()
-    swapped = []
-    ordered_seen = 0
-    for line in lines:
-        rec = json.loads(line) if line.startswith("{") else None
-        if rec and rec.get("kind") == "vertex-ordered":
-            ordered_seen += 1
-            if ordered_seen == 2:
-                rec["seqIndex"] = 99
-                swapped.append(json.dumps(rec, separators=(",", ":")))
-                continue
-        swapped.append(line)
-    trace.write_text("\n".join(swapped) + "\n")
+    out_dir = persisted_run(tmp_path)
+    _edit_first_commit_record(out_dir, lambda rec: rec["ordered"].reverse())
     assert main(["check", "--trace", str(out_dir), "--total-order"]) == 1
 
 
@@ -155,23 +140,59 @@ def persisted_run(tmp_path):
     return out_dir
 
 
+CHECKER_NAMES = [
+    "total-order",
+    "schedule-agreement",
+    "leader-utilization",
+    "rb-validity",
+    "rb-agreement",
+    "delivery-bound",
+]
+
+
+def verdict_names(out):
+    return [line.split(":")[0] for line in out.splitlines()]
+
+
 def test_check_all_runs_the_delivery_bound(tmp_path, capsys):
+    # Each verdict line names its checker, so the two reliable-broadcast
+    # checkers print distinct lines.
     out_dir = persisted_run(tmp_path)
     capsys.readouterr()
     assert main(["check", "--trace", str(out_dir), "--all"]) == 0
-    assert "delivery-bound: ok" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "delivery-bound: ok" in out
+    assert "rb-validity: ok" in out and "rb-agreement: ok" in out
+    assert verdict_names(out) == CHECKER_NAMES
     assert main(["check", "--trace", str(out_dir)]) == 0
-    assert "delivery-bound: ok" in capsys.readouterr().out
+    assert verdict_names(capsys.readouterr().out) == CHECKER_NAMES
+
+
+def test_check_reads_defaults_for_keys_the_manifest_omits(tmp_path, capsys):
+    out_dir = persisted_run(tmp_path)
+    capsys.readouterr()
+    assert main(["check", "--trace", str(out_dir), "--all"]) == 0
+    full = capsys.readouterr().out
+    manifest_path = out_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    # The config of persisted_run, but for its seed, which no checker reads.
+    manifest["config"] = {"stakes": [1, 1, 1, 1], "stop": {"maxRound": 16}}
+    manifest_path.write_text(json.dumps(manifest))
+    assert main(["check", "--trace", str(out_dir), "--all"]) == 0
+    out, err = capsys.readouterr()
+    assert (out, err) == (full, "")
 
 
 def test_check_bad_header_exits_two(tmp_path, capsys):
     out_dir = persisted_run(tmp_path)
     trace = out_dir / "node-02.jsonl"
     lines = trace.read_text().splitlines()
-    foreign = {"format": "something-else", "version": 2, "node": 2}
-    # Version 1 records still named their node.
+    foreign = {"format": "something-else", "version": 3, "node": 2}
+    # Version 1 records still named their node; version 2 traces still held
+    # vertex-ordered and round-advanced records.
     version_1 = {"format": "repdag-trace", "version": 1, "node": 2}
-    for header in (foreign, version_1):
+    version_2 = {"format": "repdag-trace", "version": 2, "node": 2}
+    for header in (foreign, version_1, version_2):
         lines[0] = json.dumps(header)
         trace.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
@@ -215,32 +236,32 @@ def test_check_unknown_record_kind_exits_two(tmp_path, capsys):
     assert "vertex-teleported" in capsys.readouterr().err
 
 
-def _edit_first_ordered_record(out_dir, edit):
+def _edit_first_commit_record(out_dir, edit):
     trace = out_dir / "node-01.jsonl"
     lines = trace.read_text().splitlines()
     for i, line in enumerate(lines):
         rec = json.loads(line)
-        if rec.get("kind") == "vertex-ordered":
+        if rec.get("kind") == "anchor-committed":
             edit(rec)
             lines[i] = json.dumps(rec, separators=(",", ":"))
             break
     else:
-        raise AssertionError("the run ordered no vertex")
+        raise AssertionError("the run committed no anchor")
     trace.write_text("\n".join(lines) + "\n")
 
 
 def test_check_record_missing_a_field_exits_two(tmp_path, capsys):
     out_dir = persisted_run(tmp_path)
-    _edit_first_ordered_record(out_dir, lambda rec: rec.pop("seqIndex"))
+    _edit_first_commit_record(out_dir, lambda rec: rec.pop("ordered"))
     capsys.readouterr()
     assert main(["check", "--trace", str(out_dir)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("trace error:") and "seqIndex" in err
+    assert err.startswith("trace error:") and "ordered" in err
 
 
 def test_check_record_with_a_mistyped_field_exits_two(tmp_path, capsys):
     out_dir = persisted_run(tmp_path)
-    _edit_first_ordered_record(out_dir, lambda rec: rec.update(seqIndex=None))
+    _edit_first_commit_record(out_dir, lambda rec: rec.update(ordered=None))
     capsys.readouterr()
     assert main(["check", "--trace", str(out_dir)]) == 2
     out, err = capsys.readouterr()

@@ -23,75 +23,75 @@ from repdag.simnet import run
 CORPUS = {
     "n4-d2": (
         {"stakes": [1] * 4, "Delta": 2, "stop": {"maxRound": 24}, "seed": 0},
-        "2597a34ad8f64549f7843b4f84cccb84781ef7916b2c97c5bbfb6c5e88f9327d",
+        "4563fc3b83498db79700f44d2fbeefcd4166e4b03dcebd57bb5454c1435e314f",
     ),
     "n7-d1": (
         {"stakes": [1] * 7, "Delta": 1, "stop": {"maxRound": 30}, "seed": 11},
-        "c5429999f973ac091997d11fc362b7439b529210b13b90ac56861db82ae2a7b8",
+        "74d1ed48d6221462eac1c7b9d16704670d96488e8ad915897e1b4dba3c910a51",
     ),
     "n4-d3": (
         {"stakes": [1] * 4, "Delta": 3, "stop": {"maxRound": 30}, "seed": 1},
-        "62946c0025365889334bac327d535f90c6410804831d99c8efa506661f2d38f8",
+        "5aee7b4b0974254ca82c542d9b342a0a604dce8024016689864b5698711c6e1d",
     ),
     "n7-d5": (
         {"stakes": [1] * 7, "Delta": 5, "stop": {"maxRound": 24}, "seed": 2},
-        "3100e850cbb5b2c1f8f362ef30d7a99b9ec3e425f25c63f892e20402f6563d04",
+        "e655469eb7a0ce6e74875d9769a0da2ecd3c4d46f1ecae945859f01af0473c1e",
     ),
     "n4-d5-rr": (
         {"stakes": [1] * 4, "mode": "round-robin", "Delta": 5, "stop": {"maxRound": 24}, "seed": 3},
-        "05de3777a2afba196c9cd957257ad911ffc92f6ff6626f92fe94233d1a085f85",
+        "2bf373e3f5f9cf8b397d05b0bb440abba6249a4bdd5cfc7d926642dddaa949be",
     ),
     "n7-random-gst": (
         {"stakes": [1] * 7, "GST": 25, "preGstPolicy": "random:9", "Delta": 3, "stop": {"maxRound": 24}, "seed": 4},
-        "40bc322bb0e79ddbe90a23c8b4e34a00972c171fa85ea395960a7211dc8a0015",
+        "8f95f20ea6e63ad38d339e3df84f17bf14e6994ea9ed6e957b28f90f3938cc8b",
     ),
     "n4-hold-gst": (
         {"stakes": [1] * 4, "GST": 30, "Delta": 3, "stop": {"maxRound": 24}, "seed": 5},
-        "979811bc7d1404316a33851c8533a7fe76df519bc435641b0ba98d337d4a1617",
+        "ee75ddbbf88478ee5ce7b278e1f2aed19e84128851ffa0ffba8ebc1be095fa09",
     ),
     "n10-crash-mid": (
         {"stakes": [1] * 10, "Delta": 3, "faultPlan": [[9, 5], [8, 5], [7, 5]], "stop": {"maxRound": 24}, "seed": 6},
-        "ce84b13c727fdd1860b032e5ccb85f8d70bb0a104b42bf762d5614bff9bae913",
+        "4f5197c0af6145c547305e9cf2d74e1069663662b62f674792945927055c805a",
     ),
     "n4-crash-zero": (
         {"stakes": [1] * 4, "leaderTimeout": 9, "faultPlan": [[0, 0]], "stop": {"maxRound": 24}, "seed": 29},
-        "c48397ff683e2742d1c5f4e7c6b0846d5e67080f7464a96cbd6b3f1e1de3e756",
+        "db7eb1ad8018d8dc473cd00e73a77ed64a9443046d676f94822643935c832c30",
     ),
     "n7-crash-late-random": (
         {"stakes": [1] * 7, "GST": 20, "preGstPolicy": "random:12", "Delta": 5, "faultPlan": [[3, 40], [5, 17]], "stop": {"maxRound": 30}, "seed": 7},
-        "4b8e500cca80e426c53689611d300d6066363d8df7ab502d77d793e1dac52d43",
+        "5c98fc2b78b9787826cebd7ba62b9488cafcd6603941ae979461854a6064cd0c",
     ),
     "n4-maxtime": (
         {"stakes": [1] * 4, "stop": {"maxTime": 90}, "seed": 17},
-        "4f23d79e13db2f2f66f8a4f399341d76612f0b55ad9c5a86b5b5d0efffb43532",
+        "ded066d9d8871e6c71d9a950e2ae5029d3b08c8cc1528bd36257b0e793913c9b",
     ),
     "n4-maxtime-crash": (
         {"stakes": [1] * 4, "GST": 20, "preGstPolicy": "random:6", "Delta": 5, "faultPlan": [[2, 30]], "stop": {"maxTime": 60}, "seed": 8},
-        "abbb05db55adf5c7075f5d5377cfedf008a8447afb8200da7a375c54a74b16ee",
+        "c8919f883872148dabf87f3ddf038feeb041b13ff4bb0dbf8ce804bce5e08ad5",
     ),
     "n4-epochs": (
         {"stakes": [1] * 4, "T": 4, "Delta": 3, "stop": {"maxRound": 30}, "seed": 21},
-        "fafac236147466ed06dcc89d8d88ea41fa6961ad44546608b1fbbdaa5002f3a0",
+        "69b1a9298cc9254a653e022ad9c618acabbacaa0c818d8d397bd2e205fa50e80",
     ),
     "n7-weighted": (
         {"stakes": [3, 1, 1, 1, 1, 1, 1], "Delta": 3, "stop": {"maxRound": 24}, "seed": 8},
-        "262493902eb2805f529a5448157d24a89e430ab35428c523330bcf61773cfbdf",
+        "da8a4a452f682a28bc05b365197c06303f8ef9458498b29d6318e3c5f2aec93a",
     ),
     "n10-rr-crash-zero": (
         {"stakes": [1] * 10, "mode": "round-robin", "GST": 10, "preGstPolicy": "random:8", "Delta": 3, "leaderTimeout": 12, "faultPlan": [[9, 0], [2, 0]], "stop": {"maxRound": 24}, "seed": 9},
-        "cf46a8f51161c28425a43179ab7cc8276764e7fcdc2faec723d03c5c34008c88",
+        "6ccae395b813d1588d4717a66ab58b2aff5396ae02f4705e886638df005b2cb9",
     ),
     "n5-slots-no-tx": (
         {"stakes": [2, 2, 1, 1, 1], "L": 10, "Delta": 4, "txRatePerNode": 0, "stop": {"maxRound": 24}, "seed": 13},
-        "de92a05c00349ee077727d30a1d410b78f8b2150751f17531f0f54d5bbe35056",
+        "54cda835286f64949f2dc79cefecb42513e7429ec95239102af32f76140e8cd0",
     ),
     "n7-d1-gst-crash": (
         {"stakes": [1] * 7, "GST": 30, "preGstPolicy": "random:9", "Delta": 1, "faultPlan": [[4, 18]], "stop": {"maxRound": 30}, "seed": 10},
-        "8d1c692675748c22d9f0e96fb49216f324e7e39d12d6a75a84f8bfb56b2649e8",
+        "dbe56395978bad8442888ffa575a70a7825426f4a283b397b978c4a49fb64094",
     ),
     "n4-t2-long-crash-zero": (
         {"stakes": [1] * 4, "T": 2, "faultPlan": [[2, 0]], "stop": {"maxRound": 300}, "seed": 12},
-        "f4d3fd32538c31a5dbab0f172be07facfca2b55477ca14887883ccc900acc38d",
+        "a7a85c56b9fc460d12e5db63fc6270924792863cd72977054b3c9935fff9d8bc",
     ),
 }
 

@@ -11,12 +11,12 @@ def test_latency_and_throughput_hand_computed():
     records = {
         0: [
             {"at": 5, "kind": "vertex-created", "id": [2, 0], "txCount": 3},
-            {"at": 9, "kind": "vertex-ordered", "id": [2, 0], "seqIndex": 0},
-            {"at": 11, "kind": "vertex-ordered", "id": [2, 0], "seqIndex": 1},
+            {"at": 9, "kind": "anchor-committed", "round": 2, "leader": 0, "direct": True, "ordered": [[2, 0]]},
+            {"at": 11, "kind": "anchor-committed", "round": 4, "leader": 0, "direct": True, "ordered": [[2, 0]]},
         ],
         1: [
             {"at": 6, "kind": "vertex-created", "id": [2, 1], "txCount": 1},
-            {"at": 20, "kind": "vertex-ordered", "id": [2, 1], "seqIndex": 0},
+            {"at": 20, "kind": "anchor-committed", "round": 4, "leader": 1, "direct": True, "ordered": [[2, 1]]},
         ],
         2: [],
         3: [],
@@ -35,11 +35,11 @@ def test_latency_and_throughput_hand_computed():
 def test_skipped_anchor_rounds_counted_between_commits():
     records = {
         0: [
-            {"at": 3, "kind": "anchor-committed", "round": 2, "leader": 1, "direct": True},
-            {"at": 9, "kind": "anchor-committed", "round": 8, "leader": 0, "direct": True},
+            {"at": 3, "kind": "anchor-committed", "round": 2, "leader": 1, "direct": True, "ordered": []},
+            {"at": 9, "kind": "anchor-committed", "round": 8, "leader": 0, "direct": True, "ordered": []},
         ],
         1: [
-            {"at": 4, "kind": "anchor-committed", "round": 6, "leader": 3, "direct": False},
+            {"at": 4, "kind": "anchor-committed", "round": 6, "leader": 3, "direct": False, "ordered": []},
         ],
         2: [],
         3: [],
@@ -69,7 +69,7 @@ def test_crashed_nodes_excluded_from_throughput():
     records = {
         0: [
             {"at": 1, "kind": "vertex-created", "id": [0, 0], "txCount": 9},
-            {"at": 2, "kind": "vertex-ordered", "id": [0, 0], "seqIndex": 0},
+            {"at": 2, "kind": "anchor-committed", "round": 2, "leader": 0, "direct": True, "ordered": [[0, 0]]},
         ],
         1: [{"at": 4, "kind": "vertex-created", "id": [0, 1], "txCount": 2}],
         2: [],

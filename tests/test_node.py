@@ -152,15 +152,12 @@ class TestCreateVertex:
     def test_edges_reference_all_held_parents(self, committee4):
         node = make_node(committee4)
         node.on_deliver(node.boot(0).broadcasts[0], 0)
-        for s in (0, 1, 2):
-            node.on_deliver(mk_vertex(0, s), 1)
-        own1 = [r for r in node.tracer.records if r["kind"] == "vertex-created" and r["id"][0] == 1]
-        assert own1, "round-1 vertex should have been created"
-        created = node.dag  # vertex is broadcast, not locally held yet
+        effects = [node.on_deliver(mk_vertex(0, s), 1) for s in (0, 1, 2)]
+        own1 = [v for e in effects for v in e.broadcasts if v.id == VertexId(1, 3)]
+        assert len(own1) == 1, "round-1 vertex should have been created once"
         assert node.current_round == 1
-        # the created vertex references all four genesis vertices
-        v = [rec for rec in node.tracer.records if rec["kind"] == "round-advanced"]
-        assert v[0]["round"] == 1
+        # The quorum formed with genesis 1; genesis 2 came after the vertex was made.
+        assert own1[0].edges == {VertexId(0, 3), VertexId(0, 0), VertexId(0, 1)}
 
     def test_tx_ids_unique_per_node(self, committee4):
         node = make_node(committee4, supply=lambda me, now: 3, batch=10)

@@ -282,7 +282,12 @@ class TestRoundProgress:
             for tracer in result.tracers:
                 if result.nodes[tracer.node].crashed:
                     continue
-                times = [r["at"] for r in tracer.records if r["kind"] == "round-advanced" and r["at"] >= cfg.gst]
+                # A node makes its vertex of round r at the tick it advances to r.
+                times = [
+                    r["at"]
+                    for r in tracer.records
+                    if r["kind"] == "vertex-created" and r["id"][0] > 0 and r["at"] >= cfg.gst
+                ]
                 for earlier, later in zip(times, times[1:]):
                     assert later - earlier <= bound, f"seed {seed} node {tracer.node}"
 

@@ -1,5 +1,6 @@
 import pytest
 
+from repdag.checks import ordered_sequence
 from repdag.traces import Tracer, header_line, parse, serialize
 
 from .conftest import quick_run
@@ -19,7 +20,7 @@ def test_header_is_versioned():
     import json
 
     header = json.loads(header_line(3))
-    assert header == {"format": "repdag-trace", "version": 2, "node": 3}
+    assert header == {"format": "repdag-trace", "version": 3, "node": 3}
 
 
 def test_parse_rejects_foreign_text():
@@ -36,18 +37,19 @@ def test_records_are_time_ordered_per_node():
         assert times == sorted(times)
 
 
-def test_seq_index_gapless_per_node():
+def test_ordered_lists_concatenate_to_the_commit_log():
     _, result = quick_run(seed=8, stop={"maxRound": 16})
-    for tracer in result.tracers:
-        seqs = [r["seqIndex"] for r in tracer.records if r["kind"] == "vertex-ordered"]
-        assert seqs == list(range(len(seqs)))
+    for node, tracer in zip(result.nodes, result.tracers):
+        ordered = ordered_sequence(tracer.records)
+        assert ordered, "the run ordered no vertex"
+        assert ordered == [list(vid) for _, vid, _ in node.commit.commit_log]
 
 
 def test_tracer_accumulates_with_current_time():
     t = Tracer(2)
     t.now = 7
-    t.emit("round-advanced", round=3)
-    assert t.records == [{"at": 7, "kind": "round-advanced", "round": 3}]
+    t.emit("leader-timeout", round=4)
+    assert t.records == [{"at": 7, "kind": "leader-timeout", "round": 4}]
 
 
 def test_parse_accepts_every_emitted_kind_and_rejects_others():
@@ -56,14 +58,15 @@ def test_parse_accepts_every_emitted_kind_and_rejects_others():
     with pytest.raises(ValueError, match="vertex-teleported"):
         parse(serialize(1, [{"at": 3, "kind": "vertex-teleported"}]))
     # No longer emitted: a trace written by an older build is refused by name.
-    with pytest.raises(ValueError, match="stale-anchor"):
-        parse(serialize(1, [{"at": 3, "kind": "stale-anchor", "round": 4}]))
+    for retired in ("stale-anchor", "round-advanced", "vertex-ordered"):
+        with pytest.raises(ValueError, match=retired):
+            parse(serialize(1, [{"at": 3, "kind": retired, "round": 4}]))
     with pytest.raises(ValueError):
         parse(serialize(1, [[3, 1, "leader-timeout"]]))
 
 
 def test_parse_requires_one_record_per_line():
-    record = '{"at":1,"kind":"round-advanced","round":1}'
+    record = '{"at":1,"kind":"leader-timeout","round":2}'
     with pytest.raises(ValueError, match="2 records"):
         parse(header_line(0) + "\n" + record + "," + record + "\n")
     with pytest.raises(ValueError):
