@@ -184,61 +184,48 @@ def _created_by(records_by_node: Records) -> dict[tuple[int, int], int]:
     return created
 
 
-def _delivered_sets(records_by_node: Records, honest: list[int]) -> dict[int, set[tuple[int, int]]]:
-    return {
-        node: {
-            tuple(rec["id"])
-            for rec in records_by_node.get(node, [])
-            if rec["kind"] == "vertex-delivered"
-        }
-        for node in honest
-    }
+def _first_deliveries(records: list[dict[str, Any]]) -> dict[tuple[int, int], int]:
+    """A node's first-delivery tick per vertex id, in delivery order."""
+    ticks: dict[tuple[int, int], int] = {}
+    for rec in records:
+        if rec["kind"] == "vertex-delivered":
+            ticks.setdefault(tuple(rec["id"]), rec["at"])
+    return ticks
 
 
 def check_rb_validity(records_by_node: Records, manifest: dict[str, Any]) -> DeliveryVerdict:
     """Every vertex a never-crashed node broadcast reaches every honest node."""
     honest = honest_nodes(manifest)
-    delivered = _delivered_sets(records_by_node, honest)
-    missing = []
-    for vid in _created_by(records_by_node):
-        if vid[1] not in honest:
-            continue
-        for node in honest:
-            if vid not in delivered[node]:
-                missing.append((node, vid))
-    return DeliveryVerdict("rb-validity", not missing, tuple(missing))
+    delivered = {node: _first_deliveries(records_by_node.get(node, [])) for node in honest}
+    created = dict.fromkeys(vid for vid in _created_by(records_by_node) if vid[1] in delivered)
+    if all(ticks.keys() >= created.keys() for ticks in delivered.values()):
+        return DeliveryVerdict("rb-validity", True)
+    missing = [(node, vid) for vid in created for node in honest if vid not in delivered[node]]
+    return DeliveryVerdict("rb-validity", False, tuple(missing))
 
 
 def check_rb_agreement(records_by_node: Records, manifest: dict[str, Any]) -> DeliveryVerdict:
     """A vertex delivered by one honest node is delivered by all of them."""
     honest = honest_nodes(manifest)
-    delivered = _delivered_sets(records_by_node, honest)
-    union: set[tuple[int, int]] = set()
-    for ids in delivered.values():
-        union.update(ids)
-    missing = []
-    for vid in sorted(union):
-        for node in honest:
-            if vid not in delivered[node]:
-                missing.append((node, vid))
-    return DeliveryVerdict("rb-agreement", not missing, tuple(missing))
+    delivered = {node: _first_deliveries(records_by_node.get(node, [])) for node in honest}
+    union = set().union(*(ticks.keys() for ticks in delivered.values()))
+    if all(ticks.keys() == union for ticks in delivered.values()):
+        return DeliveryVerdict("rb-agreement", True)
+    missing = [(node, vid) for vid in sorted(union) for node in honest if vid not in delivered[node]]
+    return DeliveryVerdict("rb-agreement", False, tuple(missing))
 
 
 def check_delivery_bound(records_by_node: Records, manifest: dict[str, Any]) -> DeliveryVerdict:
     """First delivery at each honest node respects Delta + max(GST, send time)."""
     cfg = manifest["config"]
-    honest = honest_nodes(manifest)
+    delta, gst = cfg["Delta"], cfg["GST"]
     created = _created_by(records_by_node)
-    late = []
-    for node in honest:
-        first: dict[tuple[int, int], int] = {}
-        for rec in records_by_node.get(node, []):
-            if rec["kind"] == "vertex-delivered":
-                vid = tuple(rec["id"])
-                if vid not in first:
-                    first[vid] = rec["at"]
-        for vid, at in first.items():
-            sent = created[vid]
-            if at > cfg["Delta"] + max(cfg["GST"], sent):
-                late.append((node, vid))
+    # One node's map at a time: holding every node's at once can tip the
+    # cyclic GC into a full pass over all the records it was given.
+    late = [
+        (node, vid)
+        for node in honest_nodes(manifest)
+        for vid, at in _first_deliveries(records_by_node.get(node, [])).items()
+        if at > delta + max(gst, created[vid])
+    ]
     return DeliveryVerdict("delivery-bound", not late, tuple(late))

@@ -127,7 +127,7 @@ def parse_config(raw: dict[str, Any]) -> SimConfig:
 
     policy = raw.get("preGstPolicy", "hold")
     if not isinstance(policy, str) or not (
-        policy == "hold" or (policy.startswith("random:") and policy.split(":", 1)[1].isdigit())
+        policy == "hold" or (policy.startswith("random:") and policy.split(":", 1)[1].isdecimal())
     ):
         raise ConfigInvalid("preGstPolicy", f"expected 'hold' or 'random:<maxTicks>', got {policy!r}")
 

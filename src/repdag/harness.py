@@ -20,8 +20,13 @@ MANIFEST_NAME = "manifest.json"
 def write_run(result: RunResult, out_dir: str | Path) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for tracer in result.tracers:
-        (out / f"node-{tracer.node:02d}.jsonl").write_text(serialize(tracer.node, tracer.records))
+    # Refuse, before writing, traces this run would not overwrite: load_run would reject the directory.
+    traces = {f"node-{tracer.node:02d}.jsonl": tracer for tracer in result.tracers}
+    stale = sorted(path.name for path in out.glob("node-*.jsonl") if path.name not in traces)
+    if stale:
+        raise TraceInvalid(f"{out}: holds traces of another run: {stale}")
+    for name, tracer in traces.items():
+        (out / name).write_text(serialize(tracer.node, tracer.records))
     manifest = {
         "config": result.config.to_json_dict(),
         "seed": result.config.seed,
@@ -73,11 +78,15 @@ def load_run(run_dir: str | Path) -> tuple[dict[str, Any], Records]:
 
 
 def run_scenario(cfg: SimConfig, out_dir: str | Path) -> tuple[Metrics, Path]:
-    """Run one scenario, persist its traces, and compute metrics from them."""
-    result = run(cfg)
+    """Run one scenario, persist its traces and write ``metrics.json``.
+
+    The metrics are computed from the records the run wrote, which parse
+    back equal to them, so the traces are never read back here.
+    ``repdag check`` reads them for its checkers, and the benchmark and
+    ``tests/test_metrics.py`` recompute the metrics from them.
+    """
+    metrics, result = run_in_memory(cfg)
     path = write_run(result, out_dir)
-    manifest, records = load_run(path)
-    metrics = compute_metrics(records, manifest)
     (path / "metrics.json").write_text(json.dumps(metrics.to_dict(), indent=2, sort_keys=True) + "\n")
     return metrics, path
 

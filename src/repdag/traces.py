@@ -27,6 +27,11 @@ RECORD_KINDS = frozenset(
 )
 
 
+# One compact encoder for every line; ``json.dumps`` with ``separators``
+# would build a new encoder per record.
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
 class TraceInvalid(ValueError):
     """Persisted run input that is not a complete set of repdag traces."""
 
@@ -46,15 +51,12 @@ class Tracer:
 
 
 def header_line(node: ValidatorId) -> str:
-    return json.dumps(
-        {"format": TRACE_FORMAT, "version": TRACE_VERSION, "node": node},
-        separators=(",", ":"),
-    )
+    return _encode({"format": TRACE_FORMAT, "version": TRACE_VERSION, "node": node})
 
 
 def serialize(node: ValidatorId, records: list[dict[str, Any]]) -> str:
     lines = [header_line(node)]
-    lines.extend(json.dumps(r, separators=(",", ":")) for r in records)
+    lines.extend(map(_encode, records))
     return "\n".join(lines) + "\n"
 
 

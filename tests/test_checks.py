@@ -112,8 +112,21 @@ class TestReliableBroadcast:
             if rec["kind"] == "vertex-delivered":
                 records[2].remove(rec)
                 break
-        assert not check_rb_agreement(records, manifest_for(cfg)).ok
-        assert not check_rb_validity(records, manifest_for(cfg)).ok
+        vid = tuple(rec["id"])
+        assert check_rb_agreement(records, manifest_for(cfg)).missing == ((2, vid),)
+        assert check_rb_validity(records, manifest_for(cfg)).missing == ((2, vid),)
+
+    def test_late_delivery_flagged(self):
+        cfg, result = crashy_run()
+        records = copy.deepcopy(result.records_by_node)
+        rec = next(r for r in records[1] if r["kind"] == "vertex-delivered")
+        vid = tuple(rec["id"])
+        (sent,) = [r["at"] for r in records[vid[1]] if r["kind"] == "vertex-created" and tuple(r["id"]) == vid]
+        assert check_delivery_bound(records, manifest_for(cfg)).ok
+        rec["at"] = cfg.delta + max(cfg.gst, sent) + 1
+        verdict = check_delivery_bound(records, manifest_for(cfg))
+        assert not verdict.ok
+        assert verdict.missing == ((1, vid),)
 
 
 @st.composite

@@ -202,6 +202,16 @@ def test_check_bad_header_exits_two(tmp_path, capsys):
         assert out == ""
 
 
+def test_run_into_traces_of_a_larger_committee_exits_two(tmp_path, capsys):
+    out_dir = persisted_run(tmp_path)
+    (out_dir / "node-04.jsonl").write_text((out_dir / "node-00.jsonl").read_text())
+    capsys.readouterr()
+    assert main(["run", "--config", str(write_config(tmp_path)), "--out", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert "node-04.jsonl" in captured.err
+    assert captured.out == ""
+
+
 def test_check_without_traces_exits_two(tmp_path, capsys):
     out_dir = persisted_run(tmp_path)
     for trace in out_dir.glob("node-*.jsonl"):

@@ -52,6 +52,7 @@ def test_unknown_key_rejected():
         ("txRatePerNode", -1),
         ("batchSize", 0),
         ("stakes", [5]),
+        ("preGstPolicy", "random:²"),
     ],
 )
 def test_invalid_fields_rejected(field, value):

@@ -95,6 +95,11 @@ CORPUS = {
     ),
 }
 
+# Scenarios that the trace round-trip and stored-metrics tests also run:
+# crashes mid-run, a maxTime stop with a crash, random pre-GST delays,
+# schedule epochs, and weighted stakes without transactions.
+PERSISTED = ("n10-crash-mid", "n4-maxtime-crash", "n7-random-gst", "n4-epochs", "n5-slots-no-tx")
+
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_node_trace_digest_is_pinned(name, tmp_path):

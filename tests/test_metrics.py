@@ -1,6 +1,10 @@
+import json
+
+from repdag.cli import main
+from repdag.harness import load_run
 from repdag.metrics import compute_metrics
 
-from .conftest import manifest_for, quick_run
+from .test_golden import CORPUS, PERSISTED
 
 
 def synthetic_manifest():
@@ -79,9 +83,11 @@ def test_crashed_nodes_excluded_from_throughput():
     assert m.distinct_txs == 0  # only the crashed node ordered anything
 
 
-def test_metrics_recompute_equals_stored():
-    cfg, result = quick_run(seed=9, stop={"maxRound": 18}, txRatePerNode=2)
-    manifest = manifest_for(cfg)
-    first = compute_metrics(result.records_by_node, manifest)
-    second = compute_metrics(result.records_by_node, manifest)
-    assert first == second
+def test_metrics_recompute_equals_stored(tmp_path):
+    for name in PERSISTED:
+        config, out = tmp_path / f"{name}.json", tmp_path / name
+        config.write_text(json.dumps(CORPUS[name][0]))
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        manifest, records = load_run(out)
+        stored = json.loads((out / "metrics.json").read_text())
+        assert stored == compute_metrics(records, manifest).to_dict(), name

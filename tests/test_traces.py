@@ -4,16 +4,18 @@ from repdag.checks import ordered_sequence
 from repdag.traces import Tracer, header_line, parse, serialize
 
 from .conftest import quick_run
+from .test_golden import CORPUS, PERSISTED
 
 
 def test_round_trip_is_bit_exact():
-    _, result = quick_run(seed=5, stop={"maxRound": 10})
-    for tracer in result.tracers:
-        text = serialize(tracer.node, tracer.records)
-        node, records = parse(text)
-        assert node == tracer.node
-        assert records == tracer.records
-        assert serialize(node, records) == text
+    for raw in [{"seed": 5, "stop": {"maxRound": 10}}, *(CORPUS[name][0] for name in PERSISTED)]:
+        _, result = quick_run(**raw)
+        for tracer in result.tracers:
+            text = serialize(tracer.node, tracer.records)
+            node, records = parse(text)
+            assert node == tracer.node
+            assert records == tracer.records, raw
+            assert serialize(node, records) == text
 
 
 def test_header_is_versioned():
