@@ -113,8 +113,10 @@ class TestReliableBroadcast:
                 records[2].remove(rec)
                 break
         vid = tuple(rec["id"])
-        assert check_rb_agreement(records, manifest_for(cfg)).missing == ((2, vid),)
-        assert check_rb_validity(records, manifest_for(cfg)).missing == ((2, vid),)
+        for check in (check_rb_agreement, check_rb_validity):
+            verdict = check(records, manifest_for(cfg))
+            assert not verdict.ok
+            assert verdict.missing == ((2, vid),)
 
     def test_late_delivery_flagged(self):
         cfg, result = crashy_run()
