@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from .committee import Committee, ValidatorId, new_committee
 from .config import SimConfig, load_config, parse_config
-from .dag import Block, DagState, Vertex, VertexId
+from .dag import DagState, Vertex, VertexId
 from .reputation import Schedule, ScheduleBook
 
 __all__ = [
@@ -14,7 +14,6 @@ __all__ = [
     "SimConfig",
     "load_config",
     "parse_config",
-    "Block",
     "DagState",
     "Vertex",
     "VertexId",

@@ -156,7 +156,7 @@ def main(argv: list[str] | None = None) -> int:
     except TraceInvalid as exc:
         print(f"trace error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError, FileNotFoundError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
 

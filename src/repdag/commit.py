@@ -43,9 +43,10 @@ class CommitState:
     book: ScheduleBook
     switch_span: int | None = 10
     exclusion_fraction: float = 0.33
-    ordered: set[VertexId] = field(default_factory=set)
+    # The commit log: each ordered vertex, in order, mapped to the round of
+    # the anchor that ordered it.
+    ordered: dict[VertexId, int] = field(default_factory=dict)
     last_ordered_round: int = 0
-    commit_log: list[tuple[int, VertexId, int]] = field(default_factory=list)
     discarded_anchors: list[VertexId] = field(default_factory=list)
 
 
@@ -113,8 +114,7 @@ def order_history(state: CommitState, dag: DagState, chain: list[Vertex], tracer
         # atomically), so the walk stops at the first ordered ancestor.
         history = sorted(causal_history(dag, anchor.id, exclude=state.ordered))
         for vid in history:
-            state.commit_log.append((len(state.commit_log), vid, anchor.round))
-        state.ordered.update(history)
+            state.ordered[vid] = anchor.round
         state.last_ordered_round = anchor.round
         tracer.emit(
             "anchor-committed",

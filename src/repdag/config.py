@@ -104,7 +104,6 @@ def parse_config(raw: dict[str, Any]) -> SimConfig:
         # A lone validator's own copy lands at once, so every round would
         # run at tick 0 and the run would never reach a time horizon.
         raise ConfigInvalid("stakes", "expected at least two validators")
-    f = (n - 1) // 3
 
     mode = raw.get("mode", "hammerhead")
     if mode not in MODES:

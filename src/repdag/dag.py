@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import AbstractSet, Iterator, NamedTuple
+from typing import Container, Iterator, NamedTuple
 
 from .committee import Committee, ValidatorId
 
@@ -18,17 +18,6 @@ from .committee import Committee, ValidatorId
 class VertexId(NamedTuple):
     round: int
     source: ValidatorId
-
-
-@dataclass(frozen=True)
-class Block:
-    """Transaction payload of a vertex.
-
-    ``txs`` holds (tx id, created-at tick) pairs; tx ids are unique per
-    creating validator.
-    """
-
-    txs: tuple[tuple[int, int], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -40,7 +29,6 @@ class Vertex:
     """
 
     id: VertexId
-    block: Block
     edges: frozenset[VertexId]
     # Denormalized from id; plain fields keep the hot paths cheap.
     round: int = field(init=False)
@@ -159,7 +147,7 @@ class AnchorReach:
 
 
 def causal_history(
-    dag: DagState, anchor: VertexId, min_round: int = 0, exclude: AbstractSet[VertexId] = frozenset()
+    dag: DagState, anchor: VertexId, min_round: int = 0, exclude: Container[VertexId] = frozenset()
 ) -> set[VertexId]:
     """All vertices reachable from ``anchor`` (itself included) at round >= min_round.
 

@@ -1,10 +1,11 @@
 """Run metrics, computed purely from trace records.
 
-Latency is measured at the transaction creator's node: from the tick its
-vertex was created (all transactions in a vertex share that tick) to the
-first ``anchor-committed`` record of that node that orders the vertex.
-Throughput counts distinct transactions ordered by any honest node over the
-whole run duration.
+A vertex carries only its id and parent edges; its transaction count is
+recorded once, as ``txCount`` of its ``vertex-created`` record. Latency is
+measured at the creator's node: from the vertex's creation tick to the first
+``anchor-committed`` record of that node that orders it, once per
+transaction. Throughput counts distinct transactions ordered by any honest
+node over the whole run duration.
 """
 
 from __future__ import annotations

@@ -8,13 +8,12 @@ requests it produced; all inter-node effects travel through the simulator.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
 from .commit import CommitState, retro_recheck, try_committing
 from .committee import Committee, ValidatorId
-from .dag import Block, DagState, InsertOutcome, Vertex, VertexId
+from .dag import DagState, InsertOutcome, Vertex, VertexId
 from .reputation import Schedule, ScheduleBook
 from .traces import Tracer
 
@@ -53,14 +52,13 @@ class Node:
         self.tracer = tracer
         self.current_round = 0
         self.pending: dict[VertexId, Vertex] = {}
-        self.tx_queue: deque[int] = deque()
+        self.backlog = 0  # transactions supplied but not yet in a vertex
         self.leader_wait_deadline: int | None = None
         self.crashed = False
         self.leader_timeout = leader_timeout
         self.batch_size = batch_size
         self.round_cap = round_cap
         self.tx_supply = tx_supply if tx_supply is not None else (lambda node, now: 0)
-        self._next_tx_id = 0
         self._seen: set[VertexId] = set()
 
     # -- stimuli ---------------------------------------------------------
@@ -136,7 +134,7 @@ class Node:
         the anchor arrives or when the deadline passes. Odd rounds advance on
         quorum alone.
         """
-        while not self.crashed and self.current_round < self.round_cap:
+        while self.current_round < self.round_cap:
             held = self.dag.vertices_at(self.current_round)
             if len(held) < self.committee.quorum_threshold:
                 break
@@ -155,19 +153,12 @@ class Node:
             self.current_round += 1
 
     def _make_vertex(self, round: int, now: int) -> Vertex:
-        for _ in range(self.tx_supply(self.me, now)):
-            self.tx_queue.append(self._next_tx_id)
-            self._next_tx_id += 1
-        take = min(self.batch_size, len(self.tx_queue))
-        txs = tuple((self.tx_queue.popleft(), now) for _ in range(take))
+        self.backlog += self.tx_supply(self.me, now)
+        tx_count = min(self.batch_size, self.backlog)
+        self.backlog -= tx_count
         if round == 0:
             edges: frozenset[VertexId] = frozenset()
         else:
             edges = frozenset(v.id for v in self.dag.vertices_at(round - 1).values())
-        v = Vertex(
-            id=VertexId(round, self.me),
-            block=Block(txs=txs),
-            edges=edges,
-        )
-        self.tracer.emit("vertex-created", id=[round, self.me], txCount=len(txs))
-        return v
+        self.tracer.emit("vertex-created", id=[round, self.me], txCount=tx_count)
+        return Vertex(VertexId(round, self.me), edges)

@@ -4,7 +4,7 @@ import pytest
 
 from repdag.committee import Committee, new_committee
 from repdag.config import parse_config
-from repdag.dag import Block, DagState, InsertOutcome, Vertex, VertexId
+from repdag.dag import DagState, InsertOutcome, Vertex, VertexId
 from repdag.node import Node
 from repdag.reputation import initial_schedule
 from repdag.simnet import run
@@ -17,7 +17,7 @@ def committee4() -> Committee:
 
 
 def mk_vertex(round, source, edges=()):
-    return Vertex(id=VertexId(round, source), block=Block(), edges=frozenset(edges))
+    return Vertex(id=VertexId(round, source), edges=frozenset(edges))
 
 
 def full_dag(committee, rounds, absent=frozenset()):

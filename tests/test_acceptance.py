@@ -238,7 +238,7 @@ def test_criterion_6_oracle_equivalence():
         order = list(range(len(vertices)))
         rng.shuffle(order)
         shuffled, _, _ = replay(committee, vertices, order, trial, switch_span=4)
-        assert canonical.commit_log == shuffled.commit_log, f"trial {trial}"
+        assert list(canonical.ordered.items()) == list(shuffled.ordered.items()), f"trial {trial}"
         assert [s.slots for s in canonical.book.schedules] == [s.slots for s in shuffled.book.schedules]
     print(f"PASS criterion 6: oracle equivalence over {trials} random dags")
 

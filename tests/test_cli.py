@@ -212,6 +212,24 @@ def test_run_into_traces_of_a_larger_committee_exits_two(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("target", ["node-01.jsonl", "manifest.json", "run --config", "compare --a"])
+def test_undecodable_input_exits_two(tmp_path, capsys, target):
+    out_dir = persisted_run(tmp_path)
+    bad = write_config(tmp_path, "bad.json")
+    check = ["check", "--trace", str(out_dir)]
+    argv, path = {
+        "node-01.jsonl": (check, out_dir / "node-01.jsonl"),
+        "manifest.json": (check, out_dir / "manifest.json"),
+        "run --config": (["run", "--config", str(bad), "--out", str(tmp_path / "o")], bad),
+        "compare --a": (["compare", "--a", str(bad), "--b", str(write_config(tmp_path)), "--seeds", "1"], bad),
+    }[target]
+    path.write_bytes(b"\xff" + path.read_bytes())
+    capsys.readouterr()
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("io error:") and out == ""
+
+
 def test_check_without_traces_exits_two(tmp_path, capsys):
     out_dir = persisted_run(tmp_path)
     for trace in out_dir.glob("node-*.jsonl"):

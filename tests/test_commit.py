@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repdag.checks import ordered_sequence
 from repdag.commit import (
     CommitState,
     anchor_votes,
@@ -67,14 +68,14 @@ class TestTryCommitting:
         dag, committer, _ = self.build(committee4, linking_parents=1)
         state = fresh_state(committee4)
         assert try_committing(state, dag, committer, tracer0()) is None
-        assert state.commit_log == []
+        assert state.ordered == {}
 
     def test_odd_round_is_a_no_op(self, committee4):
         dag = full_dag(committee4, 3)
         state = fresh_state(committee4)
         v = dag.get(VertexId(3, 0))
         assert try_committing(state, dag, v, tracer0()) is None
-        assert state.commit_log == []
+        assert state.ordered == {}
 
     def test_genesis_round_is_a_no_op(self, committee4):
         dag = full_dag(committee4, 0)
@@ -145,11 +146,11 @@ class TestOrderAnchors:
         state = fresh_state(committee4)
         tr = tracer0()
         assert try_committing(state, dag, dag.get(VertexId(8, 0)), tr) == 6
-        log_before = list(state.commit_log)
+        log_before = list(state.ordered.items())
         records_before = len(tr.records)
         # (8, 1) also certifies the round-6 anchor, which is already ordered
         assert try_committing(state, dag, dag.get(VertexId(8, 1)), tr) is None
-        assert state.commit_log == log_before
+        assert list(state.ordered.items()) == log_before
         assert len(tr.records) == records_before
 
 
@@ -158,29 +159,29 @@ class TestOrderHistory:
         dag = full_dag(committee4, 4)
         state = fresh_state(committee4)
         try_committing(state, dag, dag.get(VertexId(4, 0)), tracer0())
-        ordered = [vid for _, vid, _ in state.commit_log]
+        ordered = list(state.ordered)
         # (round, source) ascending: all genesis, all round-1, then the anchor
         assert ordered[:4] == [VertexId(0, s) for s in range(4)]
         assert ordered[4:8] == [VertexId(1, s) for s in range(4)]
         assert ordered[8] == VertexId(2, 1)
-        assert state.ordered == set(ordered)
+        assert set(state.ordered.values()) == {2}
 
     def test_histories_partition_without_duplicates(self, committee4):
         dag = full_dag(committee4, 8)
         state = fresh_state(committee4)
-        try_committing(state, dag, dag.get(VertexId(8, 0)), tracer0())
-        ordered = [vid for _, vid, _ in state.commit_log]
-        assert len(ordered) == len(set(ordered))
-        anchor_rounds = [ar for _, _, ar in state.commit_log]
+        tr = tracer0()
+        try_committing(state, dag, dag.get(VertexId(8, 0)), tr)
+        # No vertex is ordered twice: the histories the anchors record
+        # concatenate to the log without repeats.
+        assert ordered_sequence(tr.records) == [list(vid) for vid in state.ordered]
+        anchor_rounds = list(state.ordered.values())
         assert anchor_rounds == sorted(anchor_rounds)
-        # log sequence numbers are gapless
-        assert [seq for seq, _, _ in state.commit_log] == list(range(len(ordered)))
 
     def test_atomic_history(self, committee4):
         dag = full_dag(committee4, 8)
         state = fresh_state(committee4)
         try_committing(state, dag, dag.get(VertexId(8, 0)), tracer0())
-        position = {vid: i for i, (_, vid, _) in enumerate(state.commit_log)}
+        position = {vid: i for i, vid in enumerate(state.ordered)}
         for vid in position:
             for parent in dag.get(vid).edges:
                 assert position[parent] < position[vid]
@@ -299,7 +300,7 @@ class TestDeterminism:
         order = list(range(len(vertices)))
         rng.shuffle(order)
         shuffled, _, _ = replay(committee, vertices, order, seed, switch_span=4)
-        assert canonical.commit_log == shuffled.commit_log
+        assert list(canonical.ordered.items()) == list(shuffled.ordered.items())
         assert [s.slots for s in canonical.book.schedules] == [s.slots for s in shuffled.book.schedules]
         assert [s.initial_round for s in canonical.book.schedules] == [
             s.initial_round for s in shuffled.book.schedules

@@ -137,15 +137,13 @@ class TestCreateVertex:
     def test_empty_queue_heartbeat(self, committee4):
         node = make_node(committee4, supply=lambda me, now: 0)
         v = node.boot(0).broadcasts[0]
-        assert v.block.txs == ()
         assert v.id == VertexId(0, 3)
+        assert node.tracer.records[0]["txCount"] == 0
 
     def test_batch_caps_drain(self, committee4):
         node = make_node(committee4, supply=lambda me, now: 5, batch=3)
-        v = node.boot(7).broadcasts[0]
-        assert len(v.block.txs) == 3
-        assert list(node.tx_queue) == [3, 4]
-        assert all(created == 7 for _, created in v.block.txs)
+        node.boot(7)
+        assert node.backlog == 2
         record = node.tracer.records[0]
         assert record["kind"] == "vertex-created" and record["txCount"] == 3
 
@@ -159,13 +157,19 @@ class TestCreateVertex:
         # The quorum formed with genesis 1; genesis 2 came after the vertex was made.
         assert own1[0].edges == {VertexId(0, 3), VertexId(0, 0), VertexId(0, 1)}
 
-    def test_tx_ids_unique_per_node(self, committee4):
-        node = make_node(committee4, supply=lambda me, now: 3, batch=10)
-        a = node.boot(0).broadcasts[0]
-        node.on_deliver(a, 0)
-        for s in (0, 1, 2):
-            node.on_deliver(mk_vertex(0, s), 1)
-        ids = [tx for tx, _ in a.block.txs]
-        created = [r for r in node.tracer.records if r["kind"] == "vertex-created"]
-        assert len(created) == 2  # genesis and round 1
-        assert ids == [0, 1, 2]
+    def test_backlog_conserves_supplied_transactions(self, committee4):
+        node = make_node(committee4, supply=lambda me, now: 5, batch=3)
+        own = node.boot(0).broadcasts
+
+        def created():
+            return [r for r in node.tracer.records if r["kind"] == "vertex-created"]
+
+        for r in range(4):
+            parents = [VertexId(r - 1, s) for s in range(4)] if r else []
+            for v in [own[-1]] + [mk_vertex(r, s, parents) for s in (0, 1, 2)]:
+                own += [b for b in node.on_deliver(v, r + 1).broadcasts if b.source == 3]
+                assert node.backlog == 2 * len(created())
+        records = created()
+        assert len(records) == 5  # genesis and rounds 1 to 4
+        assert all(rec["txCount"] == 3 for rec in records)
+        assert sum(rec["txCount"] for rec in records) + node.backlog == 5 * len(records)

@@ -226,7 +226,7 @@ class TestGoldenRun:
         # every node's ordering respects causal order: parents before children
         _, result = self.golden()
         for node in result.nodes:
-            position = {vid: i for i, (_, vid, _) in enumerate(node.commit.commit_log)}
+            position = {vid: i for i, vid in enumerate(node.commit.ordered)}
             for vid in position:
                 for parent in node.dag.get(vid).edges:
                     assert position[parent] < position[vid]

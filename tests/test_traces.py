@@ -44,7 +44,7 @@ def test_ordered_lists_concatenate_to_the_commit_log():
     for node, tracer in zip(result.nodes, result.tracers):
         ordered = ordered_sequence(tracer.records)
         assert ordered, "the run ordered no vertex"
-        assert ordered == [list(vid) for _, vid, _ in node.commit.commit_log]
+        assert ordered == [list(vid) for vid in node.commit.ordered]
 
 
 def test_tracer_accumulates_with_current_time():
