@@ -34,28 +34,21 @@ class Committee:
     stakes: tuple[int, ...]
     n: int = field(init=False)
     f: int = field(init=False)
+    members: tuple[ValidatorId, ...] = field(init=False)
+    # Vertex count required for round advancement and parent edges.
+    quorum_threshold: int = field(init=False)
+    # Votes required for a direct anchor commit.
+    commit_threshold: int = field(init=False)
+    total_stake: int = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "n", len(self.stakes))
-        object.__setattr__(self, "f", (self.n - 1) // 3)
-
-    @property
-    def members(self) -> tuple[ValidatorId, ...]:
-        return tuple(range(self.n))
-
-    @property
-    def total_stake(self) -> int:
-        return sum(self.stakes)
-
-    @property
-    def quorum_threshold(self) -> int:
-        """Vertex count required for round advancement and parent edges."""
-        return self.n - self.f
-
-    @property
-    def commit_threshold(self) -> int:
-        """Votes required for a direct anchor commit."""
-        return self.f + 1
+        n, f = len(self.stakes), (len(self.stakes) - 1) // 3
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "members", tuple(range(n)))
+        object.__setattr__(self, "quorum_threshold", n - f)
+        object.__setattr__(self, "commit_threshold", f + 1)
+        object.__setattr__(self, "total_stake", sum(self.stakes))
 
     def stake(self, v: ValidatorId) -> int:
         return self.stakes[v]

@@ -10,10 +10,11 @@ configs give bit-identical traces.
 Every receiver echoes a vertex to all peers, but a copy is queued only when
 it can change its receiver: copies that would land at or after the
 receiver's crash, or at or after another copy of the same vertex already
-headed there, are never queued. Their delays are still drawn, so the random
-stream and the traces do not depend on this. The one exception: after GST
-with Delta 1 every draw is 0, so none is made. Time never goes back and the
-random stream feeds only delivery delays, so no later draw can tell.
+headed there, are never queued. Every copy's delay is drawn, except that an
+echo that can queue none only advances the random stream by its draws, so
+the stream and the traces do not depend on this. After GST with Delta 1
+every draw would be 0, so none is made: time never goes back and the stream
+feeds only delivery delays, so no later draw can tell.
 
 A queued copy can still be overtaken by a faster echo queued after it
 (Delta >= 2). When it pops, its target has already seen the vertex, so it is
@@ -39,7 +40,7 @@ from .traces import Tracer
 # Event kinds; crash sorts before boot at equal (time, seq) by construction,
 # because fault-plan events are enqueued first.
 CRASH, BOOT, DELIVER, TIMER = 0, 1, 2, 3
-# A tick later than any run reaches: "no crash" and "no copy yet".
+# A tick later than any run reaches: "no crash", "no copy yet", "no deadline".
 _NEVER = 1 << 62
 
 
@@ -89,9 +90,12 @@ class Simulation:
         self.committee = new_committee(list(cfg.stakes))
         genesis = initial_schedule(self.committee, cfg.seed, cfg.slot_length)
         self.rng = random.Random(cfg.seed)
+        self._seq = 0
+        self._queue: list[SimEvent] = []
         self._crash_at = [_NEVER] * self.committee.n
         for validator, crash_at in cfg.fault_plan:
             self._crash_at[validator] = crash_at
+            self._push(crash_at, CRASH, validator, None)
         # A partial, not a bound method: a node holding the simulation would
         # make a cycle that keeps each finished run alive until a full GC.
         supply = partial(client_supply, self._crash_at, cfg.tx_rate_per_node)
@@ -114,13 +118,10 @@ class Simulation:
         ]
         self.now = 0
         self.events_executed = 0
-        self._seq = 0
-        self._queue: list[SimEvent] = []
-        # Per vertex with copies in flight: the earliest tick a copy lands at
-        # each peer (queued or executed), then the number of copies queued.
+        # Per vertex with copies in flight: per peer, the earliest tick a copy
+        # lands (queued or executed) or it crashes; and the copies queued.
         self._arrivals: dict[VertexId, list[int]] = {}
-        for validator, crash_at in cfg.fault_plan:
-            self._push(crash_at, CRASH, validator, None)
+        self._in_flight: dict[VertexId, int] = {}
         for v in self.committee.members:
             self._push(0, BOOT, v, None)
 
@@ -129,45 +130,56 @@ class Simulation:
         self._seq += 1
 
     def _delivery_time(self, now: int) -> int:
+        return self._delivery_times(now, 1)[0]
+
+    def _delivery_times(self, now: int, copies: int) -> list[int]:
+        """Landing ticks of ``copies`` copies sent at ``now``, drawn in order;
+        none lands before ``max(now, GST) + 1``."""
         gst, delta = self.cfg.gst, self.cfg.delta
         rand = self.rng.random
         if now >= gst:
-            return now + 1 + int(rand() * delta)
+            if delta == 1:
+                return [now + 1] * copies
+            return [now + 1 + int(rand() * delta) for _ in range(copies)]
         if self.cfg.pre_gst_policy == "hold":
-            return gst + 1 + int(rand() * delta)
-        pre_max = int(self.cfg.pre_gst_policy.split(":", 1)[1])
-        held = max(gst, now + 1 + int(rand() * max(1, pre_max)))
+            return [gst + 1 + int(rand() * delta) for _ in range(copies)]
+        pre_max = max(1, int(self.cfg.pre_gst_policy.split(":", 1)[1]))
         # The adversary may stretch delivery, never past the synchrony bound.
-        return min(held + 1 + int(rand() * delta), gst + delta)
+        return [
+            min(max(gst, now + 1 + int(rand() * pre_max)) + 1 + int(rand() * delta), gst + delta)
+            for _ in range(copies)
+        ]
 
     def broadcast(self, sender: ValidatorId, v: Vertex, now: int) -> None:
         """Send ``v`` to every peer, queueing only the copies that can act.
 
-        A delay is drawn for every other peer with :meth:`_delivery_time`,
-        except after GST with Delta 1, where every draw is 0. The copy is
-        dropped when the peer crashes at or before it lands (crash
+        A copy is dropped when its peer crashes at or before it lands (crash
         events are queued first, so they pop first) or when a copy of ``v``
         already lands there at or before it (that copy pops first, so this
-        one would hit ``_seen``).
+        one would hit ``_seen``). An echo whose every copy would be dropped
+        only advances the random stream by the draws it skips.
         """
-        push, seq = heapq.heappush, self._seq
-        queue, crash_at = self._queue, self._crash_at
-        unit_delay = now >= self.cfg.gst and self.cfg.delta == 1
         arrivals = self._arrivals.get(v.id)
         if arrivals is None:
-            arrivals = self._arrivals[v.id] = [_NEVER] * self.committee.n + [0]
-        for peer in self.committee.members:
-            if peer == sender:
-                at = now
-            elif unit_delay:
-                at = now + 1
-            else:
-                at = self._delivery_time(now)
-            if at < arrivals[peer] and at < crash_at[peer]:
+            arrivals = self._arrivals[v.id] = self._crash_at.copy()
+        elif max(arrivals) <= max(now, self.cfg.gst) + 1:
+            # An echo (its sender's copy landed at ``now``) that queues no copy.
+            # Per copy, _delivery_times draws none after GST with Delta 1, two
+            # under random:k before GST and one otherwise. random() takes two
+            # 32-bit words; getrandbits(64 * k) takes exactly 2 * k.
+            pre_gst = 1 if self.cfg.pre_gst_policy == "hold" else 2
+            draws = (self.cfg.delta > 1) if now >= self.cfg.gst else pre_gst
+            self.rng.getrandbits(64 * (self.committee.n - 1) * draws)
+            return
+        ticks = self._delivery_times(now, self.committee.n - 1)
+        ticks.insert(sender, now)
+        push, seq, queue = heapq.heappush, self._seq, self._queue
+        for peer, at in enumerate(ticks):
+            if at < arrivals[peer]:
                 arrivals[peer] = at
                 push(queue, SimEvent(at, seq, DELIVER, peer, v))
                 seq += 1
-        arrivals[-1] += seq - self._seq
+        self._in_flight[v.id] = self._in_flight.get(v.id, 0) + seq - self._seq
         self._seq = seq
 
     def step(self) -> SimEvent | None:
@@ -205,9 +217,8 @@ class Simulation:
             effects = node.boot(ev.at)
         else:
             raise AssertionError(f"unknown event kind {ev.kind}")
-        if effects.broadcasts:
-            for v in effects.broadcasts:
-                self.broadcast(ev.target, v, ev.at)
+        for v in effects.broadcasts:
+            self.broadcast(ev.target, v, ev.at)
         for deadline in effects.timers:
             self._push(deadline, TIMER, ev.target, None)
         if ev.kind == DELIVER:
@@ -216,12 +227,11 @@ class Simulation:
 
     def _retire(self, vid: VertexId) -> None:
         """Count one queued copy of ``vid`` as gone."""
-        arrivals = self._arrivals[vid]
-        arrivals[-1] -= 1
-        if not arrivals[-1]:
+        self._in_flight[vid] -= 1
+        if not self._in_flight[vid]:
             # No copy is left to deliver it for the first time anywhere, so
             # nobody can echo it again.
-            del self._arrivals[vid]
+            del self._in_flight[vid], self._arrivals[vid]
 
 
 def run(cfg: SimConfig) -> RunResult:
@@ -232,12 +242,9 @@ def run(cfg: SimConfig) -> RunResult:
     stop cuts the run at the first event past the deadline.
     """
     sim = Simulation(cfg)
-    if cfg.max_time is not None:
-        while sim._queue and sim._queue[0].at <= cfg.max_time:
-            sim.step()
-    else:
-        while sim._queue:
-            sim.step()
+    stop = cfg.max_time if cfg.max_time is not None else _NEVER
+    while sim._queue and sim._queue[0].at <= stop:
+        sim.step()
     return RunResult(
         config=cfg,
         committee=sim.committee,

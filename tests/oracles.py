@@ -2,11 +2,12 @@
 
 These stay deliberately naive: plain depth-first search for reachability,
 literal per-round enumeration for scores, a step-by-step rendering of the
-swap rule, and a hop-by-hop scan of client re-attachment. None of them share
-code with the package internals.
+swap rule, a hop-by-hop scan of client re-attachment, and a per-copy
+broadcast loop. None of them share code with the package internals.
 """
 
 from repdag.dag import DagState, UnknownVertex, VertexId
+from repdag.simnet import DELIVER
 
 
 def naive_path(dag: DagState, frm: VertexId, to: VertexId) -> bool:
@@ -84,3 +85,39 @@ def brute_client_counts(n, crash_at, now):
                 counts[candidate] += 1
                 break
     return counts
+
+
+def per_copy_delay(rng, cfg, now):
+    """One copy's landing tick, drawn from ``rng`` as the simulator draws it."""
+    if now >= cfg.gst:
+        return now + 1 + int(rng.random() * cfg.delta)
+    if cfg.pre_gst_policy == "hold":
+        return cfg.gst + 1 + int(rng.random() * cfg.delta)
+    pre_max = int(cfg.pre_gst_policy.split(":", 1)[1])
+    held = max(cfg.gst, now + 1 + int(rng.random() * max(1, pre_max)))
+    return min(held + 1 + int(rng.random() * cfg.delta), cfg.gst + cfg.delta)
+
+
+def per_copy_broadcast(sim, sender, v, now):
+    """``Simulation.broadcast`` as one loop over every peer, skipping nothing.
+
+    Each copy gets its own delay draw, in peer order (none after GST with
+    Delta 1, where every copy lands at ``now + 1``), and is queued when it
+    lands before the peer's crash and before any other copy of ``v`` headed
+    to that peer. It keeps the simulator's bookkeeping (``_arrivals``,
+    ``_in_flight``) so the simulator's ``step`` can run on it.
+    """
+    cfg = sim.cfg
+    crash_at = dict(cfg.fault_plan)
+    arrivals = sim._arrivals.setdefault(v.id, [float("inf")] * cfg.n)
+    for peer in range(cfg.n):
+        if peer == sender:
+            at = now
+        elif now >= cfg.gst and cfg.delta == 1:
+            at = now + 1
+        else:
+            at = per_copy_delay(sim.rng, cfg, now)
+        if at < arrivals[peer] and at < crash_at.get(peer, float("inf")):
+            arrivals[peer] = at
+            sim._push(at, DELIVER, peer, v)
+            sim._in_flight[v.id] = sim._in_flight.get(v.id, 0) + 1

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -38,6 +40,14 @@ def test_ids_follow_list_position():
     c = new_committee([5, 2, 9])
     assert c.members == (0, 1, 2)
     assert [c.stake(v) for v in c.members] == [5, 2, 9]
+
+
+def test_derived_constants_are_set_once():
+    c = new_committee([2, 1, 1, 1])
+    assert c.members is c.members
+    assert (c.quorum_threshold, c.commit_threshold, c.total_stake) == (3, 2, 5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        c.members = (0,)
 
 
 @given(st.lists(st.integers(min_value=1, max_value=100), min_size=1, max_size=40))

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,12 +13,13 @@ from repdag.checks import (
     check_total_order,
 )
 from repdag.config import parse_config
+from repdag.dag import Vertex, VertexId
 from repdag.reputation import initial_schedule
 from repdag.simnet import DELIVER, TIMER, Simulation, client_supply, run
 from repdag.traces import serialize
 
 from .conftest import manifest_for, quick_run
-from .oracles import brute_client_counts
+from .oracles import brute_client_counts, per_copy_broadcast
 
 
 class TestDeliveryTiming:
@@ -127,6 +129,26 @@ class TestQueuedCopies:
             if tracer.node not in crash_at:
                 assert tracer.records[-1]["at"] > max(crash_at.values())
 
+    def test_no_copy_is_queued_for_a_validator_crashed_at_zero(self):
+        cfg = parse_config(
+            {
+                "stakes": [1] * 7,
+                "Delta": 3,
+                "GST": 20,
+                "preGstPolicy": "random:5",
+                "faultPlan": [[1, 0], [4, 0]],
+                "stop": {"maxRound": 20},
+                "seed": 4,
+            }
+        )
+        sim = Simulation(cfg)
+        while (ev := sim.step()) is not None:
+            assert not (ev.kind == DELIVER and ev.target in (1, 4)), ev
+            assert not [q for q in sim._queue if q.kind == DELIVER and q.target in (1, 4)]
+        for tracer in sim.tracers:
+            if tracer.node not in (1, 4):
+                assert [20, tracer.node] in [r["id"] for r in tracer.records if r["kind"] == "vertex-created"]
+
     def test_overtaken_copies_do_not_reach_the_node(self):
         cfg = parse_config(
             {
@@ -162,6 +184,7 @@ class TestQueuedCopies:
         [
             {"stakes": [1] * 7, "Delta": 1, "seed": 2},
             {"stakes": [1] * 4, "Delta": 3, "faultPlan": [[3, 40]], "seed": 2},
+            {"stakes": [1] * 7, "Delta": 3, "faultPlan": [[1, 0], [4, 0]], "seed": 2},
         ],
     )
     def test_arrival_map_stays_bounded(self, raw):
@@ -170,10 +193,111 @@ class TestQueuedCopies:
             high = 0
             while sim.step() is not None:
                 high = max(high, len(sim._arrivals))
-            assert not sim._arrivals
+            assert not sim._arrivals and not sim._in_flight
             return high
 
         assert peak(100) == peak(400)
+
+
+def drive(cfg, broadcast=None):
+    """Run ``cfg`` to its stop condition as ``run`` does and return the simulation."""
+    sim = Simulation(cfg)
+    if broadcast is not None:
+        sim.broadcast = partial(broadcast, sim)
+    stop = cfg.max_time if cfg.max_time is not None else float("inf")
+    while sim._queue and sim._queue[0].at <= stop:
+        sim.step()
+    return sim
+
+
+equivalence_scenarios = st.integers(min_value=4, max_value=10).flatmap(
+    lambda n: st.fixed_dictionaries(
+        {
+            "stakes": st.just([1] * n),
+            "Delta": st.integers(1, 5),
+            "GST": st.integers(0, 40),
+            "preGstPolicy": st.one_of(st.just("hold"), st.integers(1, 20).map(lambda k: f"random:{k}")),
+            # Crashes at t=0 and mid-run, up to every validator but one.
+            "faultPlan": st.dictionaries(
+                st.integers(0, n - 1), st.one_of(st.just(0), st.integers(1, 60)), max_size=n - 1
+            ).map(lambda plan: [[v, at] for v, at in sorted(plan.items())]),
+            "stop": st.one_of(
+                st.integers(2, 12).map(lambda r: {"maxRound": r}),
+                st.integers(5, 90).map(lambda t: {"maxTime": t}),
+            ),
+            "seed": st.integers(0, 2**16),
+        }
+    )
+)
+
+
+class TestBroadcastEquivalence:
+    """Skipping dead echoes changes nothing a run shows, the random stream included."""
+
+    @pytest.mark.filterwarnings("ignore:fault plan crashes")
+    @settings(max_examples=100, deadline=None)
+    @given(equivalence_scenarios)
+    # The creator of a vertex crashes one tick after making it and every peer
+    # is down: its own copy must still be queued.
+    @example(
+        {
+            "stakes": [1] * 4,
+            "Delta": 2,
+            "faultPlan": [[0, 1], [1, 0], [2, 0], [3, 0]],
+            "stop": {"maxRound": 4},
+            "seed": 0,
+        }
+    )
+    # Crashes at t=0 and mid-run under random pre-GST delays, cut by maxTime.
+    @example(
+        {
+            "stakes": [1] * 7,
+            "GST": 30,
+            "Delta": 4,
+            "preGstPolicy": "random:9",
+            "faultPlan": [[2, 0], [5, 17]],
+            "stop": {"maxTime": 80},
+            "seed": 11,
+        }
+    )
+    def test_matches_the_per_copy_loop(self, raw):
+        cfg = parse_config(raw)
+        fast, slow = drive(cfg), drive(cfg, per_copy_broadcast)
+        assert [serialize(t.node, t.records) for t in fast.tracers] == [
+            serialize(t.node, t.records) for t in slow.tracers
+        ]
+        assert (fast.now, fast.events_executed) == (slow.now, slow.events_executed)
+        assert fast.rng.getstate() == slow.rng.getstate()
+
+    @pytest.mark.parametrize(
+        "raw, draws_per_copy",
+        [
+            ({"GST": 0, "Delta": 3}, 1),
+            ({"GST": 50, "Delta": 3}, 1),
+            ({"GST": 50, "Delta": 3, "preGstPolicy": "random:7"}, 2),
+            ({"GST": 0, "Delta": 1}, 0),
+        ],
+        ids=["post-gst", "pre-gst-hold", "pre-gst-random", "post-gst-delta-1"],
+    )
+    def test_skipped_echo_advances_the_stream_like_its_draws(self, raw, draws_per_copy):
+        # Nothing but a sender's own copy lands before GST + 1, so runs echo
+        # only after GST; the pre-GST regimes are pinned here alone.
+        cfg = parse_config({"stakes": [1] * 5, "seed": 3, **raw})
+        now, v = 10, Vertex(VertexId(0, 0), frozenset())
+        sim, reference = Simulation(cfg), Simulation(cfg)
+        # Every peer already has a copy at ``now``, the sender 2 included.
+        sim._arrivals[v.id] = [now] * cfg.n
+        sim._in_flight[v.id] = 1
+        queued = list(sim._queue)
+        sim.broadcast(2, v, now)
+        assert sim._queue == queued
+        for _ in range(cfg.n - 1):
+            reference._delivery_time(now)
+        assert sim.rng.getstate() == reference.rng.getstate()
+        words = random.Random(cfg.seed)
+        for _ in range((cfg.n - 1) * draws_per_copy):
+            words.random()
+        assert sim.rng.getstate() == words.getstate()
 
 
 class TestDeterminism:
