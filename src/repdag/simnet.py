@@ -10,11 +10,11 @@ configs give bit-identical traces.
 Every receiver echoes a vertex to all peers, but a copy is queued only when
 it can change its receiver: copies that would land at or after the
 receiver's crash, or at or after another copy of the same vertex already
-headed there, are never queued. Every copy's delay is drawn, except that an
-echo that can queue none only advances the random stream by its draws, so
-the stream and the traces do not depend on this. After GST with Delta 1
-every draw would be 0, so none is made: time never goes back and the stream
-feeds only delivery delays, so no later draw can tell.
+headed there, are never queued. Every copy's delay is drawn (an echo that
+can queue none just advances the random stream by its draws), so the stream
+and the traces do not depend on this. After GST with Delta 1 every draw
+would be 0, so none is made: time never goes back and the stream feeds only
+delivery delays, so no later draw can tell.
 
 A queued copy can still be overtaken by a faster echo queued after it
 (Delta >= 2). When it pops, its target has already seen the vertex, so it is
@@ -40,7 +40,7 @@ from .traces import Tracer
 # Event kinds; crash sorts before boot at equal (time, seq) by construction,
 # because fault-plan events are enqueued first.
 CRASH, BOOT, DELIVER, TIMER = 0, 1, 2, 3
-# A tick later than any run reaches: "no crash", "no copy yet", "no deadline".
+# A tick later than any run reaches: "no crash" and "no copy yet".
 _NEVER = 1 << 62
 
 
@@ -133,8 +133,7 @@ class Simulation:
         return self._delivery_times(now, 1)[0]
 
     def _delivery_times(self, now: int, copies: int) -> list[int]:
-        """Landing ticks of ``copies`` copies sent at ``now``, drawn in order;
-        none lands before ``max(now, GST) + 1``."""
+        """Landing ticks of ``copies`` copies sent at ``now``, in draw order."""
         gst, delta = self.cfg.gst, self.cfg.delta
         rand = self.rng.random
         if now >= gst:
@@ -163,10 +162,9 @@ class Simulation:
         if arrivals is None:
             arrivals = self._arrivals[v.id] = self._crash_at.copy()
         elif max(arrivals) <= max(now, self.cfg.gst) + 1:
-            # An echo (its sender's copy landed at ``now``) that queues no copy.
-            # Per copy, _delivery_times draws none after GST with Delta 1, two
-            # under random:k before GST and one otherwise. random() takes two
-            # 32-bit words; getrandbits(64 * k) takes exactly 2 * k.
+            # An echo (its sender's copy landed at ``now``): no copy lands before
+            # max(now, GST) + 1, so none is queued. random() takes two 32-bit
+            # words; getrandbits(64 * k) takes exactly 2 * k.
             pre_gst = 1 if self.cfg.pre_gst_policy == "hold" else 2
             draws = (self.cfg.delta > 1) if now >= self.cfg.gst else pre_gst
             self.rng.getrandbits(64 * (self.committee.n - 1) * draws)
@@ -229,8 +227,7 @@ class Simulation:
         """Count one queued copy of ``vid`` as gone."""
         self._in_flight[vid] -= 1
         if not self._in_flight[vid]:
-            # No copy is left to deliver it for the first time anywhere, so
-            # nobody can echo it again.
+            # No copy is left to deliver it first anywhere, so nobody can echo it again.
             del self._in_flight[vid], self._arrivals[vid]
 
 
@@ -242,9 +239,12 @@ def run(cfg: SimConfig) -> RunResult:
     stop cuts the run at the first event past the deadline.
     """
     sim = Simulation(cfg)
-    stop = cfg.max_time if cfg.max_time is not None else _NEVER
-    while sim._queue and sim._queue[0].at <= stop:
-        sim.step()
+    if cfg.max_time is not None:
+        while sim._queue and sim._queue[0].at <= cfg.max_time:
+            sim.step()
+    else:
+        while sim._queue:
+            sim.step()
     return RunResult(
         config=cfg,
         committee=sim.committee,
