@@ -72,12 +72,12 @@ def try_committing(state: CommitState, dag: DagState, v: Vertex, tracer: Tracer)
 def anchor_votes(dag: DagState, v: Vertex, anchor: VertexId) -> int:
     """How many parents of the inserted vertex ``v`` link to ``anchor``.
 
-    The parents sit one round above the anchor and edges drop exactly one
-    round, so a parent has a path to the anchor iff the anchor is among its
-    own edges: the direct links are the votes.
+    The parents sit one round above the anchor, so a parent has a path to
+    the anchor iff it names the anchor's source: the direct links are the
+    votes.
     """
     parents = dag.vertices_at(v.round - 1)
-    return sum(anchor in parents[e.source].edges for e in v.edges)
+    return sum(anchor.source in parents[s].parents for s in v.parents)
 
 
 def order_anchors(state: CommitState, dag: DagState, anchor: Vertex, tracer: Tracer) -> None:

@@ -2,15 +2,16 @@
 
 A vertex is keyed by (round, source): reliable-broadcast integrity guarantees
 at most one vertex per key in honest views, which lets us skip content
-digests entirely. The store enforces causal completeness: a vertex is only
-inserted once every parent it references is present.
+digests entirely. A vertex's parents all sit one round below it, so it names
+them by source alone. The store enforces causal completeness: a vertex is only
+inserted once every parent it names is present.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Container, Iterator, NamedTuple
+from typing import Container, NamedTuple
 
 from .committee import Committee, ValidatorId
 
@@ -24,20 +25,20 @@ class VertexId(NamedTuple):
 class Vertex:
     """A DAG vertex; its shape is checked once, here, for every receiver.
 
-    Raises ``ValueError`` for a negative round, a genesis vertex with edges,
-    or an edge that does not drop exactly one round.
+    Raises ``ValueError`` for a negative round or a genesis vertex with
+    parents; a parent cannot sit at a wrong round, as it is named by source.
     """
 
     id: VertexId
-    edges: frozenset[VertexId]
+    parents: frozenset[ValidatorId]
     # Denormalized from id; plain fields keep the hot paths cheap.
     round: int = field(init=False)
     source: ValidatorId = field(init=False)
 
     def __post_init__(self):
         r = self.id.round
-        if r < 0 or (r == 0 and self.edges) or any(e.round != r - 1 for e in self.edges):
-            raise ValueError(f"malformed vertex {self.id}: edges {sorted(self.edges)}")
+        if r < 0 or (r == 0 and self.parents):
+            raise ValueError(f"malformed vertex {self.id}: parents {sorted(self.parents)}")
         object.__setattr__(self, "round", r)
         object.__setattr__(self, "source", self.id.source)
 
@@ -70,11 +71,6 @@ class DagState:
     def vertices_at(self, round: int) -> dict[ValidatorId, Vertex]:
         return self.by_round.get(round, {})
 
-    def all_vertices(self) -> Iterator[Vertex]:
-        for r in sorted(self.by_round):
-            for s in sorted(self.by_round[r]):
-                yield self.by_round[r][s]
-
     def even_vertices_from(self, round: int) -> list[Vertex]:
         """Even-round vertices with round >= the given bound, (round, source) ascending."""
         out: list[Vertex] = []
@@ -85,24 +81,21 @@ class DagState:
         return out
 
     def insert(self, v: Vertex) -> InsertOutcome:
-        """Insert ``v`` if it has quorum edges and is causally complete.
+        """Insert ``v`` if it has quorum parents and is causally complete.
 
         MALFORMED_EDGES means a non-genesis vertex with fewer than quorum
-        edges; the rest of its shape was checked when it was built.
+        parents; the rest of its shape was checked when it was built.
         MISSING_PARENTS means the caller should buffer and retry once the
         parents arrive; DUPLICATE signals reliable-broadcast integrity
-        handling (same id already present). A vertex's parents all sit one
-        round below it, so one row of the store answers for all of them.
+        handling (same id already present).
         """
-        if v.round and len(v.edges) < self.committee.quorum_threshold:
+        if v.round and len(v.parents) < self.committee.quorum_threshold:
             return InsertOutcome.MALFORMED_EDGES
         row = self.by_round.get(v.round)
         if row is not None and v.source in row:
             return InsertOutcome.DUPLICATE
-        below = self.by_round.get(v.round - 1, {})
-        for e in v.edges:
-            if e.source not in below:
-                return InsertOutcome.MISSING_PARENTS
+        if not self.by_round.get(v.round - 1, {}).keys() >= v.parents:
+            return InsertOutcome.MISSING_PARENTS
         if row is None:
             row = self.by_round[v.round] = {}
         row[v.source] = v
@@ -112,10 +105,10 @@ class DagState:
 
 
 def path(dag: DagState, frm: VertexId, to: VertexId) -> bool:
-    """True iff an edge chain leads from ``frm`` down to ``to``.
+    """True iff a parent chain leads from ``frm`` down to ``to``.
 
-    A single vertex counts as a chain, so ``path(v, v)`` is true. Edges drop
-    exactly one round per hop, so nothing below ``to``'s round can lead to it.
+    A single vertex counts as a chain, so ``path(v, v)`` is true. Each hop
+    drops exactly one round, so nothing below ``to``'s round can lead to it.
     """
     return to in causal_history(dag, frm, min_round=to.round)
 
@@ -124,22 +117,23 @@ class AnchorReach:
     """Every vertex up to ``max_round`` with a path to one target vertex.
 
     Scans the store upward one round at a time from the target: a vertex
-    reaches the target iff one of its parents, all one round below it, does.
-    Answers membership queries in O(1) and is equivalent to calling
-    :func:`path` per query. The commit rule no longer uses it (direct
-    parent links decide its votes, see ``commit.anchor_votes``); it stays
-    as a cross-check of :func:`path`.
+    reaches the target iff one of the parents it names does. Answers
+    membership queries in O(1) and is equivalent to calling :func:`path` per
+    query. The commit rule no longer uses it (direct parent links decide its
+    votes, see ``commit.anchor_votes``); it stays as a cross-check of
+    :func:`path`.
     """
 
     def __init__(self, dag: DagState, target: VertexId, max_round: int):
         self.target = target
         reached = {target}
-        layer = {target}
+        layer = {target.source}
         for r in range(target.round + 1, max_round + 1):
-            layer = {v.id for v in dag.vertices_at(r).values() if not layer.isdisjoint(v.edges)}
+            row = dag.vertices_at(r)
+            layer = {s for s, v in row.items() if not layer.isdisjoint(v.parents)}
             if not layer:
                 break
-            reached |= layer
+            reached.update(row[s].id for s in layer)
         self._reached = reached
 
     def covers(self, vid: VertexId) -> bool:
@@ -151,22 +145,23 @@ def causal_history(
 ) -> set[VertexId]:
     """All vertices reachable from ``anchor`` (itself included) at round >= min_round.
 
-    The walk does not enter ``exclude``. For a downward-closed ``exclude``,
-    such as the vertices a node has already ordered, the result is the
-    history minus ``exclude``.
+    The walk steps down a round at a time and does not enter ``exclude``. For
+    a downward-closed ``exclude``, such as the vertices a node has already
+    ordered, the result is the history minus ``exclude``.
     """
-    if anchor not in dag:
+    v = dag.get(anchor)
+    if v is None:
         raise UnknownVertex(anchor)
-    if anchor in exclude:
+    if anchor in exclude or anchor.round < min_round:
         return set()
-    out = {anchor}
-    frontier = [anchor]
-    while frontier:
-        nxt = []
-        for vid in frontier:
-            for e in dag.get(vid).edges:
-                if e not in out and e not in exclude and e.round >= min_round:
-                    out.add(e)
-                    nxt.append(e)
-        frontier = nxt
+    out = {v.id}
+    frontier = [v]
+    for r in range(anchor.round - 1, min_round - 1, -1):
+        row = dag.vertices_at(r)
+        # A list, not a generator: unpacking one strands a tuple per call.
+        frontier = [row[s] for s in set().union(*[u.parents for u in frontier])]
+        frontier = [u for u in frontier if u.id not in exclude]
+        if not frontier:
+            break
+        out.update(u.id for u in frontier)
     return out

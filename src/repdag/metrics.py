@@ -1,9 +1,9 @@
 """Run metrics, computed purely from trace records.
 
-A vertex carries only its id and parent edges; its transaction count is
-recorded once, as ``txCount`` of its ``vertex-created`` record. Latency is
-measured at the creator's node: from the vertex's creation tick to the first
-``anchor-committed`` record of that node that orders it, once per
+A vertex carries only its id and its parents' sources; its transaction
+count is recorded once, as ``txCount`` of its ``vertex-created`` record.
+Latency is measured at the creator's node: from the vertex's creation tick to
+the first ``anchor-committed`` record of that node that orders it, once per
 transaction. Throughput counts distinct transactions ordered by any honest
 node over the whole run duration.
 """

@@ -156,9 +156,7 @@ class Node:
         self.backlog += self.tx_supply(self.me, now)
         tx_count = min(self.batch_size, self.backlog)
         self.backlog -= tx_count
-        if round == 0:
-            edges: frozenset[VertexId] = frozenset()
-        else:
-            edges = frozenset(v.id for v in self.dag.vertices_at(round - 1).values())
+        # Via a tuple: a frozenset built from a dict presizes its table.
+        parents = frozenset(tuple(self.dag.vertices_at(round - 1)))
         self.tracer.emit("vertex-created", id=[round, self.me], txCount=tx_count)
-        return Vertex(VertexId(round, self.me), edges)
+        return Vertex(VertexId(round, self.me), parents)

@@ -175,7 +175,7 @@ def compute_scores(
         if leader_vertex is None:
             continue
         for voter in dag.vertices_at(e + 1).values():
-            if voter.id in history and leader_vertex.id in voter.edges:
+            if voter.id in history and leader_vertex.source in voter.parents:
                 scores.points[voter.source] += 1
     return scores
 

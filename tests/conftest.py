@@ -16,24 +16,24 @@ def committee4() -> Committee:
     return new_committee([1, 1, 1, 1])
 
 
-def mk_vertex(round, source, edges=()):
-    return Vertex(id=VertexId(round, source), edges=frozenset(edges))
+def mk_vertex(round, source, parents=()):
+    """A vertex whose parents are the given sources, one round below it."""
+    return Vertex(id=VertexId(round, source), parents=frozenset(parents))
 
 
 def full_dag(committee, rounds, absent=frozenset()):
     """Fully connected dag: every validator in every round unless absent,
-    edges to every vertex of the previous round."""
+    linked to every vertex of the previous round."""
     dag = DagState(committee)
-    prev_ids = []
+    prev = []
     for r in range(rounds + 1):
-        ids = []
+        row = []
         for s in committee.members:
             if (r, s) in absent:
                 continue
-            v = mk_vertex(r, s, prev_ids if r else [])
-            assert dag.insert(v) is InsertOutcome.INSERTED
-            ids.append(v.id)
-        prev_ids = ids
+            assert dag.insert(mk_vertex(r, s, prev)) is InsertOutcome.INSERTED
+            row.append(s)
+        prev = row
     return dag
 
 
@@ -52,8 +52,8 @@ def random_dag_vertices(rng: random.Random, committee, max_rounds):
             present = sorted(rng.sample(committee.members, k=width))
             for s in present:
                 k = rng.randint(quorum, len(prev))
-                edges = [v.id for v in rng.sample(prev, k=k)]
-                layer.append(mk_vertex(r, s, edges))
+                parents = [v.source for v in rng.sample(prev, k=k)]
+                layer.append(mk_vertex(r, s, parents))
         vertices.extend(layer)
         prev = layer
     return vertices

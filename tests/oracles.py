@@ -1,6 +1,7 @@
 """Independent brute-force oracles the implementation is checked against.
 
-These stay deliberately naive: plain depth-first search for reachability,
+These stay deliberately naive: plain depth-first search for reachability
+(over ids built from each vertex's parent sources),
 literal per-round enumeration for scores, a step-by-step rendering of the
 swap rule, a hop-by-hop scan of client re-attachment, and a per-copy
 broadcast loop. None of them share code with the package internals.
@@ -19,8 +20,9 @@ def naive_path(dag: DagState, frm: VertexId, to: VertexId) -> bool:
         if vid == to:
             return True
         seen.add(vid)
-        for e in sorted(dag.get(vid).edges):
-            if e not in seen and dfs(e):
+        for s in sorted(dag.get(vid).parents):
+            parent = VertexId(vid.round - 1, s)
+            if parent not in seen and dfs(parent):
                 return True
         return False
 
@@ -43,7 +45,7 @@ def brute_scores(dag, book, committee, from_round, to_round_exclusive):
             voter = dag.get(VertexId(e + 1, s))
             if voter is None:
                 continue
-            if leader_vid in voter.edges and naive_path(dag, trigger, voter.id):
+            if leader_vid.source in voter.parents and naive_path(dag, trigger, voter.id):
                 points[s] += 1
     return points
 

@@ -49,13 +49,10 @@ class TestTryCommitting:
         anchor = VertexId(2, 1)  # leader(2) = 1 under slots (0, 1, 2, 3)
         parents = []
         for s in range(3):
-            if s < linking_parents:
-                edges = [VertexId(2, 0), anchor, VertexId(2, 2)]
-            else:
-                edges = [VertexId(2, 0), VertexId(2, 2), VertexId(2, 3)]
-            parents.append(mk_vertex(3, s, edges))
+            links = [0, anchor.source, 2] if s < linking_parents else [0, 2, 3]
+            parents.append(mk_vertex(3, s, links))
             dag.insert(parents[-1])
-        committer = mk_vertex(4, 0, [p.id for p in parents])
+        committer = mk_vertex(4, 0, [p.source for p in parents])
         dag.insert(committer)
         return dag, committer, anchor
 
@@ -106,12 +103,13 @@ class TestAnchorVotes:
                 if v.round < 2:
                     continue
                 for anchor in dag.vertices_at(v.round - 2).values():
-                    want = sum(naive_path(dag, parent, anchor.id) for parent in v.edges)
+                    parents = [VertexId(v.round - 1, s) for s in v.parents]
+                    want = sum(naive_path(dag, parent, anchor.id) for parent in parents)
                     assert anchor_votes(dag, v, anchor.id) == want
-                    counts.add((want, len(v.edges)))
+                    counts.add((want, len(parents)))
         # Both full and partial support occur, so the equality is not vacuous.
-        assert any(want < edges for want, edges in counts)
-        assert any(want == edges for want, edges in counts)
+        assert any(want < total for want, total in counts)
+        assert any(want == total for want, total in counts)
 
 
 class TestOrderAnchors:
@@ -183,8 +181,8 @@ class TestOrderHistory:
         try_committing(state, dag, dag.get(VertexId(8, 0)), tracer0())
         position = {vid: i for i, vid in enumerate(state.ordered)}
         for vid in position:
-            for parent in dag.get(vid).edges:
-                assert position[parent] < position[vid]
+            for s in dag.get(vid).parents:
+                assert position[VertexId(vid.round - 1, s)] < position[vid]
 
     def test_switch_orders_trigger_history_first(self, committee4):
         dag = full_dag(committee4, 4)

@@ -8,8 +8,10 @@ The corpus covers the cases where delivery order is subtle: Delta 3 and 5,
 where an echo can reach a peer before the direct copy; ``random:`` and
 ``hold`` pre-GST policies; crashes at t=0 and mid-run, with copies still in
 flight to the crashed validator; a ``maxTime`` stop; round-robin mode; Delta 1
-across GST, where post-GST delays are fixed and draw nothing; and 75 schedule
-epochs, where old rounds are looked up in a long schedule book.
+across GST, where post-GST delays are fixed and draw nothing; 75 schedule
+epochs, where old rounds are looked up in a long schedule book; and n=31 with
+three mid-run crashes, where a row holds more than quorum vertices and each
+vertex links to more parents than quorum needs.
 """
 
 import hashlib
@@ -92,6 +94,10 @@ CORPUS = {
     "n4-t2-long-crash-zero": (
         {"stakes": [1] * 4, "T": 2, "faultPlan": [[2, 0]], "stop": {"maxRound": 300}, "seed": 12},
         "a7a85c56b9fc460d12e5db63fc6270924792863cd72977054b3c9935fff9d8bc",
+    ),
+    "n31-crash-mid": (
+        {"stakes": [1] * 31, "Delta": 3, "faultPlan": [[30, 6], [29, 6], [28, 6]], "stop": {"maxRound": 16}, "seed": 9},
+        "733cc753806028f82a965c17d86941b1afe10f9674f3f29524e05408e864ee86",
     ),
 }
 

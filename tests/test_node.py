@@ -34,11 +34,11 @@ class TestDelivery:
         assert node.current_round == 1
         created = [v for v in effects.broadcasts if v.source == 3 and v.round == 1]
         assert len(created) == 1
-        assert created[0].edges == {VertexId(0, 0), VertexId(0, 1), VertexId(0, 3)}
+        assert created[0].parents == {0, 1, 3}
 
     def test_missing_parent_buffers_until_drained(self, committee4):
         node = make_node(committee4)
-        early = mk_vertex(1, 0, [VertexId(0, 0), VertexId(0, 1), VertexId(0, 2)])
+        early = mk_vertex(1, 0, [0, 1, 2])
         node.on_deliver(early, 0)
         assert early.id in node.pending
         assert early.id not in node.dag
@@ -95,15 +95,15 @@ class TestLeaderWait:
         effects = node.on_timer(6)
         assert node.current_round == 1
         vertex = effects.broadcasts[0]
-        assert VertexId(0, 0) not in vertex.edges
-        assert len(vertex.edges) == 3
+        assert 0 not in vertex.parents
+        assert len(vertex.parents) == 3
         assert "leader-timeout" in kinds(node)
 
     def test_leader_arrival_cancels_wait(self, committee4):
         node, _ = self.boot_with_quorum_no_leader(committee4)
         effects = node.on_deliver(mk_vertex(0, 0), 3)
         assert node.current_round == 1
-        assert VertexId(0, 0) in effects.broadcasts[-1].edges
+        assert 0 in effects.broadcasts[-1].parents
         assert "leader-timeout" not in kinds(node)
 
     def test_odd_round_advances_on_quorum_alone(self, committee4):
@@ -115,7 +115,7 @@ class TestLeaderWait:
         own1 = effects.broadcasts[-1]
         assert own1.id == VertexId(1, 3)
         node.on_deliver(own1, 1)  # self delivery of our round-1 vertex
-        genesis = [VertexId(0, s) for s in (0, 1, 3)]
+        genesis = [0, 1, 3]
         node.on_deliver(mk_vertex(1, 0, genesis), 2)
         effects = node.on_deliver(mk_vertex(1, 1, genesis), 3)
         # quorum at the odd round: the round-2 vertex goes out with no
@@ -155,7 +155,7 @@ class TestCreateVertex:
         assert len(own1) == 1, "round-1 vertex should have been created once"
         assert node.current_round == 1
         # The quorum formed with genesis 1; genesis 2 came after the vertex was made.
-        assert own1[0].edges == {VertexId(0, 3), VertexId(0, 0), VertexId(0, 1)}
+        assert own1[0].parents == {3, 0, 1}
 
     def test_backlog_conserves_supplied_transactions(self, committee4):
         node = make_node(committee4, supply=lambda me, now: 5, batch=3)
@@ -165,7 +165,7 @@ class TestCreateVertex:
             return [r for r in node.tracer.records if r["kind"] == "vertex-created"]
 
         for r in range(4):
-            parents = [VertexId(r - 1, s) for s in range(4)] if r else []
+            parents = range(4) if r else []
             for v in [own[-1]] + [mk_vertex(r, s, parents) for s in (0, 1, 2)]:
                 own += [b for b in node.on_deliver(v, r + 1).broadcasts if b.source == 3]
                 assert node.backlog == 2 * len(created())

@@ -352,8 +352,8 @@ class TestGoldenRun:
         for node in result.nodes:
             position = {vid: i for i, vid in enumerate(node.commit.ordered)}
             for vid in position:
-                for parent in node.dag.get(vid).edges:
-                    assert position[parent] < position[vid]
+                for s in node.dag.get(vid).parents:
+                    assert position[VertexId(vid.round - 1, s)] < position[vid]
 
 
 class TestCrashPatterns:
