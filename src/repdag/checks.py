@@ -3,6 +3,13 @@
 Each checker is read-only, reports a verdict rather than raising, and is
 deliberately independent of the protocol implementation: it trusts nothing
 but the persisted records.
+
+The three delivery checkers (rb-validity, rb-agreement, delivery-bound) read
+one honest node's records at a time. Besides that node's deliveries they
+hold one run-wide table of vertex ids (the created ones, or the union of the
+delivered ones), never one per node: delivery records grow with n^2 per
+round, a single node's with n. The rb checkers build ``missing`` only when
+they fail.
 """
 
 from __future__ import annotations
@@ -184,6 +191,11 @@ def _created_by(records_by_node: Records) -> dict[tuple[int, int], int]:
     return created
 
 
+def _delivered_ids(records: list[dict[str, Any]]) -> set[tuple[int, int]]:
+    """The vertex ids a node delivered."""
+    return {tuple(rec["id"]) for rec in records if rec["kind"] == "vertex-delivered"}
+
+
 def _first_deliveries(records: list[dict[str, Any]]) -> dict[tuple[int, int], int]:
     """A node's first-delivery tick per vertex id, in delivery order."""
     ticks: dict[tuple[int, int], int] = {}
@@ -196,22 +208,38 @@ def _first_deliveries(records: list[dict[str, Any]]) -> dict[tuple[int, int], in
 def check_rb_validity(records_by_node: Records, manifest: dict[str, Any]) -> DeliveryVerdict:
     """Every vertex a never-crashed node broadcast reaches every honest node."""
     honest = honest_nodes(manifest)
-    delivered = {node: _first_deliveries(records_by_node.get(node, [])) for node in honest}
-    created = dict.fromkeys(vid for vid in _created_by(records_by_node) if vid[1] in delivered)
-    if all(ticks.keys() >= created.keys() for ticks in delivered.values()):
+    sources = set(honest)
+    created = dict.fromkeys(vid for vid in _created_by(records_by_node) if vid[1] in sources)
+    lacking = {}
+    for node in honest:
+        delivered = _delivered_ids(records_by_node.get(node, []))
+        if not created.keys() <= delivered:
+            lacking[node] = created.keys() - delivered
+    if not lacking:
         return DeliveryVerdict("rb-validity", True)
-    missing = [(node, vid) for vid in created for node in honest if vid not in delivered[node]]
+    missing = [(node, vid) for vid in created for node in lacking if vid in lacking[node]]
     return DeliveryVerdict("rb-validity", False, tuple(missing))
 
 
 def check_rb_agreement(records_by_node: Records, manifest: dict[str, Any]) -> DeliveryVerdict:
     """A vertex delivered by one honest node is delivered by all of them."""
     honest = honest_nodes(manifest)
-    delivered = {node: _first_deliveries(records_by_node.get(node, [])) for node in honest}
-    union = set().union(*(ticks.keys() for ticks in delivered.values()))
-    if all(ticks.keys() == union for ticks in delivered.values()):
+    union: set[tuple[int, int]] = set()
+    counts = {}
+    for node in honest:
+        delivered = _delivered_ids(records_by_node.get(node, []))
+        counts[node] = len(delivered)
+        union |= delivered
+    # Each node's ids lie in the union, so a node holds all of it exactly
+    # when it holds as many ids; only a failing node is read a second time.
+    lacking = {
+        node: union - _delivered_ids(records_by_node.get(node, []))
+        for node in honest
+        if counts[node] < len(union)
+    }
+    if not lacking:
         return DeliveryVerdict("rb-agreement", True)
-    missing = [(node, vid) for vid in sorted(union) for node in honest if vid not in delivered[node]]
+    missing = [(node, vid) for vid in sorted(union) for node in lacking if vid in lacking[node]]
     return DeliveryVerdict("rb-agreement", False, tuple(missing))
 
 
@@ -220,8 +248,9 @@ def check_delivery_bound(records_by_node: Records, manifest: dict[str, Any]) -> 
     cfg = manifest["config"]
     delta, gst = cfg["Delta"], cfg["GST"]
     created = _created_by(records_by_node)
-    # One node's map at a time: holding every node's at once can tip the
-    # cyclic GC into a full pass over all the records it was given.
+    # One node's first deliveries at a time (see the module docstring):
+    # every node's at once could also tip the cyclic GC into a full pass
+    # over all the records it was given.
     late = [
         (node, vid)
         for node in honest_nodes(manifest)

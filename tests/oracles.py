@@ -3,11 +3,15 @@
 These stay deliberately naive: plain depth-first search for reachability
 (over ids built from each vertex's parent sources),
 literal per-round enumeration for scores, a step-by-step rendering of the
-swap rule, a hop-by-hop scan of client re-attachment, and a per-copy
-broadcast loop. None of them share code with the package internals.
+swap rule, a hop-by-hop scan of client re-attachment, a per-copy
+broadcast loop, and reliable-broadcast checkers that hold every honest
+node's first deliveries at once. None of them share code with the package
+internals beyond the verdict type and the honest-node list.
 """
 
+from repdag.checks import DeliveryVerdict
 from repdag.dag import DagState, UnknownVertex, VertexId
+from repdag.metrics import honest_nodes
 from repdag.simnet import DELIVER
 
 
@@ -123,3 +127,43 @@ def per_copy_broadcast(sim, sender, v, now):
             arrivals[peer] = at
             sim._push(at, DELIVER, peer, v)
             sim._in_flight[v.id] = sim._in_flight.get(v.id, 0) + 1
+
+
+def _created_by(records_by_node):
+    created = {}
+    for node, records in records_by_node.items():
+        for rec in records:
+            if rec["kind"] == "vertex-created":
+                created[tuple(rec["id"])] = rec["at"]
+    return created
+
+
+def _first_deliveries(records):
+    """A node's first-delivery tick per vertex id, in delivery order."""
+    ticks = {}
+    for rec in records:
+        if rec["kind"] == "vertex-delivered":
+            ticks.setdefault(tuple(rec["id"]), rec["at"])
+    return ticks
+
+
+def all_nodes_rb_validity(records_by_node, manifest):
+    """Every vertex a never-crashed node broadcast reaches every honest node."""
+    honest = honest_nodes(manifest)
+    delivered = {node: _first_deliveries(records_by_node.get(node, [])) for node in honest}
+    created = dict.fromkeys(vid for vid in _created_by(records_by_node) if vid[1] in delivered)
+    if all(ticks.keys() >= created.keys() for ticks in delivered.values()):
+        return DeliveryVerdict("rb-validity", True)
+    missing = [(node, vid) for vid in created for node in honest if vid not in delivered[node]]
+    return DeliveryVerdict("rb-validity", False, tuple(missing))
+
+
+def all_nodes_rb_agreement(records_by_node, manifest):
+    """A vertex delivered by one honest node is delivered by all of them."""
+    honest = honest_nodes(manifest)
+    delivered = {node: _first_deliveries(records_by_node.get(node, [])) for node in honest}
+    union = set().union(*(ticks.keys() for ticks in delivered.values()))
+    if all(ticks.keys() == union for ticks in delivered.values()):
+        return DeliveryVerdict("rb-agreement", True)
+    missing = [(node, vid) for vid in sorted(union) for node in honest if vid not in delivered[node]]
+    return DeliveryVerdict("rb-agreement", False, tuple(missing))

@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,8 +13,10 @@ from repdag.checks import (
     check_total_order,
 )
 from repdag.config import MODES
+from repdag.metrics import honest_nodes
 
 from .conftest import manifest_for, quick_run
+from .oracles import all_nodes_rb_agreement, all_nodes_rb_validity
 
 
 def crashy_run():
@@ -130,6 +133,25 @@ class TestReliableBroadcast:
         assert not verdict.ok
         assert verdict.missing == ((1, vid),)
 
+    def test_rb_checkers_hold_one_node_at_a_time(self):
+        # The checkers' peak allocation is measured against one honest node's
+        # set of delivered ids; holding every node's set at once needs about n.
+        cfg, result = quick_run(stakes=[1] * 10, Delta=1, stop={"maxRound": 40})
+        records, manifest = result.records_by_node, manifest_for(cfg)
+        tracemalloc.start()
+        try:
+            one_node = {tuple(rec["id"]) for rec in records[0] if rec["kind"] == "vertex-delivered"}
+            set_bytes = tracemalloc.get_traced_memory()[0]
+            del one_node
+            for check in (check_rb_validity, check_rb_agreement):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                assert check(records, manifest).ok
+                peak = tracemalloc.get_traced_memory()[1] - before
+                assert peak < 4 * set_bytes, (check.__name__, peak, set_bytes)
+        finally:
+            tracemalloc.stop()
+
 
 @st.composite
 def scenarios(draw):
@@ -169,3 +191,27 @@ class TestRandomScenarios:
         assert check_rb_validity(records, manifest).ok
         assert check_rb_agreement(records, manifest).ok
         assert check_delivery_bound(records, manifest).ok
+
+    @settings(max_examples=40, deadline=None)
+    @given(scenarios(), st.data())
+    def test_rb_checkers_match_the_all_nodes_oracle(self, raw, data):
+        """Drop random deliveries at random honest nodes and inject one
+        delivery, of a created or an unknown vertex, at a single node: the
+        rb verdicts, ``missing`` included, equal the all-nodes oracle's."""
+        cfg, result = quick_run(**raw)
+        manifest = manifest_for(cfg)
+        records = {node: list(recs) for node, recs in result.records_by_node.items()}
+        honest = honest_nodes(manifest)
+        for node in data.draw(st.lists(st.sampled_from(honest), max_size=4)):
+            delivered = [i for i, rec in enumerate(records[node]) if rec["kind"] == "vertex-delivered"]
+            if delivered:
+                del records[node][data.draw(st.sampled_from(delivered))]
+        created = [rec["id"] for recs in records.values() for rec in recs if rec["kind"] == "vertex-created"]
+        unknown = st.tuples(st.integers(min_value=0, max_value=50), st.integers(min_value=0, max_value=cfg.n)).map(list)
+        vid = data.draw(st.sampled_from(created) | unknown if created else unknown)
+        node = data.draw(st.sampled_from(honest))
+        at = data.draw(st.integers(min_value=0, max_value=len(records[node])))
+        records[node].insert(at, {"at": 0, "kind": "vertex-delivered", "id": vid})
+        for check, oracle in ((check_rb_validity, all_nodes_rb_validity), (check_rb_agreement, all_nodes_rb_agreement)):
+            verdict, expected = check(records, manifest), oracle(records, manifest)
+            assert (verdict.name, verdict.ok, verdict.missing) == (expected.name, expected.ok, expected.missing)

@@ -7,6 +7,8 @@ from repdag.harness import compare, load_run, run_scenario
 from repdag.config import parse_config
 from repdag.traces import header_line
 
+from .test_traces import malformed_records
+
 
 def write_config(tmp_path, name="scenario.json", **extra):
     raw = {"stakes": [1, 1, 1, 1], "stop": {"maxRound": 16}, "Delta": 2, "seed": 3}
@@ -255,13 +257,16 @@ def test_check_header_node_must_match_file_name(tmp_path, capsys):
     assert "header names node 0" in capsys.readouterr().err
 
 
-def test_check_unknown_record_kind_exits_two(tmp_path, capsys):
+@malformed_records
+def test_check_malformed_record_exits_two(tmp_path, capsys, record, message):
     out_dir = persisted_run(tmp_path)
     trace = out_dir / "node-01.jsonl"
-    extra = json.dumps({"at": 1, "kind": "vertex-teleported"})
-    trace.write_text(trace.read_text() + extra + "\n")
+    trace.write_text(trace.read_text() + json.dumps(record) + "\n")
+    capsys.readouterr()
     assert main(["check", "--trace", str(out_dir)]) == 2
-    assert "vertex-teleported" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert err == f"trace error: {trace}: {message}\n"
+    assert out == ""
 
 
 def _edit_first_commit_record(out_dir, edit):

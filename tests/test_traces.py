@@ -1,7 +1,7 @@
 import pytest
 
 from repdag.checks import ordered_sequence
-from repdag.traces import Tracer, header_line, parse, serialize
+from repdag.traces import RECORD_KINDS, Tracer, header_line, parse, serialize
 
 from .conftest import quick_run
 from .test_golden import CORPUS, PERSISTED
@@ -16,6 +16,37 @@ def test_round_trip_is_bit_exact():
             assert node == tracer.node
             assert records == tracer.records, raw
             assert serialize(node, records) == text
+
+
+def test_parsed_kinds_are_the_shared_strings():
+    # The decoder gives each value its own string; parse swaps in one shared
+    # object per kind.
+    _, result = quick_run(seed=5, stop={"maxRound": 10})
+    for tracer in result.tracers:
+        _, records = parse(serialize(tracer.node, tracer.records))
+        assert records
+        for rec in records:
+            assert any(rec["kind"] is kind for kind in RECORD_KINDS), rec
+
+
+# Records that parse refuses, each after a valid record, with its message.
+MALFORMED_RECORDS = {
+    "unknown-kind": ({"at": 3, "kind": "vertex-teleported"}, "unknown record kinds: ['vertex-teleported']"),
+    "missing-kind": ({"at": 3, "round": 4}, "a record is not an object with a hashable 'kind'"),
+    "unhashable-kind": ({"at": 3, "kind": []}, "a record is not an object with a hashable 'kind'"),
+    "not-an-object": ([3, "leader-timeout"], "a record is not an object with a hashable 'kind'"),
+}
+malformed_records = pytest.mark.parametrize(
+    "record, message", list(MALFORMED_RECORDS.values()), ids=list(MALFORMED_RECORDS)
+)
+
+
+@malformed_records
+def test_parse_messages_for_malformed_records(record, message):
+    valid = {"at": 1, "kind": "leader-timeout", "round": 2}
+    with pytest.raises(ValueError) as exc:
+        parse(serialize(1, [valid, record]))
+    assert str(exc.value) == message
 
 
 def test_header_is_versioned():
