@@ -212,9 +212,9 @@ def check_rb_validity(records_by_node: Records, manifest: dict[str, Any]) -> Del
     created = dict.fromkeys(vid for vid in _created_by(records_by_node) if vid[1] in sources)
     lacking = {}
     for node in honest:
-        delivered = _delivered_ids(records_by_node.get(node, []))
-        if not created.keys() <= delivered:
-            lacking[node] = created.keys() - delivered
+        # The difference drops the node's set before the next one is built.
+        if absent := created.keys() - _delivered_ids(records_by_node.get(node, [])):
+            lacking[node] = absent
     if not lacking:
         return DeliveryVerdict("rb-validity", True)
     missing = [(node, vid) for vid in created for node in lacking if vid in lacking[node]]
@@ -230,6 +230,7 @@ def check_rb_agreement(records_by_node: Records, manifest: dict[str, Any]) -> De
         delivered = _delivered_ids(records_by_node.get(node, []))
         counts[node] = len(delivered)
         union |= delivered
+        del delivered  # before the next node's set is built
     # Each node's ids lie in the union, so a node holds all of it exactly
     # when it holds as many ids; only a failing node is read a second time.
     lacking = {
@@ -244,7 +245,11 @@ def check_rb_agreement(records_by_node: Records, manifest: dict[str, Any]) -> De
 
 
 def check_delivery_bound(records_by_node: Records, manifest: dict[str, Any]) -> DeliveryVerdict:
-    """First delivery at each honest node respects Delta + max(GST, send time)."""
+    """First delivery at each honest node respects Delta + max(GST, send time).
+
+    A delivery of a vertex that no trace created has no send time to bound
+    it, so it is a violation too.
+    """
     cfg = manifest["config"]
     delta, gst = cfg["Delta"], cfg["GST"]
     created = _created_by(records_by_node)
@@ -255,6 +260,6 @@ def check_delivery_bound(records_by_node: Records, manifest: dict[str, Any]) -> 
         (node, vid)
         for node in honest_nodes(manifest)
         for vid, at in _first_deliveries(records_by_node.get(node, [])).items()
-        if at > delta + max(gst, created[vid])
+        if (sent := created.get(vid)) is None or at > delta + max(gst, sent)
     ]
     return DeliveryVerdict("delivery-bound", not late, tuple(late))

@@ -61,30 +61,38 @@ def _nearest_rank(sorted_samples: list[int], q: float) -> float:
 
 
 def compute_metrics(records_by_node: Records, manifest: dict[str, Any]) -> Metrics:
-    honest = honest_nodes(manifest)
+    # One pass over each node's records. Honest nodes' first orderings of
+    # their own vertices wait for every node's creations before they become
+    # latency samples; each id is its creator's, so one map holds them all.
+    honest = set(honest_nodes(manifest))
     horizon = 0
     created: dict[tuple[int, int], tuple[int, int]] = {}  # id -> (at, txCount)
+    first_order: dict[tuple[int, int], int] = {}  # id -> its creator's first ordering tick
+    ordered_ids: set[tuple[int, int]] = set()
+    committed_rounds: set[int] = set()
+    switch_times: dict[int, list[int]] = {}
     for node, records in records_by_node.items():
+        is_honest = node in honest
         for rec in records:
-            horizon = max(horizon, rec["at"])
-            if rec["kind"] == "vertex-created":
-                created[tuple(rec["id"])] = (rec["at"], rec["txCount"])
+            at, kind = rec["at"], rec["kind"]
+            horizon = at if at > horizon else horizon
+            if kind == "vertex-delivered":
+                continue
+            if kind == "vertex-created":
+                created[tuple(rec["id"])] = (at, rec["txCount"])
+            elif is_honest and kind == "anchor-committed":
+                committed_rounds.add(rec["round"])
+                for vid in map(tuple, rec["ordered"]):
+                    ordered_ids.add(vid)
+                    if vid[1] == node and vid not in first_order:
+                        first_order[vid] = at
+            elif is_honest and kind == "schedule-switched":
+                switch_times.setdefault(rec["epoch"], []).append(at)
 
     samples: list[int] = []
-    ordered_ids: set[tuple[int, int]] = set()
-    for node in honest:
-        first_order_here: dict[tuple[int, int], int] = {}
-        for rec in records_by_node.get(node, []):
-            if rec["kind"] != "anchor-committed":
-                continue
-            for vid in map(tuple, rec["ordered"]):
-                ordered_ids.add(vid)
-                if vid[1] == node and vid not in first_order_here:
-                    first_order_here[vid] = rec["at"]
-        for vid, at in first_order_here.items():
-            created_at, tx_count = created[vid]
-            samples.extend([at - created_at] * tx_count)
-
+    for vid, at in first_order.items():
+        created_at, tx_count = created[vid]
+        samples.extend([at - created_at] * tx_count)
     distinct_txs = sum(created[vid][1] for vid in ordered_ids if vid in created)
     throughput = distinct_txs / horizon if horizon > 0 else 0.0
 
@@ -96,17 +104,11 @@ def compute_metrics(records_by_node: Records, manifest: dict[str, Any]) -> Metri
     else:
         p50 = p95 = avg = None
 
-    committed_rounds = committed_anchor_rounds(records_by_node, honest)
     skipped = 0
     if committed_rounds:
         top = max(committed_rounds)
         skipped = sum(1 for r in range(2, top + 1, 2) if r not in committed_rounds)
 
-    switch_times: dict[int, list[int]] = {}
-    for node in honest:
-        for rec in records_by_node.get(node, []):
-            if rec["kind"] == "schedule-switched":
-                switch_times.setdefault(rec["epoch"], []).append(rec["at"])
     lag_max = 0
     for epoch, times in switch_times.items():
         if len(times) == len(honest):

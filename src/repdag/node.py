@@ -8,7 +8,6 @@ requests it produced; all inter-node effects travel through the simulator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable
 
 from .commit import CommitState, retro_recheck, try_committing
@@ -18,10 +17,12 @@ from .reputation import Schedule, ScheduleBook
 from .traces import Tracer
 
 
-@dataclass
 class Effects:
-    broadcasts: list[Vertex] = field(default_factory=list)
-    timers: list[int] = field(default_factory=list)
+    __slots__ = ("broadcasts", "timers")
+
+    def __init__(self) -> None:
+        self.broadcasts: list[Vertex] = []
+        self.timers: list[int] = []
 
 
 class Node:
@@ -83,16 +84,12 @@ class Node:
             # Echo on first delivery; our own vertices already went to every
             # peer in the original broadcast at this same instant.
             effects.broadcasts.append(v)
-        inserted: list[Vertex] = []
         outcome = self.dag.insert(v)
         if outcome is InsertOutcome.INSERTED:
-            inserted.append(v)
             self.tracer.emit("vertex-delivered", id=[v.round, v.source])
-            inserted.extend(self._drain_pending())
+            self._commit_pass([v, *self._drain_pending()] if self.pending else [v])
         elif outcome is InsertOutcome.MISSING_PARENTS:
             self.pending[v.id] = v
-        if inserted:
-            self._commit_pass(inserted)
         self._try_advance(now, effects)
         return effects
 
@@ -120,10 +117,14 @@ class Node:
     def _commit_pass(self, inserted: list[Vertex]) -> None:
         # ``inserted`` is already in (round, source) order: the delivered
         # vertex first, then the drained ones, which all descend from it.
+        # Odd rounds commit nothing (see ``try_committing``).
+        schedules = self.commit.book.schedules
         for v in inserted:
-            epochs_before = self.commit.book.epoch_count
+            if v.round % 2:
+                continue
+            epochs_before = len(schedules)
             try_committing(self.commit, self.dag, v, self.tracer)
-            if self.commit.book.epoch_count != epochs_before:
+            if len(schedules) != epochs_before:
                 retro_recheck(self.commit, self.dag, self.tracer)
 
     def _try_advance(self, now: int, effects: Effects) -> None:
@@ -134,9 +135,10 @@ class Node:
         the anchor arrives or when the deadline passes. Odd rounds advance on
         quorum alone.
         """
+        by_round, quorum = self.dag.by_round, self.committee.quorum_threshold
         while self.current_round < self.round_cap:
-            held = self.dag.vertices_at(self.current_round)
-            if len(held) < self.committee.quorum_threshold:
+            held = by_round.get(self.current_round, ())
+            if len(held) < quorum:
                 break
             if self.current_round % 2 == 0:
                 leader = self.commit.book.leader_for(self.current_round)

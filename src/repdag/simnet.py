@@ -118,6 +118,13 @@ class Simulation:
         ]
         self.now = 0
         self.events_executed = 0
+        # Per-run constants of the hot paths: the peers a broadcast draws for,
+        # the random bits a skipped echo advances the stream by after and
+        # before GST (random() takes two 32-bit words), and the random:k bound.
+        self._gst, self._peers = cfg.gst, self.committee.n - 1
+        hold = cfg.pre_gst_policy == "hold"
+        self._skip_bits = (64 * self._peers * (cfg.delta > 1), 64 * self._peers * (1 if hold else 2))
+        self._pre_max = None if hold else max(1, int(cfg.pre_gst_policy.split(":", 1)[1]))
         # Per vertex with copies in flight: per peer, the earliest tick a copy
         # lands (queued or executed) or it crashes; and the copies queued.
         self._arrivals: dict[VertexId, list[int]] = {}
@@ -134,15 +141,14 @@ class Simulation:
 
     def _delivery_times(self, now: int, copies: int) -> list[int]:
         """Landing ticks of ``copies`` copies sent at ``now``, in draw order."""
-        gst, delta = self.cfg.gst, self.cfg.delta
+        gst, delta, pre_max = self._gst, self.cfg.delta, self._pre_max
         rand = self.rng.random
         if now >= gst:
             if delta == 1:
                 return [now + 1] * copies
             return [now + 1 + int(rand() * delta) for _ in range(copies)]
-        if self.cfg.pre_gst_policy == "hold":
+        if pre_max is None:
             return [gst + 1 + int(rand() * delta) for _ in range(copies)]
-        pre_max = max(1, int(self.cfg.pre_gst_policy.split(":", 1)[1]))
         # The adversary may stretch delivery, never past the synchrony bound.
         return [
             min(max(gst, now + 1 + int(rand() * pre_max)) + 1 + int(rand() * delta), gst + delta)
@@ -158,18 +164,17 @@ class Simulation:
         one would hit ``_seen``). An echo whose every copy would be dropped
         only advances the random stream by the draws it skips.
         """
-        arrivals = self._arrivals.get(v.id)
+        vid = v.id
+        arrivals = self._arrivals.get(vid)
         if arrivals is None:
-            arrivals = self._arrivals[v.id] = self._crash_at.copy()
-        elif max(arrivals) <= max(now, self.cfg.gst) + 1:
+            arrivals = self._arrivals[vid] = self._crash_at.copy()
+        elif max(arrivals) <= max(now, self._gst) + 1:
             # An echo (its sender's copy landed at ``now``): no copy lands before
-            # max(now, GST) + 1, so none is queued. random() takes two 32-bit
-            # words; getrandbits(64 * k) takes exactly 2 * k.
-            pre_gst = 1 if self.cfg.pre_gst_policy == "hold" else 2
-            draws = (self.cfg.delta > 1) if now >= self.cfg.gst else pre_gst
-            self.rng.getrandbits(64 * (self.committee.n - 1) * draws)
+            # max(now, GST) + 1, so none is queued. getrandbits(64 * k) takes
+            # exactly the 2 * k words of k random() draws.
+            self.rng.getrandbits(self._skip_bits[now < self._gst])
             return
-        ticks = self._delivery_times(now, self.committee.n - 1)
+        ticks = self._delivery_times(now, self._peers)
         ticks.insert(sender, now)
         push, seq, queue = heapq.heappush, self._seq, self._queue
         for peer, at in enumerate(ticks):
@@ -177,7 +182,7 @@ class Simulation:
                 arrivals[peer] = at
                 push(queue, SimEvent(at, seq, DELIVER, peer, v))
                 seq += 1
-        self._in_flight[v.id] = self._in_flight.get(v.id, 0) + seq - self._seq
+        self._in_flight[vid] = self._in_flight.get(vid, 0) + seq - self._seq
         self._seq = seq
 
     def step(self) -> SimEvent | None:
@@ -193,42 +198,48 @@ class Simulation:
         if not self._queue:
             return None
         ev = heapq.heappop(self._queue)
-        if ev.kind == DELIVER and self._arrivals[ev.vertex.id][ev.target] < ev.at:
-            self._retire(ev.vertex.id)
+        at, _, kind, target, vertex = ev
+        if kind == DELIVER:
+            # It runs unless an earlier copy overtook it; no copy is ever
+            # queued for a crashed peer, so none reaches one here.
+            vid = vertex.id
+            if self._arrivals[vid][target] >= at:
+                self.now = self.tracers[target].now = at
+                self.events_executed += 1
+                effects = self.nodes[target].on_deliver(vertex, at)
+                for v in effects.broadcasts:
+                    self.broadcast(target, v, at)
+                for deadline in effects.timers:
+                    self._push(deadline, TIMER, target, None)
+            # One queued copy is gone; with none left, no copy can deliver
+            # the vertex first anywhere, so nobody can echo it again.
+            left = self._in_flight[vid] - 1
+            if left:
+                self._in_flight[vid] = left
+            else:
+                del self._in_flight[vid], self._arrivals[vid]
             return ev
-        self.now = ev.at
+        self.now = at
         self.events_executed += 1
-        node = self.nodes[ev.target]
-        if ev.kind == CRASH:
+        node = self.nodes[target]
+        if kind == CRASH:
             node.crashed = True
             return ev
         if node.crashed:
-            # Timers to crashed nodes are dropped at execution; deliveries to
-            # them are never queued.
+            # Timers to crashed nodes are dropped at execution.
             return ev
-        self.tracers[ev.target].now = ev.at
-        if ev.kind == DELIVER:
-            effects = node.on_deliver(ev.vertex, ev.at)
-        elif ev.kind == TIMER:
-            effects = node.on_timer(ev.at)
-        elif ev.kind == BOOT:
-            effects = node.boot(ev.at)
+        self.tracers[target].now = at
+        if kind == TIMER:
+            effects = node.on_timer(at)
+        elif kind == BOOT:
+            effects = node.boot(at)
         else:
-            raise AssertionError(f"unknown event kind {ev.kind}")
+            raise AssertionError(f"unknown event kind {kind}")
         for v in effects.broadcasts:
-            self.broadcast(ev.target, v, ev.at)
+            self.broadcast(target, v, at)
         for deadline in effects.timers:
-            self._push(deadline, TIMER, ev.target, None)
-        if ev.kind == DELIVER:
-            self._retire(ev.vertex.id)
+            self._push(deadline, TIMER, target, None)
         return ev
-
-    def _retire(self, vid: VertexId) -> None:
-        """Count one queued copy of ``vid`` as gone."""
-        self._in_flight[vid] -= 1
-        if not self._in_flight[vid]:
-            # No copy is left to deliver it first anywhere, so nobody can echo it again.
-            del self._in_flight[vid], self._arrivals[vid]
 
 
 def run(cfg: SimConfig) -> RunResult:

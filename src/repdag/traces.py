@@ -32,8 +32,9 @@ _KINDS = {kind: kind for kind in RECORD_KINDS}
 
 
 # One compact encoder for every line; ``json.dumps`` with ``separators``
-# would build a new encoder per record.
-_encode = json.JSONEncoder(separators=(",", ":")).encode
+# would build a new encoder per record. Records are acyclic by construction,
+# so the encoder skips its per-container cycle bookkeeping.
+_encode = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 
 
 class TraceInvalid(ValueError):
@@ -49,9 +50,7 @@ class Tracer:
         self.records: list[dict[str, Any]] = []
 
     def emit(self, kind: str, **payload: Any) -> None:
-        rec = {"at": self.now, "kind": kind}
-        rec.update(payload)
-        self.records.append(rec)
+        self.records.append({"at": self.now, "kind": kind, **payload})
 
 
 def header_line(node: ValidatorId) -> str:

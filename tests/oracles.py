@@ -4,14 +4,18 @@ These stay deliberately naive: plain depth-first search for reachability
 (over ids built from each vertex's parent sources),
 literal per-round enumeration for scores, a step-by-step rendering of the
 swap rule, a hop-by-hop scan of client re-attachment, a per-copy
-broadcast loop, and reliable-broadcast checkers that hold every honest
-node's first deliveries at once. None of them share code with the package
-internals beyond the verdict type and the honest-node list.
+broadcast loop, reliable-broadcast checkers that hold every honest
+node's first deliveries at once, and metrics that read the records in four
+passes. None of them share code with the package internals beyond the
+verdict and metrics types and the honest-node, committed-round and rank
+helpers.
 """
+
+from typing import Any
 
 from repdag.checks import DeliveryVerdict
 from repdag.dag import DagState, UnknownVertex, VertexId
-from repdag.metrics import honest_nodes
+from repdag.metrics import Metrics, Records, _nearest_rank, committed_anchor_rounds, honest_nodes
 from repdag.simnet import DELIVER
 
 
@@ -167,3 +171,70 @@ def all_nodes_rb_agreement(records_by_node, manifest):
         return DeliveryVerdict("rb-agreement", True)
     missing = [(node, vid) for vid in sorted(union) for node in honest if vid not in delivered[node]]
     return DeliveryVerdict("rb-agreement", False, tuple(missing))
+
+
+def four_pass_metrics(records_by_node: Records, manifest: dict[str, Any]) -> Metrics:
+    """``metrics.compute_metrics`` as it read the records: one pass for creations
+    and the horizon, then honest nodes once each for commits, committed rounds
+    and schedule switches."""
+    honest = honest_nodes(manifest)
+    horizon = 0
+    created: dict[tuple[int, int], tuple[int, int]] = {}  # id -> (at, txCount)
+    for node, records in records_by_node.items():
+        for rec in records:
+            horizon = max(horizon, rec["at"])
+            if rec["kind"] == "vertex-created":
+                created[tuple(rec["id"])] = (rec["at"], rec["txCount"])
+
+    samples: list[int] = []
+    ordered_ids: set[tuple[int, int]] = set()
+    for node in honest:
+        first_order_here: dict[tuple[int, int], int] = {}
+        for rec in records_by_node.get(node, []):
+            if rec["kind"] != "anchor-committed":
+                continue
+            for vid in map(tuple, rec["ordered"]):
+                ordered_ids.add(vid)
+                if vid[1] == node and vid not in first_order_here:
+                    first_order_here[vid] = rec["at"]
+        for vid, at in first_order_here.items():
+            created_at, tx_count = created[vid]
+            samples.extend([at - created_at] * tx_count)
+
+    distinct_txs = sum(created[vid][1] for vid in ordered_ids if vid in created)
+    throughput = distinct_txs / horizon if horizon > 0 else 0.0
+
+    samples.sort()
+    if samples:
+        p50 = _nearest_rank(samples, 0.50)
+        p95 = _nearest_rank(samples, 0.95)
+        avg = sum(samples) / len(samples)
+    else:
+        p50 = p95 = avg = None
+
+    committed_rounds = committed_anchor_rounds(records_by_node, honest)
+    skipped = 0
+    if committed_rounds:
+        top = max(committed_rounds)
+        skipped = sum(1 for r in range(2, top + 1, 2) if r not in committed_rounds)
+
+    switch_times: dict[int, list[int]] = {}
+    for node in honest:
+        for rec in records_by_node.get(node, []):
+            if rec["kind"] == "schedule-switched":
+                switch_times.setdefault(rec["epoch"], []).append(rec["at"])
+    lag_max = 0
+    for epoch, times in switch_times.items():
+        if len(times) == len(honest):
+            lag_max = max(lag_max, max(times) - min(times))
+
+    return Metrics(
+        latency_p50=p50,
+        latency_p95=p95,
+        latency_avg=avg,
+        throughput=throughput,
+        distinct_txs=distinct_txs,
+        skipped_anchor_rounds=skipped,
+        epoch_switch_lag_max=lag_max,
+        horizon=horizon,
+    )

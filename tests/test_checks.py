@@ -133,6 +133,19 @@ class TestReliableBroadcast:
         assert not verdict.ok
         assert verdict.missing == ((1, vid),)
 
+    def test_delivery_of_an_uncreated_vertex_flagged(self):
+        # No send time bounds such a delivery, so it is a violation, listed
+        # among the late ones in node and then delivery order.
+        cfg, result = crashy_run()
+        records = copy.deepcopy(result.records_by_node)
+        records[2].insert(0, {"at": 5, "kind": "vertex-delivered", "id": [91, 0]})
+        rec = next(r for r in records[1] if r["kind"] == "vertex-delivered")
+        rec["at"] += 10 * (cfg.delta + cfg.gst)
+        records[1].append({"at": 5, "kind": "vertex-delivered", "id": [90, 2]})
+        verdict = check_delivery_bound(records, manifest_for(cfg))
+        assert not verdict.ok
+        assert verdict.missing == ((1, tuple(rec["id"])), (1, (90, 2)), (2, (91, 0)))
+
     def test_rb_checkers_hold_one_node_at_a_time(self):
         # The checkers' peak allocation is measured against one honest node's
         # set of delivered ids; holding every node's set at once needs about n.

@@ -170,6 +170,19 @@ def test_check_all_runs_the_delivery_bound(tmp_path, capsys):
     assert verdict_names(capsys.readouterr().out) == CHECKER_NAMES
 
 
+def test_check_reports_a_delivery_of_an_uncreated_vertex(tmp_path, capsys):
+    out_dir = persisted_run(tmp_path)
+    with (out_dir / "node-01.jsonl").open("a") as trace:
+        trace.write('{"at":5,"kind":"vertex-delivered","id":[40,2]}\n')
+    capsys.readouterr()
+    assert main(["check", "--trace", str(out_dir), "--all"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert "rb-agreement: violation" in out
+    assert "delivery-bound: violation at 1 (node, vertex) deliveries" in out
+    assert verdict_names(out) == CHECKER_NAMES
+
+
 def test_check_reads_defaults_for_keys_the_manifest_omits(tmp_path, capsys):
     out_dir = persisted_run(tmp_path)
     capsys.readouterr()

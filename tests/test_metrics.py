@@ -1,9 +1,15 @@
 import json
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repdag.cli import main
 from repdag.harness import load_run
 from repdag.metrics import compute_metrics
 
+from .conftest import manifest_for, quick_run
+from .oracles import four_pass_metrics
+from .test_checks import scenarios
 from .test_golden import CORPUS, PERSISTED
 
 
@@ -91,3 +97,24 @@ def test_metrics_recompute_equals_stored(tmp_path):
         manifest, records = load_run(out)
         stored = json.loads((out / "metrics.json").read_text())
         assert stored == compute_metrics(records, manifest).to_dict(), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenarios(), st.data())
+def test_one_pass_metrics_match_the_four_pass_oracle(raw, data):
+    """Equal metrics on the run's records, crashed nodes' included, and after
+    dropping a node, shuffling nodes' records out of tick order and repeating
+    an ``anchor-committed`` record at a random place in its node's records."""
+    cfg, result = quick_run(**raw)
+    manifest = manifest_for(cfg)
+    records = {node: list(recs) for node, recs in result.records_by_node.items()}
+    assert compute_metrics(records, manifest) == four_pass_metrics(records, manifest)
+    if data.draw(st.booleans()):
+        del records[data.draw(st.sampled_from(sorted(records)))]
+    for node in data.draw(st.lists(st.sampled_from(sorted(records)), unique=True)):
+        records[node] = data.draw(st.permutations(records[node]))
+    commits = [(node, rec) for node, recs in records.items() for rec in recs if rec["kind"] == "anchor-committed"]
+    if commits:
+        node, rec = data.draw(st.sampled_from(commits))
+        records[node].insert(data.draw(st.integers(min_value=0, max_value=len(records[node]))), dict(rec))
+    assert compute_metrics(records, manifest) == four_pass_metrics(records, manifest)
