@@ -9,17 +9,19 @@ cycle; the reputation schedule swaps them out after the first epoch.
 
 import argparse
 import statistics
+import sys
 
-from repdag.config import parse_config
+from repdag.cli import _at_least
+from repdag.config import ConfigInvalid, parse_config
 from repdag.harness import run_in_memory
 
 
-def main():
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--n", type=int, default=10)
-    ap.add_argument("--crashes", type=int, default=None, help="default: the fault bound f")
-    ap.add_argument("--rounds", type=int, default=400)
-    ap.add_argument("--seeds", type=int, default=5)
+    ap.add_argument("--n", type=_at_least(1), default=10)
+    ap.add_argument("--crashes", type=_at_least(0), default=None, help="default: the fault bound f")
+    ap.add_argument("--rounds", type=_at_least(1), default=400)
+    ap.add_argument("--seeds", type=_at_least(1), default=5)
     args = ap.parse_args()
 
     f = (args.n - 1) // 3
@@ -33,14 +35,29 @@ def main():
         "txRatePerNode": 2,
         "batchSize": 2 * args.n,
     }
+    try:
+        # Each mode's (faultless, faulty) config pair per seed.
+        pairs = {
+            mode: [
+                (
+                    parse_config({**base, "mode": mode, "seed": seed}),
+                    parse_config({**base, "mode": mode, "seed": seed, "faultPlan": plan}),
+                )
+                for seed in range(args.seeds)
+            ]
+            for mode in ("hammerhead", "round-robin")
+        }
+    except ConfigInvalid as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
     print(f"n={args.n}, {crashes} crashes at t=0, {args.rounds} rounds")
     print(f"{'mode':>12} {'seed':>5} {'tput':>8} {'vs faultless':>13} {'latency':>8}")
-    ratios = {"hammerhead": [], "round-robin": []}
-    for mode in ("hammerhead", "round-robin"):
-        for seed in range(args.seeds):
-            clean, _ = run_in_memory(parse_config({**base, "mode": mode, "seed": seed}))
-            faulty, _ = run_in_memory(parse_config({**base, "mode": mode, "seed": seed, "faultPlan": plan}))
+    ratios = {mode: [] for mode in pairs}
+    for mode, configs in pairs.items():
+        for seed, (clean_cfg, faulty_cfg) in enumerate(configs):
+            clean, _ = run_in_memory(clean_cfg)
+            faulty, _ = run_in_memory(faulty_cfg)
             ratio = faulty.throughput / clean.throughput
             ratios[mode].append(ratio)
             print(
@@ -49,7 +66,8 @@ def main():
             )
     for mode, values in ratios.items():
         print(f"{mode}: mean retained throughput {statistics.fmean(values):.1%}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -7,16 +7,18 @@ throughput, latency equal or slightly better for the reputation mode.
 """
 
 import argparse
+import sys
 
-from repdag.config import parse_config
+from repdag.cli import _at_least
+from repdag.config import ConfigInvalid, parse_config
 from repdag.harness import compare
 
 
-def main():
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--n", type=int, default=10)
-    ap.add_argument("--rounds", type=int, default=240)
-    ap.add_argument("--seeds", type=int, default=10)
+    ap.add_argument("--n", type=_at_least(1), default=10)
+    ap.add_argument("--rounds", type=_at_least(1), default=240)
+    ap.add_argument("--seeds", type=_at_least(1), default=10)
     args = ap.parse_args()
 
     base = {
@@ -27,12 +29,17 @@ def main():
         "txRatePerNode": 2,
         "batchSize": 2 * args.n,
     }
-    hh = parse_config(base)
-    rr = parse_config({**base, "mode": "round-robin"})
+    try:
+        hh = parse_config(base)
+        rr = parse_config({**base, "mode": "round-robin"})
+    except ConfigInvalid as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     comparison = compare(hh, rr, list(range(args.seeds)))
     print("A = reputation scheduling, B = static rotation (faultless)")
     print(comparison.summary())
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -1,5 +1,5 @@
-"""The ordering engine: direct commits, anchor back-chaining, history
-ordering, and schedule-switch triggering.
+"""The ordering engine: the commit pass after each insert, direct commits,
+anchor back-chaining, history ordering, and schedule-switch triggering.
 
 Commit decisions depend only on dag content plus the schedule book, both of
 which all honest nodes agree on (eventually for content, by induction for the
@@ -23,15 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .committee import Committee
+from .committee import Committee, ValidatorId
 from .dag import DagState, Vertex, VertexId, causal_history, path
-from .reputation import (
-    ScheduleBook,
-    ScheduleChange,
-    build_next_schedule,
-    compute_scores,
-    get_anchor,
-)
+from .reputation import Schedule, ScheduleBook, build_next_schedule, compute_scores, get_anchor
 from .traces import Tracer
 
 
@@ -41,13 +35,31 @@ class CommitState:
 
     committee: Committee
     book: ScheduleBook
-    switch_span: int | None = 10
-    exclusion_fraction: float = 0.33
+    switch_span: int | None
+    exclusion_fraction: float
     # The commit log: each ordered vertex, in order, mapped to the round of
     # the anchor that ordered it.
-    ordered: dict[VertexId, int] = field(default_factory=dict)
-    last_ordered_round: int = 0
-    discarded_anchors: list[VertexId] = field(default_factory=list)
+    ordered: dict[VertexId, int] = field(init=False, default_factory=dict)
+    last_ordered_round: int = field(init=False, default=0)
+    discarded_anchors: list[VertexId] = field(init=False, default_factory=list)
+
+
+def commit_inserted(state: CommitState, dag: DagState, inserted: list[Vertex], tracer: Tracer) -> None:
+    """The commit pass after an insert: each inserted vertex, in order, may
+    commit the anchor it certifies, and a schedule switch that this causes
+    re-checks the dag through :func:`retro_recheck`.
+
+    ``inserted`` is in (round, source) order: a delivered vertex first, then
+    the buffered ones it unblocked, which all descend from it.
+    """
+    schedules = state.book.schedules
+    for v in inserted:
+        if v.round % 2:
+            continue
+        epochs_before = len(schedules)
+        try_committing(state, dag, v, tracer)
+        if len(schedules) != epochs_before:
+            retro_recheck(state, dag, tracer)
 
 
 def try_committing(state: CommitState, dag: DagState, v: Vertex, tracer: Tracer) -> int | None:
@@ -123,41 +135,42 @@ def order_history(state: CommitState, dag: DagState, chain: list[Vertex], tracer
             direct=anchor is chain[0],
             ordered=[list(vid) for vid in history],
         )
-        change = update_schedule(state, dag, anchor)
-        if change is not None:
-            state.book.append(change.schedule)
+        switch = update_schedule(state, dag, anchor)
+        if switch is not None:
+            schedule, scores = switch
+            state.book.append(schedule)
             tracer.emit(
                 "schedule-switched",
-                epoch=change.schedule.epoch,
-                initialRound=change.schedule.initial_round,
-                slots=list(change.schedule.slots),
-                scores={str(v): p for v, p in sorted(change.scores.points.items())},
+                epoch=schedule.epoch,
+                initialRound=schedule.initial_round,
+                slots=list(schedule.slots),
+                scores={str(v): p for v, p in sorted(scores.items())},
             )
 
 
-def update_schedule(state: CommitState, dag: DagState, anchor: Vertex) -> ScheduleChange | None:
+def update_schedule(
+    state: CommitState, dag: DagState, anchor: Vertex
+) -> tuple[Schedule, dict[ValidatorId, int]] | None:
     """Score the closing epoch and build its successor schedule.
 
-    Returns None unless a switch is due: the mode switches at all and the
-    just-ordered ``anchor`` sits at least ``switch_span`` rounds past the
-    active schedule's start. Scores cover rounds from the active schedule's
-    start up to, but not including, the triggering anchor's round. The
-    successor takes effect at the next anchor round after the trigger.
+    Returns the successor and its scores, or None unless a switch is due: the
+    mode switches at all and the just-ordered ``anchor`` sits at least
+    ``switch_span`` rounds past the active schedule's start. Scores cover
+    rounds from the active schedule's start up to, but not including, the
+    triggering anchor's round. The successor takes effect at the next anchor
+    round after the trigger.
     """
     active = state.book.active
     if state.switch_span is None or anchor.round < active.initial_round + state.switch_span:
         return None
     scores = compute_scores(dag, state.book, active.initial_round, anchor.round)
-    return build_next_schedule(
-        active,
-        scores,
-        state.committee,
-        exclusion_fraction=state.exclusion_fraction,
-        initial_round=anchor.round + 2,
+    successor = build_next_schedule(
+        active, scores, state.committee, state.exclusion_fraction, anchor.round + 2
     )
+    return successor, scores
 
 
-def retro_recheck(state: CommitState, dag: DagState, tracer: Tracer) -> list[int]:
+def retro_recheck(state: CommitState, dag: DagState, tracer: Tracer) -> None:
     """Re-run the commit rule after a schedule switch changed leaders.
 
     Vertices already in the dag at rounds the new schedule governs may now
@@ -165,13 +178,9 @@ def retro_recheck(state: CommitState, dag: DagState, tracer: Tracer) -> list[int
     point gets another pass. A pass can itself switch schedules, in which
     case the sweep restarts from the newer switch point.
     """
-    committed: list[int] = []
     while True:
         epochs_before = state.book.epoch_count
-        start = state.book.active.initial_round
-        for v in dag.even_vertices_from(start):
-            r = try_committing(state, dag, v, tracer)
-            if r is not None and state.last_ordered_round >= r:
-                committed.append(r)
+        for v in dag.even_vertices_from(state.book.active.initial_round):
+            try_committing(state, dag, v, tracer)
         if state.book.epoch_count == epochs_before:
-            return committed
+            return

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .commit import CommitState, retro_recheck, try_committing
+from .commit import CommitState, commit_inserted
 from .committee import Committee, ValidatorId
 from .dag import DagState, InsertOutcome, Vertex, VertexId
 from .reputation import Schedule, ScheduleBook
@@ -37,19 +37,14 @@ class Node:
         leader_timeout: int,
         batch_size: int,
         round_cap: int,
-        switch_span: int | None = 10,
-        exclusion_fraction: float = 0.33,
-        tx_supply: Callable[[ValidatorId, int], int] | None = None,
+        switch_span: int | None,
+        exclusion_fraction: float,
+        tx_supply: Callable[[ValidatorId, int], int],
     ):
         self.me = me
         self.committee = committee
         self.dag = DagState(committee)
-        self.commit = CommitState(
-            committee=committee,
-            book=ScheduleBook(genesis_schedule),
-            switch_span=switch_span,
-            exclusion_fraction=exclusion_fraction,
-        )
+        self.commit = CommitState(committee, ScheduleBook(genesis_schedule), switch_span, exclusion_fraction)
         self.tracer = tracer
         self.current_round = 0
         self.pending: dict[VertexId, Vertex] = {}
@@ -59,7 +54,7 @@ class Node:
         self.leader_timeout = leader_timeout
         self.batch_size = batch_size
         self.round_cap = round_cap
-        self.tx_supply = tx_supply if tx_supply is not None else (lambda node, now: 0)
+        self.tx_supply = tx_supply
         self._seen: set[VertexId] = set()
 
     # -- stimuli ---------------------------------------------------------
@@ -87,7 +82,8 @@ class Node:
         outcome = self.dag.insert(v)
         if outcome is InsertOutcome.INSERTED:
             self.tracer.emit("vertex-delivered", id=[v.round, v.source])
-            self._commit_pass([v, *self._drain_pending()] if self.pending else [v])
+            inserted = [v, *self._drain_pending()] if self.pending else [v]
+            commit_inserted(self.commit, self.dag, inserted, self.tracer)
         elif outcome is InsertOutcome.MISSING_PARENTS:
             self.pending[v.id] = v
         self._try_advance(now, effects)
@@ -113,19 +109,6 @@ class Node:
                 drained.append(v)
                 self.tracer.emit("vertex-delivered", id=[v.round, v.source])
         return drained
-
-    def _commit_pass(self, inserted: list[Vertex]) -> None:
-        # ``inserted`` is already in (round, source) order: the delivered
-        # vertex first, then the drained ones, which all descend from it.
-        # Odd rounds commit nothing (see ``try_committing``).
-        schedules = self.commit.book.schedules
-        for v in inserted:
-            if v.round % 2:
-                continue
-            epochs_before = len(schedules)
-            try_committing(self.commit, self.dag, v, self.tracer)
-            if len(schedules) != epochs_before:
-                retro_recheck(self.commit, self.dag, self.tracer)
 
     def _try_advance(self, now: int, effects: Effects) -> None:
         """Advance rounds while the quorum and leader-wait rules allow it.

@@ -98,26 +98,6 @@ def get_anchor(dag: DagState, book: ScheduleBook, round: int) -> Vertex | None:
     return dag.get(VertexId(round, leader))
 
 
-@dataclass
-class ReputationScores:
-    """Per-validator vote counts for one scoring window (one epoch)."""
-
-    epoch: int
-    points: dict[ValidatorId, int]
-
-    @classmethod
-    def zero(cls, committee: Committee, epoch: int) -> "ReputationScores":
-        return cls(epoch=epoch, points={v: 0 for v in committee.members})
-
-
-@dataclass(frozen=True)
-class ScheduleChange:
-    schedule: Schedule
-    demoted: tuple[ValidatorId, ...]
-    promoted: tuple[ValidatorId, ...]
-    scores: ReputationScores
-
-
 def initial_schedule(committee: Committee, seed: int, length: int) -> Schedule:
     """Epoch-0 schedule: stake-proportional slot counts, seed-shuffled order.
 
@@ -151,8 +131,8 @@ def compute_scores(
     book: ScheduleBook,
     from_round: int,
     to_round_exclusive: int,
-) -> ReputationScores:
-    """Vote counts over even rounds in [from_round, to_round_exclusive).
+) -> dict[ValidatorId, int]:
+    """Per-validator vote counts over even rounds in [from_round, to_round_exclusive).
 
     ``to_round_exclusive`` is the round of the anchor that triggered the
     schedule change; only votes inside that anchor's causal history count, so
@@ -162,7 +142,7 @@ def compute_scores(
     """
     if from_round > to_round_exclusive:
         raise ValueError("empty-or-forward window required")
-    scores = ReputationScores.zero(dag.committee, book.covering(max(from_round, 0)).epoch)
+    scores = {v: 0 for v in dag.committee.members}
     if from_round >= to_round_exclusive:
         return scores
     trigger = get_anchor(dag, book, to_round_exclusive)
@@ -176,7 +156,7 @@ def compute_scores(
             continue
         for voter in dag.vertices_at(e + 1).values():
             if voter.id in history and leader_vertex.source in voter.parents:
-                scores.points[voter.source] += 1
+                scores[voter.source] += 1
     return scores
 
 
@@ -189,8 +169,8 @@ def _excluded_stake_cap(committee: Committee, exclusion_fraction: float) -> int:
 
 def select_swap_sets(
     committee: Committee,
-    scores: ReputationScores,
-    exclusion_fraction: float = 0.33,
+    scores: dict[ValidatorId, int],
+    exclusion_fraction: float,
 ) -> tuple[list[ValidatorId], list[ValidatorId]]:
     """Lowest scorers to demote and an equal number of top scorers to promote.
 
@@ -200,7 +180,7 @@ def select_swap_sets(
     which keeps the two sets disjoint even when every score is equal.
     """
     cap = _excluded_stake_cap(committee, exclusion_fraction)
-    demote_order = sorted(committee.members, key=lambda v: (scores.points[v], -v))
+    demote_order = sorted(committee.members, key=lambda v: (scores[v], -v))
     demoted: list[ValidatorId] = []
     stake_out = 0
     for v in demote_order:
@@ -215,7 +195,7 @@ def select_swap_sets(
     demoted_set = set(demoted)
     promote_order = sorted(
         (v for v in committee.members if v not in demoted_set),
-        key=lambda v: (-scores.points[v], v),
+        key=lambda v: (-scores[v], v),
     )
     promoted = promote_order[: len(demoted)]
     return demoted, promoted
@@ -223,12 +203,13 @@ def select_swap_sets(
 
 def build_next_schedule(
     prev: Schedule,
-    scores: ReputationScores,
+    scores: dict[ValidatorId, int],
     committee: Committee,
-    exclusion_fraction: float = 0.33,
-    initial_round: int | None = None,
-) -> ScheduleChange:
-    """Swap the slots of the demoted validators to the promoted ones.
+    exclusion_fraction: float,
+    initial_round: int,
+) -> Schedule:
+    """Swap the slots of the demoted validators to the promoted ones; the
+    successor of ``prev`` governs from ``initial_round`` on.
 
     Slots are scanned in order; each slot held by a demoted validator is
     reassigned round-robin across the promoted set. Demoted validators that
@@ -244,14 +225,4 @@ def build_next_schedule(
             if holder in demoted_set:
                 new_slots[i] = promoted[k % len(promoted)]
                 k += 1
-    schedule = Schedule(
-        epoch=prev.epoch + 1,
-        initial_round=prev.initial_round + 2 if initial_round is None else initial_round,
-        slots=tuple(new_slots),
-    )
-    return ScheduleChange(
-        schedule=schedule,
-        demoted=tuple(demoted),
-        promoted=tuple(promoted),
-        scores=scores,
-    )
+    return Schedule(epoch=prev.epoch + 1, initial_round=initial_round, slots=tuple(new_slots))

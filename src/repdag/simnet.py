@@ -136,9 +136,6 @@ class Simulation:
         heapq.heappush(self._queue, SimEvent(at, self._seq, kind, target, vertex))
         self._seq += 1
 
-    def _delivery_time(self, now: int) -> int:
-        return self._delivery_times(now, 1)[0]
-
     def _delivery_times(self, now: int, copies: int) -> list[int]:
         """Landing ticks of ``copies`` copies sent at ``now``, in draw order."""
         gst, delta, pre_max = self._gst, self.cfg.delta, self._pre_max

@@ -65,7 +65,18 @@ def replay(committee, vertices, order, schedule_seed=0, switch_span=None):
     from creating vertices of its own. Returns its commit state, dag and
     tracer."""
     genesis = initial_schedule(committee, schedule_seed, committee.n)
-    node = Node(0, committee, genesis, Tracer(0), leader_timeout=1, batch_size=1, round_cap=0, switch_span=switch_span)
+    node = Node(
+        0,
+        committee,
+        genesis,
+        Tracer(0),
+        leader_timeout=1,
+        batch_size=1,
+        round_cap=0,
+        switch_span=switch_span,
+        exclusion_fraction=0.33,
+        tx_supply=lambda node, now: 0,
+    )
     for idx in order:
         node.on_deliver(vertices[idx], now=0)
     return node.commit, node.dag, node.tracer

@@ -24,7 +24,7 @@ from repdag.config import parse_config
 from repdag.dag import AnchorReach, DagState, path
 from repdag.harness import run_in_memory, write_run
 from repdag.metrics import compute_metrics
-from repdag.reputation import ReputationScores, Schedule, ScheduleBook, build_next_schedule, compute_scores
+from repdag.reputation import Schedule, ScheduleBook, build_next_schedule, compute_scores, select_swap_sets
 from repdag.simnet import run
 
 from .conftest import manifest_for, random_dag_vertices, replay
@@ -222,16 +222,16 @@ def test_criterion_6_oracle_equivalence():
         top = dag.highest_round - dag.highest_round % 2
         to_round = rng.randrange(2, top + 2, 2) if top >= 2 else 0
         if to_round:
-            got = compute_scores(dag, book, 0, to_round).points
+            got = compute_scores(dag, book, 0, to_round)
             assert got == brute_scores(dag, book, committee, 0, to_round)
 
         # swap rule against literal enumeration
         points = {v: rng.randint(0, 5) for v in committee.members}
         prev = Schedule(epoch=0, initial_round=0, slots=tuple(slots))
-        change = build_next_schedule(prev, ReputationScores(0, points), committee)
+        successor = build_next_schedule(prev, points, committee, 0.33, 2)
         want_slots, want_b, want_g = brute_swap(slots, points, committee)
-        assert list(change.schedule.slots) == want_slots
-        assert (list(change.demoted), list(change.promoted)) == (want_b, want_g)
+        assert list(successor.slots) == want_slots
+        assert select_swap_sets(committee, points, 0.33) == (want_b, want_g)
 
         # shuffled delivery must reproduce the canonical commit log
         canonical, _, _ = replay(committee, vertices, range(len(vertices)), trial, switch_span=4)

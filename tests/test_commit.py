@@ -14,7 +14,7 @@ from repdag.commit import (
 )
 from repdag.committee import new_committee
 from repdag.dag import DagState, VertexId
-from repdag.reputation import Schedule, ScheduleBook
+from repdag.reputation import Schedule, ScheduleBook, select_swap_sets
 
 from .conftest import full_dag, mk_vertex, random_dag_vertices, replay
 from .oracles import naive_path
@@ -25,6 +25,7 @@ def fresh_state(committee, slots=(0, 1, 2, 3), span=None):
         committee=committee,
         book=ScheduleBook(Schedule(epoch=0, initial_round=0, slots=tuple(slots))),
         switch_span=span,
+        exclusion_fraction=0.33,
     )
 
 
@@ -214,21 +215,21 @@ class TestUpdateSchedule:
     def test_faultless_switch_is_exactly_the_tie_swap(self, committee4):
         dag = full_dag(committee4, 4)
         state = fresh_state(committee4, span=2)
-        change = update_schedule(state, dag, dag.get(VertexId(2, 1)))
-        assert change.schedule.epoch == 1
-        assert change.schedule.initial_round == 4
-        assert change.schedule.slots == (0, 1, 2, 0)
+        schedule, _ = update_schedule(state, dag, dag.get(VertexId(2, 1)))
+        assert schedule.epoch == 1
+        assert schedule.initial_round == 4
+        assert schedule.slots == (0, 1, 2, 0)
 
     def test_crashed_validator_loses_all_slots(self, committee4):
         absent = {(r, 3) for r in range(9)}
         dag = full_dag(committee4, 8, absent=absent)
         # leader(6) = 2 is alive and triggers; crashed 3 scored nothing
         state = fresh_state(committee4, slots=(0, 1, 3, 2), span=6)
-        change = update_schedule(state, dag, dag.get(VertexId(6, 2)))
-        assert change.scores.points == {0: 2, 1: 2, 2: 2, 3: 0}
-        assert change.demoted == (3,)
-        assert 3 not in change.schedule.slots
-        assert change.schedule.slots == (0, 1, 0, 2)
+        schedule, scores = update_schedule(state, dag, dag.get(VertexId(6, 2)))
+        assert scores == {0: 2, 1: 2, 2: 2, 3: 0}
+        assert select_swap_sets(committee4, scores, state.exclusion_fraction)[0] == [3]
+        assert 3 not in schedule.slots
+        assert schedule.slots == (0, 1, 0, 2)
 
     def test_premature_switch_rejected(self, committee4):
         dag = full_dag(committee4, 4)
@@ -259,9 +260,9 @@ class TestRetroRecheck:
         assert state.last_ordered_round == 8
         # a switch arrives: epoch 1 hands round 10 to validator 1
         state.book.append(Schedule(epoch=1, initial_round=10, slots=(1, 2, 0, 1)))
-        committed = retro_recheck(state, dag, tr)
-        assert committed[0] == 10
-        assert (10, 1, True) in committed_anchors(tr)
+        before = len(committed_anchors(tr))
+        retro_recheck(state, dag, tr)
+        assert committed_anchors(tr)[before] == (10, 1, True)
 
     def test_no_leader_change_recheck_is_empty(self, committee4):
         dag = full_dag(committee4, 6)
@@ -271,7 +272,9 @@ class TestRetroRecheck:
         state.book.append(Schedule(epoch=1, initial_round=6, slots=(3, 0, 1, 2)))
         # same leaders for every buffered round: slots shifted so that
         # leader(6) = 3 matches the old schedule's assignment
-        assert retro_recheck(state, dag, tr) == []
+        before = len(committed_anchors(tr))
+        retro_recheck(state, dag, tr)
+        assert committed_anchors(tr)[before:] == []
 
     def test_consecutive_rounds_returned_ascending(self, committee4):
         dag, state = self.build_crashed_leader_dag(committee4)
@@ -283,8 +286,9 @@ class TestRetroRecheck:
         state.book.append(Schedule(epoch=1, initial_round=10, slots=(1, 2, 0, 1)))
         # round 8 (still under the old schedule) and round 10 (new leader)
         # both become committable; ascending order required
-        committed = retro_recheck(state, dag, tr)
-        assert committed == [8, 10]
+        before = len(committed_anchors(tr))
+        retro_recheck(state, dag, tr)
+        assert [r for r, _, _ in committed_anchors(tr)[before:]] == [8, 10]
 
 
 class TestDeterminism:

@@ -14,7 +14,10 @@ flight to the crashed validator; a ``maxTime`` stop; round-robin mode; Delta 1
 across GST, where post-GST delays are fixed and draw nothing; 75 schedule
 epochs, where old rounds are looked up in a long schedule book; and n=31 with
 three mid-run crashes, where a row holds more than quorum vertices and each
-vertex links to more parents than quorum needs.
+vertex links to more parents than quorum needs; and an exclusion fraction of
+0.15 with a crash at t=0 and one mid-run, where each switch swaps one
+validator instead of the default two, so a switch path that fell back to the
+default fraction would change the trace.
 """
 
 import hashlib
@@ -102,6 +105,10 @@ CORPUS = {
         {"stakes": [1] * 31, "Delta": 3, "faultPlan": [[30, 6], [29, 6], [28, 6]], "stop": {"maxRound": 16}, "seed": 9},
         "733cc753806028f82a965c17d86941b1afe10f9674f3f29524e05408e864ee86",
     ),
+    "n7-excl15-crash": (
+        {"stakes": [1] * 7, "T": 4, "exclusionFraction": 0.15, "faultPlan": [[5, 0], [6, 30]], "stop": {"maxRound": 60}, "seed": 5},
+        "077e5f30c7b9ce0530b8f3c857eeaae761c23fa3ba5801abcb63ac127ce2c078",
+    ),
 }
 
 # (end_time, events_executed) of each corpus run.
@@ -123,6 +130,7 @@ COUNTERS = {
     "n7-d1": (31, 1548),
     "n7-d1-gst-crash": (61, 1145),
     "n7-d5": (80, 1272),
+    "n7-excl15-crash": (126, 1726),
     "n7-random-gst": (78, 1251),
     "n7-weighted": (53, 1253),
 }

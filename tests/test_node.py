@@ -6,7 +6,9 @@ from repdag.traces import Tracer
 from .conftest import mk_vertex
 
 
-def make_node(committee, me=3, slots=(0, 1, 2, 3), timeout=4, batch=8, cap=50, supply=None, span=10):
+def make_node(
+    committee, me=3, slots=(0, 1, 2, 3), timeout=4, batch=8, cap=50, supply=lambda node, now: 0, span=10
+):
     return Node(
         me=me,
         committee=committee,
@@ -16,6 +18,7 @@ def make_node(committee, me=3, slots=(0, 1, 2, 3), timeout=4, batch=8, cap=50, s
         batch_size=batch,
         round_cap=cap,
         switch_span=span,
+        exclusion_fraction=0.33,
         tx_supply=supply,
     )
 

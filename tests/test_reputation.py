@@ -8,7 +8,6 @@ from repdag.committee import new_committee
 from repdag.dag import DagState
 from repdag.reputation import (
     BadLength,
-    ReputationScores,
     Schedule,
     ScheduleBook,
     UncoveredRound,
@@ -24,6 +23,14 @@ from .oracles import brute_scores, brute_swap
 
 def book_with(slots):
     return ScheduleBook(Schedule(epoch=0, initial_round=0, slots=tuple(slots)))
+
+
+def swap(prev, points, committee):
+    """The successor schedule at the default exclusion fraction, starting two
+    rounds after ``prev``, with the demoted and promoted sets it swapped."""
+    demoted, promoted = select_swap_sets(committee, points, 0.33)
+    successor = build_next_schedule(prev, points, committee, 0.33, prev.initial_round + 2)
+    return successor, demoted, promoted
 
 
 class TestScheduleBookCovering:
@@ -93,24 +100,24 @@ class TestComputeScores:
     def test_everyone_votes_every_leader(self, committee4):
         dag = full_dag(committee4, 4)
         scores = compute_scores(dag, book_with([0, 1, 2, 3]), 0, 4)
-        assert scores.points == {0: 2, 1: 2, 2: 2, 3: 2}
+        assert scores == {0: 2, 1: 2, 2: 2, 3: 2}
 
     def test_crashed_validator_scores_zero(self, committee4):
         absent = {(r, 3) for r in range(5)}
         dag = full_dag(committee4, 4, absent=absent)
         scores = compute_scores(dag, book_with([0, 1, 2, 3]), 0, 4)
-        assert scores.points[3] == 0
-        assert all(scores.points[v] > 0 for v in (0, 1, 2))
+        assert scores[3] == 0
+        assert all(scores[v] > 0 for v in (0, 1, 2))
 
     def test_empty_window_all_zero(self, committee4):
         dag = full_dag(committee4, 4)
         scores = compute_scores(dag, book_with([0, 1, 2, 3]), 2, 2)
-        assert set(scores.points.values()) == {0}
+        assert set(scores.values()) == {0}
 
     def test_missing_trigger_anchor_scores_zero(self, committee4):
         dag = full_dag(committee4, 4, absent={(4, 2)})
         scores = compute_scores(dag, book_with([0, 1, 2, 3]), 0, 4)  # leader(4) = 2, absent
-        assert set(scores.points.values()) == {0}
+        assert set(scores.values()) == {0}
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=10**6))
@@ -126,7 +133,7 @@ class TestComputeScores:
         book = book_with(slots)
         top = dag.highest_round if dag.highest_round % 2 == 0 else dag.highest_round - 1
         for to_round in range(2, top + 1, 2):
-            got = compute_scores(dag, book, 0, to_round).points
+            got = compute_scores(dag, book, 0, to_round)
             want = brute_scores(dag, book, committee, 0, to_round)
             assert got == want
 
@@ -134,50 +141,45 @@ class TestComputeScores:
 class TestSwap:
     def test_single_low_scorer_swapped(self, committee4):
         prev = Schedule(0, 0, (0, 1, 2, 3))
-        scores = ReputationScores(epoch=0, points={0: 5, 1: 5, 2: 5, 3: 0})
-        change = build_next_schedule(prev, scores, committee4)
-        assert change.demoted == (3,)
-        assert change.promoted == (0,)
-        assert change.schedule.slots == (0, 1, 2, 0)
-        assert change.schedule.epoch == 1
+        schedule, demoted, promoted = swap(prev, {0: 5, 1: 5, 2: 5, 3: 0}, committee4)
+        assert demoted == [3]
+        assert promoted == [0]
+        assert schedule.slots == (0, 1, 2, 0)
+        assert (schedule.epoch, schedule.initial_round) == (1, 2)
 
     def test_all_equal_scores_still_swap(self, committee4):
         # Fixed tie rule: the highest id is demoted, the lowest promoted.
         prev = Schedule(0, 0, (0, 1, 2, 3))
-        scores = ReputationScores(epoch=0, points={0: 2, 1: 2, 2: 2, 3: 2})
-        change = build_next_schedule(prev, scores, committee4)
-        assert change.demoted == (3,)
-        assert change.promoted == (0,)
-        assert change.schedule.slots == (0, 1, 2, 0)
+        schedule, demoted, promoted = swap(prev, {0: 2, 1: 2, 2: 2, 3: 2}, committee4)
+        assert demoted == [3]
+        assert promoted == [0]
+        assert schedule.slots == (0, 1, 2, 0)
 
     def test_demoted_without_slot_changes_nothing(self, committee4):
         prev = Schedule(1, 10, (0, 1, 2, 0))  # validator 3 already swapped out
-        scores = ReputationScores(epoch=1, points={0: 4, 1: 4, 2: 4, 3: 0})
-        change = build_next_schedule(prev, scores, committee4)
-        assert change.demoted == (3,)
-        assert change.schedule.slots == prev.slots
-        assert sorted(change.schedule.slots) == sorted(prev.slots)
+        schedule, demoted, _ = swap(prev, {0: 4, 1: 4, 2: 4, 3: 0}, committee4)
+        assert demoted == [3]
+        assert schedule.slots == prev.slots
+        assert sorted(schedule.slots) == sorted(prev.slots)
 
     def test_multi_slot_validator_fully_reassigned(self, committee4):
         prev = Schedule(0, 0, (3, 1, 3, 2))
-        scores = ReputationScores(epoch=0, points={0: 9, 1: 7, 2: 6, 3: 0})
-        change = build_next_schedule(prev, scores, committee4)
-        assert change.schedule.slots == (0, 1, 0, 2)
-        assert 3 not in change.schedule.slots
+        schedule, _, _ = swap(prev, {0: 9, 1: 7, 2: 6, 3: 0}, committee4)
+        assert schedule.slots == (0, 1, 0, 2)
+        assert 3 not in schedule.slots
 
     def test_small_committee_no_swap(self):
         committee = new_committee([1, 1, 1])
         prev = Schedule(0, 0, (0, 1, 2))
-        scores = ReputationScores(epoch=0, points={0: 1, 1: 1, 2: 0})
-        change = build_next_schedule(prev, scores, committee)
-        assert change.demoted == ()
-        assert change.schedule.slots == prev.slots
+        schedule, demoted, _ = swap(prev, {0: 1, 1: 1, 2: 0}, committee)
+        assert demoted == []
+        assert schedule.slots == prev.slots
 
     def test_stake_cap_respected(self):
         committee = new_committee([3, 1, 1, 1, 1, 1, 1])  # total 9, cap 2
         points = {v: v for v in committee.members}
         points[0] = 9  # keep the heavy validator out of the demotion zone
-        demoted, promoted = select_swap_sets(committee, ReputationScores(0, points))
+        demoted, promoted = select_swap_sets(committee, points, 0.33)
         assert demoted == [1, 2]  # a third light validator would blow the cap
         assert len(promoted) == 2
 
@@ -185,7 +187,7 @@ class TestSwap:
         committee = new_committee([3, 1, 1, 1, 1, 1, 1])
         points = {v: 5 for v in committee.members}
         points[0] = 0  # worst scorer is too heavy to demote
-        demoted, promoted = select_swap_sets(committee, ReputationScores(0, points))
+        demoted, promoted = select_swap_sets(committee, points, 0.33)
         assert demoted == [] and promoted == []
 
     @settings(max_examples=80, deadline=None)
@@ -199,13 +201,13 @@ class TestSwap:
         points = {v: rng.randint(0, 6) for v in committee.members}
         slots = [rng.choice(committee.members) for _ in range(committee.n)]
         prev = Schedule(0, 0, tuple(slots))
-        change = build_next_schedule(prev, ReputationScores(0, points), committee)
+        schedule, demoted, promoted = swap(prev, points, committee)
         want_slots, want_b, want_g = brute_swap(slots, points, committee)
-        assert list(change.schedule.slots) == want_slots
-        assert list(change.demoted) == want_b
-        assert list(change.promoted) == want_g
+        assert list(schedule.slots) == want_slots
+        assert demoted == want_b
+        assert promoted == want_g
         # conservation: slot count unchanged, every slot held by a member
-        assert len(change.schedule.slots) == len(slots)
-        assert set(change.schedule.slots) <= set(committee.members)
+        assert len(schedule.slots) == len(slots)
+        assert set(schedule.slots) <= set(committee.members)
         # demoted and promoted sets never overlap
-        assert not set(change.demoted) & set(change.promoted)
+        assert not set(demoted) & set(promoted)

@@ -1,4 +1,5 @@
-"""Smoke test: every experiment script under scripts/ runs on a tiny scenario."""
+"""Smoke test: every experiment script under scripts/ runs on a tiny scenario,
+and rejects bad arguments with exit code 2 and a message, not a traceback."""
 
 import os
 import subprocess
@@ -13,6 +14,25 @@ TINY_ARGS = {
     "faultless_parity.py": ["--n", "4", "--rounds", "20", "--seeds", "1"],
     "leader_utilization.py": ["--n", "4", "--crashes", "1"],
 }
+BAD_ARGS = [
+    ("fault_tolerance.py", ["--n", "1"]),
+    ("fault_tolerance.py", ["--n", "4", "--crashes", "5"]),
+    ("fault_tolerance.py", ["--rounds", "0"]),
+    ("fault_tolerance.py", ["--n", "4", "--rounds", "20", "--seeds", "0"]),
+    ("faultless_parity.py", ["--n", "4", "--rounds", "20", "--seeds", "0"]),
+    ("leader_utilization.py", ["--n", "1"]),
+]
+
+
+def run_script(name, args):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
 
 
 def test_every_script_is_covered():
@@ -21,13 +41,16 @@ def test_every_script_is_covered():
 
 @pytest.mark.parametrize("name", sorted(TINY_ARGS))
 def test_script_exits_zero(name):
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *TINY_ARGS[name]],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    done = run_script(name, TINY_ARGS[name])
     assert done.returncode == 0, done.stderr
     assert done.stdout
+
+
+@pytest.mark.parametrize(
+    "name,args", BAD_ARGS, ids=[f"{n.removesuffix('.py')}:{','.join(a)}" for n, a in BAD_ARGS]
+)
+def test_bad_arguments_exit_two(name, args):
+    done = run_script(name, args)
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stderr

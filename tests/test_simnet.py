@@ -26,16 +26,14 @@ class TestDeliveryTiming:
     def test_post_gst_window(self):
         cfg = parse_config({"stakes": [1, 1, 1, 1], "GST": 0, "Delta": 5, "seed": 1})
         sim = Simulation(cfg)
-        for _ in range(300):
-            d = sim._delivery_time(40)
+        for d in sim._delivery_times(40, 300):
             assert 40 < d <= 45
 
     def test_pre_gst_hold_until_gst(self):
         cfg = parse_config({"stakes": [1, 1, 1, 1], "GST": 100, "Delta": 5, "seed": 1})
         sim = Simulation(cfg)
         for now in (0, 17, 99):
-            for _ in range(100):
-                d = sim._delivery_time(now)
+            for d in sim._delivery_times(now, 100):
                 assert 100 < d <= 105
 
     def test_pre_gst_random_respects_bound(self):
@@ -44,8 +42,7 @@ class TestDeliveryTiming:
         )
         sim = Simulation(cfg)
         for now in (0, 30, 49):
-            for _ in range(200):
-                d = sim._delivery_time(now)
+            for d in sim._delivery_times(now, 200):
                 assert now < d <= 54
 
     def test_trace_delivery_bound_holds(self):
@@ -291,8 +288,7 @@ class TestBroadcastEquivalence:
         queued = list(sim._queue)
         sim.broadcast(2, v, now)
         assert sim._queue == queued
-        for _ in range(cfg.n - 1):
-            reference._delivery_time(now)
+        reference._delivery_times(now, cfg.n - 1)
         assert sim.rng.getstate() == reference.rng.getstate()
         words = random.Random(cfg.seed)
         for _ in range((cfg.n - 1) * draws_per_copy):
