@@ -16,6 +16,11 @@ from repdag.config import ConfigInvalid, parse_config
 from repdag.harness import run_in_memory
 
 
+def _fmt(value: float | None, spec: str) -> str:
+    """``value`` in ``spec``, or ``-`` when there is none."""
+    return "-" if value is None else format(value, spec)
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--n", type=_at_least(1), default=10)
@@ -32,8 +37,6 @@ def main() -> int:
         "stop": {"maxRound": args.rounds},
         "Delta": 1,
         "leaderTimeout": 6,
-        "txRatePerNode": 2,
-        "batchSize": 2 * args.n,
     }
     try:
         # Each mode's (faultless, faulty) config pair per seed.
@@ -58,14 +61,17 @@ def main() -> int:
         for seed, (clean_cfg, faulty_cfg) in enumerate(configs):
             clean, _ = run_in_memory(clean_cfg)
             faulty, _ = run_in_memory(faulty_cfg)
-            ratio = faulty.throughput / clean.throughput
-            ratios[mode].append(ratio)
+            # A run too short to commit has no throughput to compare against.
+            ratio = faulty.throughput / clean.throughput if clean.throughput else None
+            if ratio is not None:
+                ratios[mode].append(ratio)
             print(
-                f"{mode:>12} {seed:>5} {faulty.throughput:>8.3f} {ratio:>12.1%} "
-                f"{faulty.latency_avg:>8.2f}"
+                f"{mode:>12} {seed:>5} {faulty.throughput:>8.3f} {_fmt(ratio, '.1%'):>12} "
+                f"{_fmt(faulty.latency_avg, '.2f'):>8}"
             )
     for mode, values in ratios.items():
-        print(f"{mode}: mean retained throughput {statistics.fmean(values):.1%}")
+        mean = statistics.fmean(values) if values else None
+        print(f"{mode}: mean retained throughput {_fmt(mean, '.1%')}")
     return 0
 
 

@@ -26,8 +26,6 @@ def main() -> int:
         "stop": {"maxRound": args.rounds},
         "Delta": 1,
         "leaderTimeout": 6,
-        "txRatePerNode": 2,
-        "batchSize": 2 * args.n,
     }
     try:
         hh = parse_config(base)

@@ -1,7 +1,9 @@
-"""Scenario configuration: parsing, validation, canonical serialization.
+"""Scenario configuration: defaults, validation, canonical serialization.
 
-Config files are JSON with exactly the documented keys; unknown keys are
-rejected so typos fail loudly instead of silently running defaults.
+``SimConfig`` states every setting's default, derived ones included, and
+``_SCALARS`` names each scalar's config-file key. Config files are JSON with
+exactly the documented keys; unknown keys are rejected so typos fail loudly
+instead of silently running defaults.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ import json
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 MODES = ("hammerhead", "round-robin")
 
@@ -27,17 +29,25 @@ class SimConfig:
     mode: str = "hammerhead"
     commits_per_epoch: int = 10
     exclusion_fraction: float = 0.33
-    slot_length: int = 0  # 0 means "committee size", resolved at parse time
+    slot_length: int | None = None  # None: the committee size
     gst: int = 0
     delta: int = 2
-    leader_timeout: int = 4
+    leader_timeout: int | None = None  # None: 2 * delta
     pre_gst_policy: str = "hold"
     seed: int = 0
     fault_plan: tuple[tuple[int, int], ...] = ()
     max_round: int | None = 60
     max_time: int | None = None
     tx_rate_per_node: int = 2
-    batch_size: int = 0  # 0 means "n * txRatePerNode", resolved at parse time
+    batch_size: int | None = None  # None: n * tx_rate_per_node, at least 1
+
+    def __post_init__(self) -> None:
+        if self.slot_length is None:
+            object.__setattr__(self, "slot_length", self.n)
+        if self.leader_timeout is None:
+            object.__setattr__(self, "leader_timeout", 2 * self.delta)
+        if self.batch_size is None:
+            object.__setattr__(self, "batch_size", max(1, self.n * self.tx_rate_per_node))
 
     @property
     def n(self) -> int:
@@ -47,6 +57,11 @@ class SimConfig:
     def switch_span(self) -> int | None:
         """Rounds an epoch lasts before a switch; the baseline never switches."""
         return None if self.mode == "round-robin" else self.commits_per_epoch
+
+    @property
+    def pre_gst_max(self) -> int | None:
+        """The ``random:`` policy's bound on a pre-GST copy's extra delay; None under ``hold``."""
+        return None if self.pre_gst_policy == "hold" else int(self.pre_gst_policy.split(":", 1)[1])
 
     def with_seed(self, seed: int) -> "SimConfig":
         return replace(self, seed=seed)
@@ -60,35 +75,50 @@ class SimConfig:
             stop["maxTime"] = self.max_time
         return {
             "stakes": list(self.stakes),
-            "mode": self.mode,
-            "T": self.commits_per_epoch,
-            "exclusionFraction": self.exclusion_fraction,
-            "L": self.slot_length,
-            "GST": self.gst,
-            "Delta": self.delta,
-            "leaderTimeout": self.leader_timeout,
-            "preGstPolicy": self.pre_gst_policy,
-            "seed": self.seed,
+            **{key: getattr(self, field) for key, (field, _valid, _expected) in _SCALARS.items()},
             "faultPlan": [list(entry) for entry in self.fault_plan],
             "stop": stop,
-            "txRatePerNode": self.tx_rate_per_node,
-            "batchSize": self.batch_size,
         }
 
 
-# The wire form names every key a config file may use, so parsing accepts
-# exactly what ``to_json_dict`` writes.
-_KNOWN_KEYS = frozenset(SimConfig(stakes=(1,)).to_json_dict())
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _require_int(raw: dict, key: str, default: int, minimum: int) -> int:
-    value = raw.get(key, default)
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise ConfigInvalid(key, f"expected an integer >= {minimum}, got {value!r}")
-    return value
+def _int_at_least(minimum: int) -> tuple[Callable[[Any], bool], str]:
+    return (lambda value: _is_int(value) and value >= minimum), f"an integer >= {minimum}"
+
+
+def _is_ratio(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and 0 < value < 1
+
+
+def _is_policy(value: Any) -> bool:
+    return isinstance(value, str) and (
+        value == "hold" or (value.startswith("random:") and value.split(":", 1)[1].isdecimal())
+    )
+
+
+# Each scalar's config-file key: its SimConfig field, the test a value must
+# pass, and what the error says was expected.
+_SCALARS: dict[str, tuple[str, Callable[[Any], bool], str]] = {
+    "mode": ("mode", lambda value: value in MODES, f"one of {MODES}"),
+    "T": ("commits_per_epoch", *_int_at_least(1)),
+    "exclusionFraction": ("exclusion_fraction", _is_ratio, "a ratio in (0, 1)"),
+    "L": ("slot_length", *_int_at_least(1)),
+    "GST": ("gst", *_int_at_least(0)),
+    "Delta": ("delta", *_int_at_least(1)),
+    "leaderTimeout": ("leader_timeout", *_int_at_least(1)),
+    "preGstPolicy": ("pre_gst_policy", _is_policy, "'hold' or 'random:<maxTicks>'"),
+    "seed": ("seed", _is_int, "an integer"),
+    "txRatePerNode": ("tx_rate_per_node", *_int_at_least(0)),
+    "batchSize": ("batch_size", *_int_at_least(1)),
+}
+_KNOWN_KEYS = frozenset({"stakes", *_SCALARS, "faultPlan", "stop"})
 
 
 def parse_config(raw: dict[str, Any]) -> SimConfig:
+    """Validate a config file's keys; ``SimConfig`` fills in the ones it lacks."""
     unknown = set(raw) - _KNOWN_KEYS
     if unknown:
         raise ConfigInvalid(sorted(unknown)[0], "unknown config key")
@@ -97,94 +127,57 @@ def parse_config(raw: dict[str, Any]) -> SimConfig:
     if not isinstance(stakes, list) or not stakes:
         raise ConfigInvalid("stakes", "expected a non-empty list of positive integers")
     for s in stakes:
-        if not isinstance(s, int) or isinstance(s, bool) or s <= 0:
+        if not _is_int(s) or s <= 0:
             raise ConfigInvalid("stakes", f"stake entries must be positive integers, got {s!r}")
     n = len(stakes)
     if n < 2:
         # A lone validator's own copy lands at once, so every round would
         # run at tick 0 and the run would never reach a time horizon.
         raise ConfigInvalid("stakes", "expected at least two validators")
+    fields: dict[str, Any] = {"stakes": tuple(stakes)}
 
-    mode = raw.get("mode", "hammerhead")
-    if mode not in MODES:
-        raise ConfigInvalid("mode", f"expected one of {MODES}, got {mode!r}")
+    for key, (field, valid, expected) in _SCALARS.items():
+        if key in raw:
+            if not valid(raw[key]):
+                raise ConfigInvalid(key, f"expected {expected}, got {raw[key]!r}")
+            fields[field] = raw[key]
 
-    commits_per_epoch = _require_int(raw, "T", 10, 1)
-    delta = _require_int(raw, "Delta", 2, 1)
-    gst = _require_int(raw, "GST", 0, 0)
-    leader_timeout = _require_int(raw, "leaderTimeout", 2 * delta, 1)
-    slot_length = _require_int(raw, "L", n, 1)
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigInvalid("seed", f"expected an integer, got {seed!r}")
-    tx_rate = _require_int(raw, "txRatePerNode", 2, 0)
-    batch_size = _require_int(raw, "batchSize", max(1, n * tx_rate), 1)
+    if "faultPlan" in raw:
+        plan = raw["faultPlan"]
+        if not isinstance(plan, list):
+            raise ConfigInvalid("faultPlan", "expected a list of [validator, crashAt] pairs")
+        crashed: set[int] = set()
+        for entry in plan:
+            if not isinstance(entry, (list, tuple)) or len(entry) != 2 or not all(map(_is_int, entry)):
+                raise ConfigInvalid("faultPlan", f"expected [validator, crashAt] pairs, got {entry!r}")
+            validator, crash_at = entry
+            if not 0 <= validator < n:
+                raise ConfigInvalid("faultPlan", f"validator {validator} out of range for n={n}")
+            if validator in crashed:
+                raise ConfigInvalid("faultPlan", f"validator {validator} listed twice")
+            if crash_at < 0:
+                raise ConfigInvalid("faultPlan", f"crashAt must be >= 0, got {crash_at}")
+            crashed.add(validator)
+        crashed_stake = sum(stakes[v] for v in crashed)
+        if crashed_stake > (sum(stakes) - 1) // 3:
+            warnings.warn(
+                f"fault plan crashes {crashed_stake} stake, above the tolerated bound; "
+                "property checks are not meaningful for this run",
+                stacklevel=2,
+            )
+        fields["fault_plan"] = tuple(tuple(entry) for entry in plan)
 
-    fraction = raw.get("exclusionFraction", 0.33)
-    if not isinstance(fraction, (int, float)) or isinstance(fraction, bool) or not (0 < fraction < 1):
-        raise ConfigInvalid("exclusionFraction", f"expected a ratio in (0, 1), got {fraction!r}")
+    if "stop" in raw:
+        stop = raw["stop"]
+        if not isinstance(stop, dict) or set(stop) not in ({"maxRound"}, {"maxTime"}):
+            raise ConfigInvalid("stop", "expected exactly one of {'maxRound': N} or {'maxTime': T}")
+        for key, value in stop.items():
+            if not _is_int(value) or value <= 0:
+                raise ConfigInvalid("stop", f"{key} must be a positive integer, got {value!r}")
+        fields["max_round"] = stop.get("maxRound")
+        fields["max_time"] = stop.get("maxTime")
 
-    policy = raw.get("preGstPolicy", "hold")
-    if not isinstance(policy, str) or not (
-        policy == "hold" or (policy.startswith("random:") and policy.split(":", 1)[1].isdecimal())
-    ):
-        raise ConfigInvalid("preGstPolicy", f"expected 'hold' or 'random:<maxTicks>', got {policy!r}")
-
-    plan_raw = raw.get("faultPlan", [])
-    if not isinstance(plan_raw, list):
-        raise ConfigInvalid("faultPlan", "expected a list of [validator, crashAt] pairs")
-    plan: list[tuple[int, int]] = []
-    seen_validators: set[int] = set()
-    for entry in plan_raw:
-        if (
-            not isinstance(entry, (list, tuple))
-            or len(entry) != 2
-            or not all(isinstance(x, int) and not isinstance(x, bool) for x in entry)
-        ):
-            raise ConfigInvalid("faultPlan", f"expected [validator, crashAt] pairs, got {entry!r}")
-        validator, crash_at = entry
-        if not 0 <= validator < n:
-            raise ConfigInvalid("faultPlan", f"validator {validator} out of range for n={n}")
-        if validator in seen_validators:
-            raise ConfigInvalid("faultPlan", f"validator {validator} listed twice")
-        if crash_at < 0:
-            raise ConfigInvalid("faultPlan", f"crashAt must be >= 0, got {crash_at}")
-        seen_validators.add(validator)
-        plan.append((validator, crash_at))
-    crashed_stake = sum(stakes[v] for v, _ in plan)
-    if crashed_stake > (sum(stakes) - 1) // 3:
-        warnings.warn(
-            f"fault plan crashes {crashed_stake} stake, above the tolerated bound; "
-            "property checks are not meaningful for this run",
-            stacklevel=2,
-        )
-
-    stop = raw.get("stop", {"maxRound": 60})
-    if not isinstance(stop, dict) or set(stop) not in ({"maxRound"}, {"maxTime"}):
-        raise ConfigInvalid("stop", "expected exactly one of {'maxRound': N} or {'maxTime': T}")
-    max_round = stop.get("maxRound")
-    max_time = stop.get("maxTime")
-    for key, value in stop.items():
-        if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
-            raise ConfigInvalid("stop", f"{key} must be a positive integer, got {value!r}")
-
-    return SimConfig(
-        stakes=tuple(stakes),
-        mode=mode,
-        commits_per_epoch=commits_per_epoch,
-        exclusion_fraction=float(fraction),
-        slot_length=slot_length,
-        gst=gst,
-        delta=delta,
-        leader_timeout=leader_timeout,
-        pre_gst_policy=policy,
-        seed=seed,
-        fault_plan=tuple(plan),
-        max_round=max_round,
-        max_time=max_time,
-        tx_rate_per_node=tx_rate,
-        batch_size=batch_size,
-    )
+    return SimConfig(**fields)
 
 
 def load_config(path: str | Path) -> SimConfig:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
 
@@ -175,17 +175,18 @@ def sweep(
                 continue
             for span in spans:
                 for seed in seeds:
-                    cfg = parse_config(
-                        {
-                            **base.to_json_dict(),
-                            "stakes": [1] * n,
-                            "L": n,
-                            "T": span,
-                            "faultPlan": [[n - 1 - i, base.gst] for i in range(c)],
-                            "seed": seed,
-                            "batchSize": max(1, n * base.tx_rate_per_node),
-                        }
+                    # None re-derives the slot length and batch size from this n, and
+                    # parsing refuses a grid point no config file could hold.
+                    point = replace(
+                        base,
+                        stakes=(1,) * n,
+                        slot_length=None,
+                        batch_size=None,
+                        commits_per_epoch=span,
+                        fault_plan=tuple((n - 1 - i, base.gst) for i in range(c)),
+                        seed=seed,
                     )
+                    cfg = parse_config(point.to_json_dict())
                     metrics, _ = run_in_memory(cfg)
                     rows.append(
                         {

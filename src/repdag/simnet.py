@@ -121,10 +121,9 @@ class Simulation:
         # Per-run constants of the hot paths: the peers a broadcast draws for,
         # the random bits a skipped echo advances the stream by after and
         # before GST (random() takes two 32-bit words), and the random:k bound.
-        self._gst, self._peers = cfg.gst, self.committee.n - 1
-        hold = cfg.pre_gst_policy == "hold"
-        self._skip_bits = (64 * self._peers * (cfg.delta > 1), 64 * self._peers * (1 if hold else 2))
-        self._pre_max = None if hold else max(1, int(cfg.pre_gst_policy.split(":", 1)[1]))
+        self._gst, self._peers, self._pre_max = cfg.gst, self.committee.n - 1, cfg.pre_gst_max
+        pre_gst_draws = 1 if self._pre_max is None else 2
+        self._skip_bits = (64 * self._peers * (cfg.delta > 1), 64 * self._peers * pre_gst_draws)
         # Per vertex with copies in flight: per peer, the earliest tick a copy
         # lands (queued or executed) or it crashes; and the copies queued.
         self._arrivals: dict[VertexId, list[int]] = {}

@@ -82,6 +82,17 @@ def test_sweep_cli(tmp_path):
     assert len(rows) == 3  # header + (faults 0, faults 1)
 
 
+def test_sweep_grid_points_derive_slots_and_batch_from_n(tmp_path, capsys):
+    # The base's L and batchSize fit n=4 only; each grid point derives its own.
+    args = ["sweep", "--n", "4,7", "--faults", "0", "--T", "10", "--seeds", "1"]
+    plain = write_config(tmp_path, "plain.json")
+    assert main([*args, "--config", str(plain)]) == 0
+    expected = capsys.readouterr().out
+    sized = write_config(tmp_path, "sized.json", L=2, batchSize=3)
+    assert main([*args, "--config", str(sized)]) == 0
+    assert capsys.readouterr().out == expected
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from repdag.config import ConfigInvalid, load_config, parse_config
+from repdag.config import ConfigInvalid, SimConfig, load_config, parse_config
+from repdag.simnet import run
+from repdag.traces import serialize
 
 
 def minimal(**extra):
@@ -22,6 +24,22 @@ def test_defaults_resolved():
     assert cfg.pre_gst_policy == "hold"
     assert cfg.max_round == 60 and cfg.max_time is None
     assert cfg.batch_size == 8  # n * txRatePerNode
+
+
+def test_direct_config_takes_the_file_defaults():
+    # Derived defaults included: L from n, leaderTimeout from Delta, batchSize from txRatePerNode.
+    assert SimConfig(stakes=(1,) * 4) == parse_config(minimal())
+    cfg = SimConfig(stakes=(1,) * 4, delta=3, tx_rate_per_node=0)
+    assert cfg == parse_config(minimal(Delta=3, txRatePerNode=0))
+    assert (cfg.slot_length, cfg.leader_timeout, cfg.batch_size) == (4, 6, 1)
+
+
+def test_direct_config_runs_like_the_parsed_one():
+    direct = run(SimConfig(stakes=(1,) * 4, max_round=12))
+    parsed = run(parse_config(minimal(stop={"maxRound": 12})))
+    assert [serialize(t.node, t.records) for t in direct.tracers] == [
+        serialize(t.node, t.records) for t in parsed.tracers
+    ]
 
 
 def test_unknown_key_rejected():

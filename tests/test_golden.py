@@ -17,7 +17,8 @@ three mid-run crashes, where a row holds more than quorum vertices and each
 vertex links to more parents than quorum needs; and an exclusion fraction of
 0.15 with a crash at t=0 and one mid-run, where each switch swaps one
 validator instead of the default two, so a switch path that fell back to the
-default fraction would change the trace.
+default fraction would change the trace; and a ``random:0`` pre-GST
+policy, whose zero bound still takes one draw per copy and adds no delay.
 """
 
 import hashlib
@@ -109,6 +110,10 @@ CORPUS = {
         {"stakes": [1] * 7, "T": 4, "exclusionFraction": 0.15, "faultPlan": [[5, 0], [6, 30]], "stop": {"maxRound": 60}, "seed": 5},
         "077e5f30c7b9ce0530b8f3c857eeaae761c23fa3ba5801abcb63ac127ce2c078",
     ),
+    "n7-random0-gst": (
+        {"stakes": [1] * 7, "GST": 20, "preGstPolicy": "random:0", "Delta": 3, "stop": {"maxRound": 24}, "seed": 14},
+        "4b642cdf7953167562f46deaa1ace6a7e3dbebe785f0517d18fd547fd1dbaa27",
+    ),
 }
 
 # (end_time, events_executed) of each corpus run.
@@ -132,6 +137,7 @@ COUNTERS = {
     "n7-d5": (80, 1272),
     "n7-excl15-crash": (126, 1726),
     "n7-random-gst": (78, 1251),
+    "n7-random0-gst": (73, 1249),
     "n7-weighted": (53, 1253),
 }
 

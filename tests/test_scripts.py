@@ -22,6 +22,13 @@ BAD_ARGS = [
     ("faultless_parity.py", ["--n", "4", "--rounds", "20", "--seeds", "0"]),
     ("leader_utilization.py", ["--n", "1"]),
 ]
+# Valid arguments whose runs have nothing to compare: more crashes than the
+# fault bound commit nothing (no latency), and one round commits nothing at
+# all (no faultless throughput to divide by).
+EMPTY_RUN_ARGS = [
+    ("fault_tolerance.py", ["--n", "4", "--crashes", "2", "--rounds", "10", "--seeds", "1"]),
+    ("fault_tolerance.py", ["--n", "4", "--rounds", "1", "--seeds", "1"]),
+]
 
 
 def run_script(name, args):
@@ -54,3 +61,13 @@ def test_bad_arguments_exit_two(name, args):
     assert done.returncode == 2, done.stderr
     assert "Traceback" not in done.stderr
     assert done.stderr
+
+
+@pytest.mark.parametrize(
+    "name,args", EMPTY_RUN_ARGS, ids=[f"{n.removesuffix('.py')}:{','.join(a)}" for n, a in EMPTY_RUN_ARGS]
+)
+def test_runs_without_commits_print_dashes(name, args):
+    done = run_script(name, args)
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr
+    assert " -" in done.stdout
