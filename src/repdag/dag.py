@@ -50,6 +50,11 @@ class InsertOutcome(enum.Enum):
     MALFORMED_EDGES = "malformed-edges"
 
 
+# The members as module constants: a global read is several times cheaper
+# than an enum attribute lookup, and the hot paths read one per copy.
+INSERTED, MISSING_PARENTS, DUPLICATE, MALFORMED_EDGES = InsertOutcome
+
+
 class UnknownVertex(KeyError):
     pass
 
@@ -90,18 +95,18 @@ class DagState:
         handling (same id already present).
         """
         if v.round and len(v.parents) < self.committee.quorum_threshold:
-            return InsertOutcome.MALFORMED_EDGES
+            return MALFORMED_EDGES
         row = self.by_round.get(v.round)
         if row is not None and v.source in row:
-            return InsertOutcome.DUPLICATE
+            return DUPLICATE
         if not self.by_round.get(v.round - 1, {}).keys() >= v.parents:
-            return InsertOutcome.MISSING_PARENTS
+            return MISSING_PARENTS
         if row is None:
             row = self.by_round[v.round] = {}
         row[v.source] = v
         if v.round > self.highest_round:
             self.highest_round = v.round
-        return InsertOutcome.INSERTED
+        return INSERTED
 
 
 def path(dag: DagState, frm: VertexId, to: VertexId) -> bool:

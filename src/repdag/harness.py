@@ -11,7 +11,7 @@ from typing import Any
 from . import __version__
 from .config import ConfigInvalid, SimConfig, parse_config
 from .metrics import Metrics, Records, compute_metrics
-from .simnet import RunResult, run
+from .simnet import RunResult, gc_paused, run
 from .traces import TraceInvalid, parse, serialize
 
 MANIFEST_NAME = "manifest.json"
@@ -66,14 +66,16 @@ def load_run(run_dir: str | Path) -> tuple[dict[str, Any], Records]:
             f"missing {sorted(expected.keys() - found)}, unexpected {sorted(found - expected.keys())}"
         )
     records: Records = {}
-    for name, validator in expected.items():
-        try:
-            node, recs = parse((run_dir / name).read_text())
-        except (TraceInvalid, json.JSONDecodeError) as exc:
-            raise TraceInvalid(f"{run_dir / name}: {exc}") from None
-        if node != validator:
-            raise TraceInvalid(f"{run_dir / name}: header names node {node}")
-        records[node] = recs
+    # Parsed records hold no cycles: see ``simnet.gc_paused``.
+    with gc_paused():
+        for name, validator in expected.items():
+            try:
+                node, recs = parse((run_dir / name).read_text())
+            except (TraceInvalid, json.JSONDecodeError) as exc:
+                raise TraceInvalid(f"{run_dir / name}: {exc}") from None
+            if node != validator:
+                raise TraceInvalid(f"{run_dir / name}: header names node {node}")
+            records[node] = recs
     return manifest, records
 
 
@@ -85,17 +87,24 @@ def run_scenario(cfg: SimConfig, out_dir: str | Path) -> tuple[Metrics, Path]:
     ``repdag check`` reads them for its checkers, and the benchmark and
     ``tests/test_metrics.py`` recompute the metrics from them.
     """
-    metrics, result = run_in_memory(cfg)
-    path = write_run(result, out_dir)
-    (path / "metrics.json").write_text(json.dumps(metrics.to_dict(), indent=2, sort_keys=True) + "\n")
+    with gc_paused():
+        metrics, result = run_in_memory(cfg)
+        path = write_run(result, out_dir)
+        (path / "metrics.json").write_text(json.dumps(metrics.to_dict(), indent=2, sort_keys=True) + "\n")
     return metrics, path
 
 
 def run_in_memory(cfg: SimConfig) -> tuple[Metrics, RunResult]:
-    """Like run_scenario but without touching disk; used by sweeps and tests."""
-    result = run(cfg)
-    manifest = {"config": cfg.to_json_dict()}
-    metrics = compute_metrics(result.records_by_node, manifest)
+    """Like run_scenario but without touching disk; used by sweeps and tests.
+
+    The collector stays paused over the metrics too, so a caller that drops
+    the result frees its records by reference counting before any
+    collection walks them.
+    """
+    with gc_paused():
+        result = run(cfg)
+        manifest = {"config": cfg.to_json_dict()}
+        metrics = compute_metrics(result.records_by_node, manifest)
     return metrics, result
 
 

@@ -12,7 +12,7 @@ from typing import Callable
 
 from .commit import CommitState, commit_inserted
 from .committee import Committee, ValidatorId
-from .dag import DagState, InsertOutcome, Vertex, VertexId
+from .dag import INSERTED, MISSING_PARENTS, DagState, Vertex, VertexId
 from .reputation import Schedule, ScheduleBook
 from .traces import Tracer
 
@@ -80,11 +80,11 @@ class Node:
             # peer in the original broadcast at this same instant.
             effects.broadcasts.append(v)
         outcome = self.dag.insert(v)
-        if outcome is InsertOutcome.INSERTED:
+        if outcome is INSERTED:
             self.tracer.emit("vertex-delivered", id=[v.round, v.source])
             inserted = [v, *self._drain_pending()] if self.pending else [v]
             commit_inserted(self.commit, self.dag, inserted, self.tracer)
-        elif outcome is InsertOutcome.MISSING_PARENTS:
+        elif outcome is MISSING_PARENTS:
             self.pending[v.id] = v
         self._try_advance(now, effects)
         return effects
@@ -104,7 +104,7 @@ class Node:
         drained: list[Vertex] = []
         for vid in sorted(self.pending):
             v = self.pending[vid]
-            if self.dag.insert(v) is InsertOutcome.INSERTED:
+            if self.dag.insert(v) is INSERTED:
                 del self.pending[vid]
                 drained.append(v)
                 self.tracer.emit("vertex-delivered", id=[v.round, v.source])

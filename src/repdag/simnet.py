@@ -16,16 +16,31 @@ and the traces do not depend on this. After GST with Delta 1 every draw
 would be 0, so none is made: time never goes back and the stream feeds only
 delivery delays, so no later draw can tell.
 
+Whether an echo can queue anything is an O(1) test: per vertex in flight the
+simulator keeps the latest tick in its arrivals row (the earliest landing or
+crash tick per peer), updated once by each broadcast that draws, the only
+place a row changes. An echo at ``now`` can queue nothing once that maximum
+is at or below ``max(now, GST) + 1``, the earliest tick a copy can land.
+
 A queued copy can still be overtaken by a faster echo queued after it
 (Delta >= 2). When it pops, its target has already seen the vertex, so it is
 retired without running. ``events_executed`` counts only events that can
 act, and ``now`` after a drained run is the tick of the last of them.
+
+``run`` pauses the cyclic garbage collector (``gc_paused``), and ``harness``
+pauses it over the metrics, writing and parsing around a run. Run and trace
+data hold no reference cycles (``tests/test_gc_pause.py``), so reference
+counting frees them; a collection would only walk every live vertex and
+record again, and find nothing.
 """
 
 from __future__ import annotations
 
+import gc
 import heapq
 import random
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, NamedTuple
@@ -50,6 +65,29 @@ class SimEvent(NamedTuple):
     kind: int
     target: ValidatorId
     vertex: Vertex | None
+
+
+@contextmanager
+def gc_paused() -> Iterator[None]:
+    """Run the body with the cyclic collector off, then restore its prior state.
+
+    For code whose data hold no reference cycles: reference counting frees
+    them, so a collection would only rescan them. Before the collector comes
+    back on, what the body left is moved to the oldest generation unscanned
+    (``gc.freeze`` then ``gc.unfreeze``; nothing else here freezes objects),
+    so the young collections that follow do not walk it either. A nested
+    pause and an exception leave the collector as the outermost caller found
+    it.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.freeze()
+            gc.unfreeze()
+            gc.enable()
 
 
 def client_supply(crash_at: list[int], rate: int, node: ValidatorId, now: int) -> int:
@@ -125,8 +163,10 @@ class Simulation:
         pre_gst_draws = 1 if self._pre_max is None else 2
         self._skip_bits = (64 * self._peers * (cfg.delta > 1), 64 * self._peers * pre_gst_draws)
         # Per vertex with copies in flight: per peer, the earliest tick a copy
-        # lands (queued or executed) or it crashes; and the copies queued.
+        # lands (queued or executed) or it crashes; that row's maximum; and
+        # the copies queued.
         self._arrivals: dict[VertexId, list[int]] = {}
+        self._arrival_max: dict[VertexId, int] = {}
         self._in_flight: dict[VertexId, int] = {}
         for v in self.committee.members:
             self._push(0, BOOT, v, None)
@@ -161,23 +201,27 @@ class Simulation:
         only advances the random stream by the draws it skips.
         """
         vid = v.id
-        arrivals = self._arrivals.get(vid)
-        if arrivals is None:
+        latest = self._arrival_max.get(vid)
+        if latest is None:
             arrivals = self._arrivals[vid] = self._crash_at.copy()
-        elif max(arrivals) <= max(now, self._gst) + 1:
+        elif latest <= max(now, self._gst) + 1:
             # An echo (its sender's copy landed at ``now``): no copy lands before
             # max(now, GST) + 1, so none is queued. getrandbits(64 * k) takes
             # exactly the 2 * k words of k random() draws.
             self.rng.getrandbits(self._skip_bits[now < self._gst])
             return
+        else:
+            arrivals = self._arrivals[vid]
         ticks = self._delivery_times(now, self._peers)
         ticks.insert(sender, now)
-        push, seq, queue = heapq.heappush, self._seq, self._queue
+        # tuple.__new__ skips the NamedTuple's Python-level constructor.
+        push, new, seq, queue = heapq.heappush, tuple.__new__, self._seq, self._queue
         for peer, at in enumerate(ticks):
             if at < arrivals[peer]:
                 arrivals[peer] = at
-                push(queue, SimEvent(at, seq, DELIVER, peer, v))
+                push(queue, new(SimEvent, (at, seq, DELIVER, peer, v)))
                 seq += 1
+        self._arrival_max[vid] = max(arrivals)
         self._in_flight[vid] = self._in_flight.get(vid, 0) + seq - self._seq
         self._seq = seq
 
@@ -213,7 +257,7 @@ class Simulation:
             if left:
                 self._in_flight[vid] = left
             else:
-                del self._in_flight[vid], self._arrivals[vid]
+                del self._in_flight[vid], self._arrivals[vid], self._arrival_max[vid]
             return ev
         self.now = at
         self.events_executed += 1
@@ -246,12 +290,13 @@ def run(cfg: SimConfig) -> RunResult:
     stop cuts the run at the first event past the deadline.
     """
     sim = Simulation(cfg)
-    if cfg.max_time is not None:
-        while sim._queue and sim._queue[0].at <= cfg.max_time:
-            sim.step()
-    else:
-        while sim._queue:
-            sim.step()
+    with gc_paused():
+        if cfg.max_time is not None:
+            while sim._queue and sim._queue[0].at <= cfg.max_time:
+                sim.step()
+        else:
+            while sim._queue:
+                sim.step()
     return RunResult(
         config=cfg,
         committee=sim.committee,

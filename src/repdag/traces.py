@@ -31,10 +31,17 @@ RECORD_KINDS = frozenset(
 _KINDS = {kind: kind for kind in RECORD_KINDS}
 
 
-# One compact encoder for every line; ``json.dumps`` with ``separators``
-# would build a new encoder per record. Records are acyclic by construction,
+# One compact encoder for every file; ``json.dumps`` with ``separators``
+# would build a new encoder per call. Records are acyclic by construction,
 # so the encoder skips its per-container cycle bookkeeping.
 _encode = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
+# Where one record ends and the next begins in the encoding of a record list:
+# every record opens with "at", and no record holds a list of objects.
+_BETWEEN, _BETWEEN_LINES = '},{"at":', '}\n{"at":'
+# Records per encoder call. The encoder holds every piece of its output until
+# it joins them, about 0.5 kB per record; a batch bounds that, at a small cost
+# in calls.
+_BATCH = 128
 
 
 class TraceInvalid(ValueError):
@@ -58,8 +65,20 @@ def header_line(node: ValidatorId) -> str:
 
 
 def serialize(node: ValidatorId, records: list[dict[str, Any]]) -> str:
+    """A trace file: the header line, then one line per record.
+
+    Each batch of records is encoded in one encoder call and split into lines
+    between records. Raises ``ValueError`` where that split would not give one
+    line per record: a record that does not open with "at", or one that holds
+    a list of objects that do.
+    """
     lines = [header_line(node)]
-    lines.extend(map(_encode, records))
+    for start in range(0, len(records), _BATCH):
+        batch = records[start : start + _BATCH]
+        body = _encode(batch)[1:-1]
+        if body.count(_BETWEEN) != len(batch) - 1:
+            raise ValueError(f"{len(batch)} records do not split into as many lines")
+        lines.append(body.replace(_BETWEEN, _BETWEEN_LINES))
     return "\n".join(lines) + "\n"
 
 

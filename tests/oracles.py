@@ -114,8 +114,9 @@ def per_copy_broadcast(sim, sender, v, now):
     Each copy gets its own delay draw, in peer order (none after GST with
     Delta 1, where every copy lands at ``now + 1``), and is queued when it
     lands before the peer's crash and before any other copy of ``v`` headed
-    to that peer. It keeps the simulator's bookkeeping (``_arrivals``,
-    ``_in_flight``) so the simulator's ``step`` can run on it.
+    to that peer. It keeps the simulator's bookkeeping (``_arrivals``, its
+    maximum in ``_arrival_max``, ``_in_flight``) so the simulator's ``step``
+    can run on it.
     """
     cfg = sim.cfg
     crash_at = dict(cfg.fault_plan)
@@ -131,6 +132,7 @@ def per_copy_broadcast(sim, sender, v, now):
             arrivals[peer] = at
             sim._push(at, DELIVER, peer, v)
             sim._in_flight[v.id] = sim._in_flight.get(v.id, 0) + 1
+    sim._arrival_max[v.id] = max(arrivals)
 
 
 def _created_by(records_by_node):

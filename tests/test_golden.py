@@ -19,12 +19,21 @@ vertex links to more parents than quorum needs; and an exclusion fraction of
 validator instead of the default two, so a switch path that fell back to the
 default fraction would change the trace; and a ``random:0`` pre-GST
 policy, whose zero bound still takes one draw per copy and adds no delay.
+
+No copy lands before GST + 1, so a ``random:k`` bound below GST never shows
+in a trace: ``n7-random30-gst`` is the one config whose bound exceeds GST.
+Two configs pin the schedule-switch safety paths, where replicas commit in
+different views: ``n4-split-160`` discards one anchor per node and commits
+four anchors in ``retro_recheck``, and ``n4-split-804`` is a split view in
+which three nodes discard an anchor that the fourth commits.
+``SPLIT_PATHS`` asserts that both still reach these paths.
 """
 
 import hashlib
 
 import pytest
 
+from repdag import commit
 from repdag.config import parse_config
 from repdag.harness import write_run
 from repdag.simnet import run
@@ -114,6 +123,18 @@ CORPUS = {
         {"stakes": [1] * 7, "GST": 20, "preGstPolicy": "random:0", "Delta": 3, "stop": {"maxRound": 24}, "seed": 14},
         "4b642cdf7953167562f46deaa1ace6a7e3dbebe785f0517d18fd547fd1dbaa27",
     ),
+    "n7-random30-gst": (
+        {"stakes": [1] * 7, "GST": 25, "preGstPolicy": "random:30", "Delta": 3, "stop": {"maxRound": 30}, "seed": 4},
+        "6b5146aa593aaefbf91ad900e9601c2570d2b52c66aebf9073b928ec33ec7cc4",
+    ),
+    "n4-split-160": (
+        {"stakes": [1, 5, 1, 2], "Delta": 3, "leaderTimeout": 1, "GST": 10, "preGstPolicy": "random:8", "T": 4, "stop": {"maxRound": 60}, "seed": 160},
+        "e339079d5c8f4e7eb1f79d82e95428df23aacf520dc5bacd780752d09350ac53",
+    ),
+    "n4-split-804": (
+        {"stakes": [1, 1, 1, 2], "Delta": 8, "leaderTimeout": 1, "GST": 0, "preGstPolicy": "random:8", "T": 2, "stop": {"maxRound": 60}, "seed": 804},
+        "08513b5aea43ac78242fd16a3eacfce38335a9fa88609e65930ce129a9603edb",
+    ),
 }
 
 # (end_time, events_executed) of each corpus run.
@@ -129,6 +150,8 @@ COUNTERS = {
     "n4-hold-gst": (85, 417),
     "n4-maxtime": (90, 946),
     "n4-maxtime-crash": (60, 120),
+    "n4-split-160": (138, 1034),
+    "n4-split-804": (259, 1011),
     "n4-t2-long-crash-zero": (569, 2717),
     "n5-slots-no-tx": (70, 640),
     "n7-crash-late-random": (164, 862),
@@ -138,7 +161,15 @@ COUNTERS = {
     "n7-excl15-crash": (126, 1726),
     "n7-random-gst": (78, 1251),
     "n7-random0-gst": (73, 1249),
+    "n7-random30-gst": (92, 1558),
     "n7-weighted": (53, 1253),
+}
+
+# Per split-view config: the anchors each node discards, and the anchors
+# that ``retro_recheck`` commits over all nodes.
+SPLIT_PATHS = {
+    "n4-split-160": ([1, 1, 1, 1], 4),
+    "n4-split-804": ([1, 0, 1, 1], 0),
 }
 
 # Scenarios that the trace round-trip and stored-metrics tests also run:
@@ -162,3 +193,18 @@ def test_node_trace_digest_is_pinned(name, tmp_path):
 def test_event_loop_counters_are_pinned(name):
     result = run(parse_config(CORPUS[name][0]))
     assert (result.end_time, result.events_executed) == COUNTERS[name]
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_PATHS))
+def test_split_view_configs_reach_their_paths(name, monkeypatch):
+    rechecked = []
+
+    def counting_retro_recheck(state, dag, tracer, recheck=commit.retro_recheck):
+        before = sum(rec["kind"] == "anchor-committed" for rec in tracer.records)
+        recheck(state, dag, tracer)
+        rechecked.append(sum(rec["kind"] == "anchor-committed" for rec in tracer.records) - before)
+
+    monkeypatch.setattr(commit, "retro_recheck", counting_retro_recheck)
+    result = run(parse_config(CORPUS[name][0]))
+    discards = [len(node.commit.discarded_anchors) for node in result.nodes]
+    assert (discards, sum(rechecked)) == SPLIT_PATHS[name]

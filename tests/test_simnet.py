@@ -190,7 +190,7 @@ class TestQueuedCopies:
             high = 0
             while sim.step() is not None:
                 high = max(high, len(sim._arrivals))
-            assert not sim._arrivals and not sim._in_flight
+            assert not sim._arrivals and not sim._arrival_max and not sim._in_flight
             return high
 
         assert peak(100) == peak(400)
@@ -228,35 +228,39 @@ equivalence_scenarios = st.integers(min_value=4, max_value=10).flatmap(
 )
 
 
+# The creator of a vertex crashes one tick after making it and every peer is
+# down: its own copy must still be queued.
+lone_creator = example(
+    {
+        "stakes": [1] * 4,
+        "Delta": 2,
+        "faultPlan": [[0, 1], [1, 0], [2, 0], [3, 0]],
+        "stop": {"maxRound": 4},
+        "seed": 0,
+    }
+)
+# Crashes at t=0 and mid-run under random pre-GST delays, cut by maxTime.
+crashes_cut_by_max_time = example(
+    {
+        "stakes": [1] * 7,
+        "GST": 30,
+        "Delta": 4,
+        "preGstPolicy": "random:9",
+        "faultPlan": [[2, 0], [5, 17]],
+        "stop": {"maxTime": 80},
+        "seed": 11,
+    }
+)
+
+
 class TestBroadcastEquivalence:
     """Skipping dead echoes changes nothing a run shows, the random stream included."""
 
     @pytest.mark.filterwarnings("ignore:fault plan crashes")
     @settings(max_examples=100, deadline=None)
     @given(equivalence_scenarios)
-    # The creator of a vertex crashes one tick after making it and every peer
-    # is down: its own copy must still be queued.
-    @example(
-        {
-            "stakes": [1] * 4,
-            "Delta": 2,
-            "faultPlan": [[0, 1], [1, 0], [2, 0], [3, 0]],
-            "stop": {"maxRound": 4},
-            "seed": 0,
-        }
-    )
-    # Crashes at t=0 and mid-run under random pre-GST delays, cut by maxTime.
-    @example(
-        {
-            "stakes": [1] * 7,
-            "GST": 30,
-            "Delta": 4,
-            "preGstPolicy": "random:9",
-            "faultPlan": [[2, 0], [5, 17]],
-            "stop": {"maxTime": 80},
-            "seed": 11,
-        }
-    )
+    @lone_creator
+    @crashes_cut_by_max_time
     def test_matches_the_per_copy_loop(self, raw):
         cfg = parse_config(raw)
         fast, slow = drive(cfg), drive(cfg, per_copy_broadcast)
@@ -265,6 +269,22 @@ class TestBroadcastEquivalence:
         ]
         assert (fast.now, fast.events_executed) == (slow.now, slow.events_executed)
         assert fast.rng.getstate() == slow.rng.getstate()
+
+    @pytest.mark.filterwarnings("ignore:fault plan crashes")
+    @settings(max_examples=30, deadline=None)
+    @given(equivalence_scenarios)
+    @lone_creator
+    @crashes_cut_by_max_time
+    def test_running_maximum_tracks_the_arrivals_row(self, raw):
+        # The dead-echo test reads the maximum instead of the row.
+        cfg = parse_config(raw)
+        sim = Simulation(cfg)
+        stop = cfg.max_time if cfg.max_time is not None else float("inf")
+        while sim._queue and sim._queue[0].at <= stop:
+            sim.step()
+            assert sim._arrival_max == {vid: max(row) for vid, row in sim._arrivals.items()}
+        if cfg.max_time is None:
+            assert not sim._arrivals and not sim._arrival_max
 
     @pytest.mark.parametrize(
         "raw, draws_per_copy",
@@ -284,6 +304,7 @@ class TestBroadcastEquivalence:
         sim, reference = Simulation(cfg), Simulation(cfg)
         # Every peer already has a copy at ``now``, the sender 2 included.
         sim._arrivals[v.id] = [now] * cfg.n
+        sim._arrival_max[v.id] = now
         sim._in_flight[v.id] = 1
         queued = list(sim._queue)
         sim.broadcast(2, v, now)

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from repdag.checks import ordered_sequence
@@ -44,14 +46,39 @@ malformed_records = pytest.mark.parametrize(
 @malformed_records
 def test_parse_messages_for_malformed_records(record, message):
     valid = {"at": 1, "kind": "leader-timeout", "round": 2}
+    # Written line by line: serialize refuses a record that is not an object.
+    text = "\n".join([header_line(1), json.dumps(valid), json.dumps(record)]) + "\n"
     with pytest.raises(ValueError) as exc:
-        parse(serialize(1, [valid, record]))
+        parse(text)
     assert str(exc.value) == message
 
 
-def test_header_is_versioned():
-    import json
+def test_serialize_writes_one_line_per_record():
+    records = [
+        {"at": 1, "kind": "leader-timeout", "round": 2},
+        {"at": 4, "kind": "schedule-switched", "epoch": 1, "initialRound": 6, "slots": [0, 1], "scores": {"0": 3}},
+        {"at": 4, "kind": "anchor-committed", "round": 4, "leader": 0, "direct": True, "ordered": [[4, 0]]},
+    ]
+    lines = serialize(1, records).splitlines()
+    assert lines == [header_line(1), *(json.dumps(rec, separators=(",", ":")) for rec in records)]
+    assert serialize(1, []) == header_line(1) + "\n"
 
+
+@pytest.mark.parametrize(
+    "records",
+    [
+        [{"at": 1, "kind": "leader-timeout"}, [3, "leader-timeout"]],
+        [{"at": 1, "kind": "leader-timeout"}, {"kind": "leader-timeout", "at": 2}],
+        [{"at": 1, "kind": "leader-timeout", "nested": [{"at": 2}, {"at": 3}]}],
+    ],
+    ids=["not-an-object", "at-not-first", "list-of-objects"],
+)
+def test_serialize_refuses_records_it_cannot_split(records):
+    with pytest.raises(ValueError, match="do not split"):
+        serialize(1, records)
+
+
+def test_header_is_versioned():
     header = json.loads(header_line(3))
     assert header == {"format": "repdag-trace", "version": 3, "node": 3}
 
