@@ -59,12 +59,24 @@ class LeaderUtilizationReport:
     crashed: int
     window: tuple[int, int]
 
+    @property
+    def anchor_rounds(self) -> int:
+        """The anchor rounds in the window: at most this many can be skipped."""
+        start, end = self.window
+        return len(range(start, end + 1, 2))
+
     def __str__(self) -> str:
-        return (
+        text = (
             f"leader-utilization: {'ok' if self.ok else 'violation'} "
             f"(skipped {self.skipped} of anchor rounds {self.window[0]}..{self.window[1]}, "
             f"bound {self.bound}, crashed {self.crashed})"
         )
+        if self.bound >= self.anchor_rounds:
+            text += (
+                f"; the bound is not below the window's {self.anchor_rounds} anchor rounds,"
+                " so this check cannot fail"
+            )
+        return text
 
 
 @dataclass(frozen=True)

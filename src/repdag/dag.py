@@ -4,7 +4,9 @@ A vertex is keyed by (round, source): reliable-broadcast integrity guarantees
 at most one vertex per key in honest views, which lets us skip content
 digests entirely. A vertex's parents all sit one round below it, so it names
 them by source alone. The store enforces causal completeness: a vertex is only
-inserted once every parent it names is present.
+inserted once every parent it names is present. Each vertex carries its parent
+sources as a bitmask too, and the store keeps one of the sources it holds per
+round, so that test is one integer operation however large the committee.
 """
 
 from __future__ import annotations
@@ -21,12 +23,13 @@ class VertexId(NamedTuple):
     source: ValidatorId
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Vertex:
     """A DAG vertex; its shape is checked once, here, for every receiver.
 
-    Raises ``ValueError`` for a negative round or a genesis vertex with
-    parents; a parent cannot sit at a wrong round, as it is named by source.
+    Raises ``ValueError`` for a negative round, a genesis vertex with parents
+    or a negative source or parent; a parent cannot sit at a wrong round, as it
+    is named by source.
     """
 
     id: VertexId
@@ -34,13 +37,19 @@ class Vertex:
     # Denormalized from id; plain fields keep the hot paths cheap.
     round: int = field(init=False)
     source: ValidatorId = field(init=False)
+    # Bit s is set iff source s is a parent.
+    mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        r = self.id.round
-        if r < 0 or (r == 0 and self.parents):
-            raise ValueError(f"malformed vertex {self.id}: parents {sorted(self.parents)}")
+        (r, source), parents = self.id, self.parents
+        if r < 0 or source < 0 or (r == 0 and parents) or (parents and min(parents) < 0):
+            raise ValueError(f"malformed vertex {self.id}: parents {sorted(parents)}")
+        mask = 0
+        for s in parents:
+            mask |= 1 << s
         object.__setattr__(self, "round", r)
-        object.__setattr__(self, "source", self.id.source)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "mask", mask)
 
 
 class InsertOutcome(enum.Enum):
@@ -65,6 +74,8 @@ class DagState:
     def __init__(self, committee: Committee):
         self.committee = committee
         self.by_round: dict[int, dict[ValidatorId, Vertex]] = {}
+        # Per round, the sources held there as a bitmask (bit s for source s).
+        self.held: dict[int, int] = {}
         self.highest_round = -1
 
     def __contains__(self, vid: VertexId) -> bool:
@@ -99,11 +110,13 @@ class DagState:
         row = self.by_round.get(v.round)
         if row is not None and v.source in row:
             return DUPLICATE
-        if not self.by_round.get(v.round - 1, {}).keys() >= v.parents:
+        held = self.held
+        if v.mask & ~held.get(v.round - 1, 0):
             return MISSING_PARENTS
         if row is None:
             row = self.by_round[v.round] = {}
         row[v.source] = v
+        held[v.round] = held.get(v.round, 0) | 1 << v.source
         if v.round > self.highest_round:
             self.highest_round = v.round
         return INSERTED

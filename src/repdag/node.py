@@ -4,6 +4,9 @@ One node owns one dag and one commit state. It reacts to three stimuli:
 boot (create the genesis vertex), delivery of a vertex, and timer expiry.
 Each handler runs to completion and returns the broadcasts and timer
 requests it produced; all inter-node effects travel through the simulator.
+Relaying a delivered vertex to the peers (the reliable-broadcast echo) is the
+simulator's job too, as in Narwhal, where dissemination lives in the
+transport: a node returns only the vertices it creates.
 """
 
 from __future__ import annotations
@@ -71,14 +74,9 @@ class Node:
         if self.crashed:
             return effects
         if v.id in self._seen:
-            # Reliable-broadcast integrity: duplicates change nothing and are
-            # not re-forwarded.
+            # Reliable-broadcast integrity: duplicates change nothing.
             return effects
         self._seen.add(v.id)
-        if v.source != self.me:
-            # Echo on first delivery; our own vertices already went to every
-            # peer in the original broadcast at this same instant.
-            effects.broadcasts.append(v)
         outcome = self.dag.insert(v)
         if outcome is INSERTED:
             self.tracer.emit("vertex-delivered", id=[v.round, v.source])

@@ -7,20 +7,34 @@ uniform in [1, Delta]. Time is integer ticks, events execute in (time, seq)
 order, and the whole run is a pure function of the config, so identical
 configs give bit-identical traces.
 
-Every receiver echoes a vertex to all peers, but a copy is queued only when
-it can change its receiver: copies that would land at or after the
-receiver's crash, or at or after another copy of the same vertex already
-headed there, are never queued. Every copy's delay is drawn (an echo that
-can queue none just advances the random stream by its draws), so the stream
-and the traces do not depend on this. After GST with Delta 1 every draw
-would be 0, so none is made: time never goes back and the stream feeds only
-delivery delays, so no later draw can tell.
+Every receiver echoes a vertex to all peers. The simulator issues the echo
+itself when a copy runs at a peer other than the vertex's creator (Narwhal
+likewise leaves dissemination to the transport, not to the consensus node).
+A copy is queued only when it can change its receiver: copies that would land
+at or after the receiver's crash, or at or after another copy of the same
+vertex already headed there, are never queued. So every copy that runs is a
+first delivery at a live node. Every copy's delay is drawn (an echo that can
+queue none just advances the random stream by its draws), so the stream and
+the traces do not depend on this. After GST with Delta 1 every draw would be
+0, so none is made: time never goes back and the stream feeds only delivery
+delays, so no later draw can tell.
 
-Whether an echo can queue anything is an O(1) test: per vertex in flight the
-simulator keeps the latest tick in its arrivals row (the earliest landing or
-crash tick per peer), updated once by each broadcast that draws, the only
-place a row changes. An echo at ``now`` can queue nothing once that maximum
-is at or below ``max(now, GST) + 1``, the earliest tick a copy can land.
+Whether an echo can queue anything is an O(1) test, made in ``step`` before
+any ``broadcast`` call: per vertex in flight the simulator keeps the latest
+tick in its arrivals row (the earliest landing or crash tick per peer),
+updated once by each broadcast, the only place a row changes. An
+echo at ``now`` can queue nothing once that maximum is at or below
+``max(now, GST) + 1``, the earliest tick a copy can land. After GST with
+Delta 1 that holds for every echo.
+
+After GST with Delta 1 all peers' copies of a broadcast land at ``now + 1``
+with consecutive sequence numbers (the sender's own copy, which lands at
+``now``, takes the number before them). They share one ``FANOUT`` queue
+entry that holds the peers still to receive one; ``step`` takes one peer
+from it per call and drops it with its last copy. Anything queued meanwhile has a larger
+sequence number or a later tick, so copies pop in the per-copy order, and
+``step`` still handles and returns one copy per call. Other copies are one
+``DELIVER`` entry each.
 
 A queued copy can still be overtaken by a faster echo queued after it
 (Delta >= 2). When it pops, its target has already seen the vertex, so it is
@@ -53,8 +67,11 @@ from .reputation import initial_schedule
 from .traces import Tracer
 
 # Event kinds; crash sorts before boot at equal (time, seq) by construction,
-# because fault-plan events are enqueued first.
-CRASH, BOOT, DELIVER, TIMER = 0, 1, 2, 3
+# because fault-plan events are enqueued first. A FANOUT entry only sits in
+# the queue, and ``step`` never returns one: its ``target`` is the list of
+# peers still to receive a copy, the next one last, and its ``seq`` is that of
+# the last copy.
+CRASH, BOOT, DELIVER, TIMER, FANOUT = 0, 1, 2, 3, 4
 # A tick later than any run reaches: "no crash" and "no copy yet".
 _NEVER = 1 << 62
 
@@ -160,6 +177,8 @@ class Simulation:
         # the random bits a skipped echo advances the stream by after and
         # before GST (random() takes two 32-bit words), and the random:k bound.
         self._gst, self._peers, self._pre_max = cfg.gst, self.committee.n - 1, cfg.pre_gst_max
+        # After GST every copy lands one tick after its send: fan-out entries.
+        self._one_tick = cfg.delta == 1
         pre_gst_draws = 1 if self._pre_max is None else 2
         self._skip_bits = (64 * self._peers * (cfg.delta > 1), 64 * self._peers * pre_gst_draws)
         # Per vertex with copies in flight: per peer, the earliest tick a copy
@@ -180,8 +199,6 @@ class Simulation:
         gst, delta, pre_max = self._gst, self.cfg.delta, self._pre_max
         rand = self.rng.random
         if now >= gst:
-            if delta == 1:
-                return [now + 1] * copies
             return [now + 1 + int(rand() * delta) for _ in range(copies)]
         if pre_max is None:
             return [gst + 1 + int(rand() * delta) for _ in range(copies)]
@@ -197,36 +214,49 @@ class Simulation:
         A copy is dropped when its peer crashes at or before it lands (crash
         events are queued first, so they pop first) or when a copy of ``v``
         already lands there at or before it (that copy pops first, so this
-        one would hit ``_seen``). An echo whose every copy would be dropped
-        only advances the random stream by the draws it skips.
+        one would hit ``_seen``). After GST with Delta 1 the sender's own
+        copy, which lands at ``now``, is one ``DELIVER`` entry and the peers'
+        copies, which land at ``now + 1``, are one ``FANOUT`` entry.
         """
         vid = v.id
-        latest = self._arrival_max.get(vid)
-        if latest is None:
+        arrivals = self._arrivals.get(vid)
+        if arrivals is None:
             arrivals = self._arrivals[vid] = self._crash_at.copy()
-        elif latest <= max(now, self._gst) + 1:
-            # An echo (its sender's copy landed at ``now``): no copy lands before
-            # max(now, GST) + 1, so none is queued. getrandbits(64 * k) takes
-            # exactly the 2 * k words of k random() draws.
-            self.rng.getrandbits(self._skip_bits[now < self._gst])
-            return
-        else:
-            arrivals = self._arrivals[vid]
-        ticks = self._delivery_times(now, self._peers)
-        ticks.insert(sender, now)
         # tuple.__new__ skips the NamedTuple's Python-level constructor.
         push, new, seq, queue = heapq.heappush, tuple.__new__, self._seq, self._queue
-        for peer, at in enumerate(ticks):
-            if at < arrivals[peer]:
-                arrivals[peer] = at
-                push(queue, new(SimEvent, (at, seq, DELIVER, peer, v)))
+        if self._one_tick and now >= self._gst:
+            if now < arrivals[sender]:
+                arrivals[sender] = now
+                push(queue, new(SimEvent, (now, seq, DELIVER, sender, v)))
                 seq += 1
+            at = now + 1
+            peers = [peer for peer, first in enumerate(arrivals) if at < first]
+            if peers:
+                for peer in peers:
+                    arrivals[peer] = at
+                peers.reverse()
+                seq += len(peers)
+                push(queue, new(SimEvent, (at, seq - 1, FANOUT, peers, v)))
+        else:
+            ticks = self._delivery_times(now, self._peers)
+            ticks.insert(sender, now)
+            for peer, at in enumerate(ticks):
+                if at < arrivals[peer]:
+                    arrivals[peer] = at
+                    push(queue, new(SimEvent, (at, seq, DELIVER, peer, v)))
+                    seq += 1
         self._arrival_max[vid] = max(arrivals)
         self._in_flight[vid] = self._in_flight.get(vid, 0) + seq - self._seq
         self._seq = seq
 
     def step(self) -> SimEvent | None:
-        """Pop and handle the next event; None once the queue is empty.
+        """Handle the next event, or one copy of a fan-out; None once the queue is empty.
+
+        A copy taken from a ``FANOUT`` entry is handled and returned as its
+        own ``DELIVER`` event, with its own sequence number. A copy that runs
+        at a peer other than the vertex's creator is echoed, unless the echo
+        can queue nothing: then it only advances the random stream by the
+        draws it skips.
 
         A delivery whose target already has an earlier copy of the vertex
         was overtaken: it is retired without running, without moving ``now``
@@ -235,10 +265,22 @@ class Simulation:
         when ``events_executed`` grew across the call. Only Delta >= 2 runs
         have overtaken copies.
         """
-        if not self._queue:
+        queue = self._queue
+        if not queue:
             return None
-        ev = heapq.heappop(self._queue)
-        at, _, kind, target, vertex = ev
+        ev = queue[0]
+        at, seq, kind, target, vertex = ev
+        if kind == FANOUT:
+            # The entry stays at the head, ahead of everything else, until
+            # its last copy is taken.
+            peers = target
+            target = peers.pop()
+            if not peers:
+                heapq.heappop(queue)
+            kind = DELIVER
+            ev = tuple.__new__(SimEvent, (at, seq - len(peers), DELIVER, target, vertex))
+        else:
+            heapq.heappop(queue)
         if kind == DELIVER:
             # It runs unless an earlier copy overtook it; no copy is ever
             # queued for a crashed peer, so none reaches one here.
@@ -247,6 +289,16 @@ class Simulation:
                 self.now = self.tracers[target].now = at
                 self.events_executed += 1
                 effects = self.nodes[target].on_deliver(vertex, at)
+                if target != vertex.source:
+                    # No copy lands before max(at, GST) + 1: an echo whose
+                    # row is already no later has nothing to queue, and skips
+                    # its draws; getrandbits(64 * k) takes exactly the 2 * k
+                    # words of k random() draws.
+                    gst = self._gst
+                    if self._arrival_max[vid] > (at if at > gst else gst) + 1:
+                        self.broadcast(target, vertex, at)
+                    elif skip := self._skip_bits[at < gst]:
+                        self.rng.getrandbits(skip)
                 for v in effects.broadcasts:
                     self.broadcast(target, v, at)
                 for deadline in effects.timers:

@@ -4,19 +4,20 @@ These stay deliberately naive: plain depth-first search for reachability
 (over ids built from each vertex's parent sources),
 literal per-round enumeration for scores, a step-by-step rendering of the
 swap rule, a hop-by-hop scan of client re-attachment, a per-copy
-broadcast loop, reliable-broadcast checkers that hold every honest
-node's first deliveries at once, and metrics that read the records in four
-passes. None of them share code with the package internals beyond the
-verdict and metrics types and the honest-node, committed-round and rank
-helpers.
+broadcast and event loop, a set test of parent completeness,
+reliable-broadcast checkers that hold every honest node's first deliveries
+at once, and metrics that read the records in four passes. None of them
+share code with the package internals beyond the verdict and metrics types
+and the honest-node, committed-round and rank helpers.
 """
 
+import heapq
 from typing import Any
 
 from repdag.checks import DeliveryVerdict
 from repdag.dag import DagState, UnknownVertex, VertexId
 from repdag.metrics import Metrics, Records, _nearest_rank, committed_anchor_rounds, honest_nodes
-from repdag.simnet import DELIVER
+from repdag.simnet import CRASH, DELIVER, TIMER
 
 
 def naive_path(dag: DagState, frm: VertexId, to: VertexId) -> bool:
@@ -112,11 +113,11 @@ def per_copy_broadcast(sim, sender, v, now):
     """``Simulation.broadcast`` as one loop over every peer, skipping nothing.
 
     Each copy gets its own delay draw, in peer order (none after GST with
-    Delta 1, where every copy lands at ``now + 1``), and is queued when it
-    lands before the peer's crash and before any other copy of ``v`` headed
-    to that peer. It keeps the simulator's bookkeeping (``_arrivals``, its
-    maximum in ``_arrival_max``, ``_in_flight``) so the simulator's ``step``
-    can run on it.
+    Delta 1, where every copy lands at ``now + 1``), and is queued as its own
+    ``DELIVER`` event when it lands before the peer's crash and before any
+    other copy of ``v`` headed to that peer. It keeps its per-vertex rows of
+    earliest landing ticks in ``sim._arrivals`` and never drops them, so only
+    :func:`per_copy_step` can run on what it queues.
     """
     cfg = sim.cfg
     crash_at = dict(cfg.fault_plan)
@@ -131,8 +132,51 @@ def per_copy_broadcast(sim, sender, v, now):
         if at < arrivals[peer] and at < crash_at.get(peer, float("inf")):
             arrivals[peer] = at
             sim._push(at, DELIVER, peer, v)
-            sim._in_flight[v.id] = sim._in_flight.get(v.id, 0) + 1
-    sim._arrival_max[v.id] = max(arrivals)
+
+
+def per_copy_step(sim):
+    """``Simulation.step`` as a plain per-copy loop: pop one event and handle it.
+
+    Every queued copy is its own event. A copy whose target has already seen
+    the vertex was overtaken and is retired without running or counting.
+    Every other copy runs, and its receiver, unless it created the vertex,
+    echoes it through :func:`per_copy_broadcast`, whether or not the echo can
+    queue anything. Returns the event, or None once the queue is empty.
+    """
+    if not sim._queue:
+        return None
+    ev = heapq.heappop(sim._queue)
+    at, _, kind, target, vertex = ev
+    node = sim.nodes[target]
+    if kind == DELIVER and vertex.id in node._seen:
+        return ev
+    sim.now = at
+    sim.events_executed += 1
+    if kind == CRASH:
+        node.crashed = True
+        return ev
+    if node.crashed:
+        return ev
+    sim.tracers[target].now = at
+    if kind == DELIVER:
+        effects = node.on_deliver(vertex, at)
+        if vertex.source != target:
+            per_copy_broadcast(sim, target, vertex, at)
+    elif kind == TIMER:
+        effects = node.on_timer(at)
+    else:
+        effects = node.boot(at)
+    for v in effects.broadcasts:
+        per_copy_broadcast(sim, target, v, at)
+    for deadline in effects.timers:
+        sim._push(deadline, TIMER, target, None)
+    return ev
+
+
+def parents_complete(dag: DagState, v) -> bool:
+    """The causal-completeness rule as a set test: every parent ``v`` names is
+    held one round below it."""
+    return dag.vertices_at(v.round - 1).keys() >= v.parents
 
 
 def _created_by(records_by_node):

@@ -94,6 +94,23 @@ class TestLeaderUtilization:
         assert not report.ok
         assert report.skipped > report.bound
 
+    def test_verdict_says_when_the_bound_cannot_be_exceeded(self):
+        # Round-robin keeps skipping the crashed leader's rounds, but 20 rounds
+        # hold fewer anchor rounds than the bound of 11 * 1 + 7.
+        cfg, result = quick_run(
+            seed=6, Delta=2, mode="round-robin", faultPlan=[[3, 0]], stop={"maxRound": 20}, T=10
+        )
+        report = check_leader_utilization(result.records_by_node, manifest_for(cfg))
+        assert report.ok and report.skipped > 0
+        assert report.bound == 18 >= report.anchor_rounds
+        cannot_fail = f"the window's {report.anchor_rounds} anchor rounds, so this check cannot fail"
+        assert str(report).endswith(cannot_fail)
+        # With more anchor rounds than the bound the verdict reads as before.
+        cfg, result = crashy_run()
+        report = check_leader_utilization(result.records_by_node, manifest_for(cfg))
+        assert report.anchor_rounds > report.bound
+        assert "cannot fail" not in str(report) and str(report).endswith("crashed 1)")
+
     def test_erasing_commits_raises_skips(self):
         cfg, result = crashy_run()
         records = copy.deepcopy(result.records_by_node)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,7 @@ from repdag.reputation import (
 )
 
 from .conftest import full_dag, mk_vertex, random_dag_vertices
-from .oracles import naive_path
+from .oracles import naive_path, parents_complete
 
 
 class TestInsert:
@@ -63,6 +64,60 @@ class TestInsert:
         ):
             with pytest.raises(ValueError, match="malformed vertex"):
                 mk_vertex(round, 3, parents)
+
+    def test_negative_ids_rejected(self):
+        # Not a bare shift error from building the parent mask.
+        for source, parents in ((0, [-1, 0, 1]), (-1, [0, 1, 2])):
+            with pytest.raises(ValueError, match="malformed vertex"):
+                mk_vertex(1, source, parents)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=4, max_value=12), st.integers(min_value=0, max_value=10**6))
+    def test_mask_check_matches_the_set_test(self, n, seed):
+        """``insert`` decides as the old rule, ``vertices_at(r - 1).keys() >= parents``."""
+        from repdag.committee import new_committee
+
+        committee = new_committee([1] * n)
+        quorum = committee.quorum_threshold
+        rng = random.Random(seed)
+        vertices = random_dag_vertices(rng, committee, 5)
+        rounds = max(v.round for v in vertices)
+        # Parents that are never created (absent sources, ids past n), and
+        # malformed vertices with fewer than quorum parents.
+        for _ in range(n):
+            r, s = rng.randint(1, rounds + 1), rng.randrange(n)
+            k = rng.randint(quorum, n)
+            extra = rng.sample(range(n + 3), k) if rng.random() < 0.3 else rng.sample(range(n), k)
+            vertices.append(mk_vertex(r, s, extra))
+            vertices.append(mk_vertex(r, s, rng.sample(range(n), rng.randint(1, quorum - 1))))
+        # Random delivery order, with duplicates.
+        order = vertices + rng.choices(vertices, k=len(vertices) // 3)
+        rng.shuffle(order)
+
+        dag, pending, outcomes = DagState(committee), [], Counter()
+
+        def deliver(v):
+            if v.round and len(v.parents) < quorum:
+                want = InsertOutcome.MALFORMED_EDGES
+            elif v.id in dag:
+                want = InsertOutcome.DUPLICATE
+            elif not parents_complete(dag, v):
+                want = InsertOutcome.MISSING_PARENTS
+            else:
+                want = InsertOutcome.INSERTED
+            got = dag.insert(v)
+            assert got is want, (v, got, want)
+            outcomes[got] += 1
+            return got
+
+        for v in order:
+            if deliver(v) is InsertOutcome.MISSING_PARENTS:
+                pending.append(v)
+            # Retry the buffered vertices until none goes in.
+            while any([deliver(p) is InsertOutcome.INSERTED for p in pending]):
+                pending = [p for p in pending if p.id not in dag]
+        assert set(outcomes) == set(InsertOutcome)
+        assert dag.held == {r: sum(1 << s for s in row) for r, row in dag.by_round.items()}
 
 
 class TestPath:

@@ -1,6 +1,5 @@
 import random
 from collections import Counter
-from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,11 +14,21 @@ from repdag.checks import (
 from repdag.config import parse_config
 from repdag.dag import Vertex, VertexId
 from repdag.reputation import initial_schedule
-from repdag.simnet import DELIVER, TIMER, Simulation, client_supply, run
+from repdag.simnet import DELIVER, FANOUT, TIMER, Simulation, client_supply, run
 from repdag.traces import serialize
 
 from .conftest import manifest_for, quick_run
-from .oracles import brute_client_counts, per_copy_broadcast
+from .oracles import brute_client_counts, per_copy_step
+
+
+def queued_copies(sim):
+    """(landing tick, peer) of every copy in the queue, fan-out entries included."""
+    for entry in sim._queue:
+        if entry.kind == DELIVER:
+            yield entry.at, entry.target
+        elif entry.kind == FANOUT:
+            for peer in entry.target:
+                yield entry.at, peer
 
 
 class TestDeliveryTiming:
@@ -99,26 +108,37 @@ class TestQueuedCopies:
         assert sim.events_executed == cfg.n * vertices + cfg.n + timers
 
     def test_no_copy_is_queued_for_a_crashed_peer(self):
+        # Per-copy entries only, then fan-out entries too.
+        for delta, gst, policy, plan in (
+            (4, 30, "random:10", [[2, 23], [5, 41]]),
+            (1, 10, "hold", [[2, 14], [5, 22]]),
+        ):
+            self.check_no_copy_for_crashed_peers(delta, gst, policy, plan)
+
+    def check_no_copy_for_crashed_peers(self, delta, gst, policy, plan):
         cfg = parse_config(
             {
                 "stakes": [1] * 7,
-                "Delta": 4,
-                "GST": 30,
-                "preGstPolicy": "random:10",
-                "faultPlan": [[2, 23], [5, 41]],
+                "Delta": delta,
+                "GST": gst,
+                "preGstPolicy": policy,
+                "faultPlan": plan,
                 "stop": {"maxRound": 30},
                 "seed": 6,
             }
         )
         crash_at = dict(cfg.fault_plan)
         sim = Simulation(cfg)
-        delivered_to_crashed = 0
+        delivered_to_crashed = fanned_out = 0
         while (ev := sim.step()) is not None:
-            for queued in sim._queue:
-                if queued.kind == DELIVER and queued.target in crash_at:
-                    assert queued.at < crash_at[queued.target], queued
+            for at, peer in queued_copies(sim):
+                if peer in crash_at:
+                    assert at < crash_at[peer], (at, peer)
+            fanned_out += sum(len(q.target) for q in sim._queue if q.kind == FANOUT)
             if ev.kind == DELIVER and ev.target in crash_at:
                 delivered_to_crashed += 1
+        # Fan-out entries exactly when Delta is 1, so their peers were read.
+        assert (fanned_out > 0) == (delta == 1)
         # The crashed validators took part before their crash, and the
         # others kept broadcasting to them after it.
         assert delivered_to_crashed > 0
@@ -127,10 +147,14 @@ class TestQueuedCopies:
                 assert tracer.records[-1]["at"] > max(crash_at.values())
 
     def test_no_copy_is_queued_for_a_validator_crashed_at_zero(self):
+        for delta in (3, 1):
+            self.check_no_copy_for_validators_crashed_at_zero(delta)
+
+    def check_no_copy_for_validators_crashed_at_zero(self, delta):
         cfg = parse_config(
             {
                 "stakes": [1] * 7,
-                "Delta": 3,
+                "Delta": delta,
                 "GST": 20,
                 "preGstPolicy": "random:5",
                 "faultPlan": [[1, 0], [4, 0]],
@@ -139,9 +163,12 @@ class TestQueuedCopies:
             }
         )
         sim = Simulation(cfg)
+        fanned_out = 0
         while (ev := sim.step()) is not None:
             assert not (ev.kind == DELIVER and ev.target in (1, 4)), ev
-            assert not [q for q in sim._queue if q.kind == DELIVER and q.target in (1, 4)]
+            assert not [peer for _, peer in queued_copies(sim) if peer in (1, 4)]
+            fanned_out += sum(len(q.target) for q in sim._queue if q.kind == FANOUT)
+        assert (fanned_out > 0) == (delta == 1)
         for tracer in sim.tracers:
             if tracer.node not in (1, 4):
                 assert [20, tracer.node] in [r["id"] for r in tracer.records if r["kind"] == "vertex-created"]
@@ -196,15 +223,21 @@ class TestQueuedCopies:
         assert peak(100) == peak(400)
 
 
-def drive(cfg, broadcast=None):
-    """Run ``cfg`` to its stop condition as ``run`` does and return the simulation."""
+def drive(cfg, step=Simulation.step):
+    """Run ``cfg`` to its stop condition as ``run`` does, one ``step(sim)`` at a time.
+
+    Returns the simulation and, per event returned, ``(at, kind, target,
+    vertex id, ran)``, where ``ran`` says whether ``events_executed`` grew.
+    """
     sim = Simulation(cfg)
-    if broadcast is not None:
-        sim.broadcast = partial(broadcast, sim)
     stop = cfg.max_time if cfg.max_time is not None else float("inf")
+    events = []
     while sim._queue and sim._queue[0].at <= stop:
-        sim.step()
-    return sim
+        executed = sim.events_executed
+        ev = step(sim)
+        vid = ev.vertex.id if ev.vertex is not None else None
+        events.append((ev.at, ev.kind, ev.target, vid, sim.events_executed > executed))
+    return sim, events
 
 
 equivalence_scenarios = st.integers(min_value=4, max_value=10).flatmap(
@@ -239,6 +272,19 @@ lone_creator = example(
         "seed": 0,
     }
 )
+# Delta 1 across GST: per-copy entries before it, fan-out entries after it,
+# a creator crashing mid-run and one crashed at t=0.
+delta_one_across_gst = example(
+    {
+        "stakes": [1] * 7,
+        "GST": 12,
+        "Delta": 1,
+        "preGstPolicy": "random:5",
+        "faultPlan": [[3, 0], [5, 19]],
+        "stop": {"maxRound": 16},
+        "seed": 8,
+    }
+)
 # Crashes at t=0 and mid-run under random pre-GST delays, cut by maxTime.
 crashes_cut_by_max_time = example(
     {
@@ -254,19 +300,24 @@ crashes_cut_by_max_time = example(
 
 
 class TestBroadcastEquivalence:
-    """Skipping dead echoes changes nothing a run shows, the random stream included."""
+    """Skipping dead echoes and sharing fan-out entries change nothing a run
+    shows, the random stream included."""
 
     @pytest.mark.filterwarnings("ignore:fault plan crashes")
     @settings(max_examples=100, deadline=None)
     @given(equivalence_scenarios)
     @lone_creator
+    @delta_one_across_gst
     @crashes_cut_by_max_time
     def test_matches_the_per_copy_loop(self, raw):
+        # The reference queues every copy on its own and sends every echo,
+        # dead or not, through the per-copy broadcast.
         cfg = parse_config(raw)
-        fast, slow = drive(cfg), drive(cfg, per_copy_broadcast)
+        (fast, fast_events), (slow, slow_events) = drive(cfg), drive(cfg, per_copy_step)
         assert [serialize(t.node, t.records) for t in fast.tracers] == [
             serialize(t.node, t.records) for t in slow.tracers
         ]
+        assert fast_events == slow_events
         assert (fast.now, fast.events_executed) == (slow.now, slow.events_executed)
         assert fast.rng.getstate() == slow.rng.getstate()
 
@@ -274,6 +325,7 @@ class TestBroadcastEquivalence:
     @settings(max_examples=30, deadline=None)
     @given(equivalence_scenarios)
     @lone_creator
+    @delta_one_across_gst
     @crashes_cut_by_max_time
     def test_running_maximum_tracks_the_arrivals_row(self, raw):
         # The dead-echo test reads the maximum instead of the row.
@@ -301,20 +353,102 @@ class TestBroadcastEquivalence:
         # only after GST; the pre-GST regimes are pinned here alone.
         cfg = parse_config({"stakes": [1] * 5, "seed": 3, **raw})
         now, v = 10, Vertex(VertexId(0, 0), frozenset())
-        sim, reference = Simulation(cfg), Simulation(cfg)
-        # Every peer already has a copy at ``now``, the sender 2 included.
+        sim = Simulation(cfg)
+        sim._queue.clear()
+        # Every peer already has a copy at ``now``; the one to 2 runs.
         sim._arrivals[v.id] = [now] * cfg.n
         sim._arrival_max[v.id] = now
         sim._in_flight[v.id] = 1
-        queued = list(sim._queue)
-        sim.broadcast(2, v, now)
-        assert sim._queue == queued
-        reference._delivery_times(now, cfg.n - 1)
-        assert sim.rng.getstate() == reference.rng.getstate()
+        sim._push(now, DELIVER, 2, v)
+        sim.broadcast = lambda *args: pytest.fail("a dead echo reached broadcast")
+        assert sim.step().target == 2 and sim.events_executed == 1
+        assert sim._queue == []
         words = random.Random(cfg.seed)
         for _ in range((cfg.n - 1) * draws_per_copy):
             words.random()
         assert sim.rng.getstate() == words.getstate()
+
+
+class TestEcho:
+    """The simulator, not the node, echoes each first delivery."""
+
+    @staticmethod
+    def echo_signals(sim):
+        """Count, per step, the echoes ``step`` issues: a ``broadcast`` of a
+        vertex by a peer other than its creator, or a dead echo's skip."""
+        signals = []
+        broadcast, getrandbits = sim.broadcast, sim.rng.getrandbits
+
+        def spy_broadcast(sender, v, now):
+            if sender != v.source:
+                signals.append(("live", sender, v.id, now))
+            broadcast(sender, v, now)
+
+        def spy_getrandbits(k):
+            signals.append(("dead",))
+            return getrandbits(k)
+
+        sim.broadcast, sim.rng.getrandbits = spy_broadcast, spy_getrandbits
+        return signals
+
+    def test_each_copy_that_runs_is_echoed_once_unless_at_its_creator(self):
+        # Delta 3: a dead echo after GST still skips its draws, so it shows.
+        cfg = parse_config(
+            {
+                "stakes": [1] * 7,
+                "Delta": 3,
+                "GST": 10,
+                "faultPlan": [[4, 30]],
+                "stop": {"maxRound": 20},
+                "seed": 1,
+            }
+        )
+        sim = Simulation(cfg)
+        signals = self.echo_signals(sim)
+        kinds = Counter()
+        own = 0
+        while True:
+            executed, before = sim.events_executed, len(signals)
+            if (ev := sim.step()) is None:
+                break
+            issued = signals[before:]
+            ran = sim.events_executed > executed
+            if ev.kind == DELIVER and ran and ev.target != ev.vertex.source:
+                assert len(issued) == 1, (ev, issued)
+                assert issued[0][0] == "dead" or issued[0][1:] == (ev.target, ev.vertex.id, ev.at)
+                kinds[issued[0][0]] += 1
+            else:
+                # The creator's own copy, an overtaken copy, boot, timer or crash.
+                own += ev.kind == DELIVER and ran and ev.target == ev.vertex.source
+                assert issued == [], (ev, issued)
+        assert kinds["live"] > 0 and kinds["dead"] > 0
+        assert own == sum(r["kind"] == "vertex-created" for t in sim.tracers for r in t.records)
+
+    def test_delta_one_echoes_never_reach_broadcast(self):
+        # After GST with Delta 1 every echo is dead and skips no draw, so
+        # broadcast sees only creations.
+        cfg = parse_config({"stakes": [1] * 7, "Delta": 1, "stop": {"maxRound": 12}, "seed": 2})
+        sim = Simulation(cfg)
+        signals = self.echo_signals(sim)
+        calls = Counter()
+        broadcast = sim.broadcast
+        sim.broadcast = lambda sender, v, now: calls.update([v.source == sender]) or broadcast(sender, v, now)
+        while sim.step() is not None:
+            pass
+        created = sum(r["kind"] == "vertex-created" for t in sim.tracers for r in t.records)
+        assert calls == {True: created} and signals == []
+
+    def test_duplicate_delivery_emits_nothing(self):
+        cfg = parse_config({"stakes": [1] * 4, "Delta": 2, "stop": {"maxRound": 6}, "seed": 0})
+        sim = Simulation(cfg)
+        while sim.step() is not None:
+            pass
+        node = sim.nodes[1]
+        records = list(node.tracer.records)
+        for vid in sorted(node._seen):
+            effects = node.on_deliver(node.dag.get(vid) or node.pending[vid], sim.now + 1)
+            assert effects.broadcasts == [] and effects.timers == []
+        assert node.tracer.records == records
 
 
 class TestDeterminism:
