@@ -100,12 +100,14 @@ class DagState:
         """Insert ``v`` if it has quorum parents and is causally complete.
 
         MALFORMED_EDGES means a non-genesis vertex with fewer than quorum
-        parents; the rest of its shape was checked when it was built.
-        MISSING_PARENTS means the caller should buffer and retry once the
-        parents arrive; DUPLICATE signals reliable-broadcast integrity
-        handling (same id already present).
+        parents, or a source or parent id outside the committee; the rest of
+        its shape was checked when it was built. MISSING_PARENTS means the
+        caller should buffer and retry once the parents arrive; DUPLICATE
+        signals reliable-broadcast integrity handling (same id already
+        present).
         """
-        if v.round and len(v.parents) < self.committee.quorum_threshold:
+        n = self.committee.n
+        if v.source >= n or v.mask >> n or (v.round and len(v.parents) < self.committee.quorum_threshold):
             return MALFORMED_EDGES
         row = self.by_round.get(v.round)
         if row is not None and v.source in row:

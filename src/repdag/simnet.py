@@ -3,9 +3,13 @@
 Partial synchrony: any message sent at time x arrives by Delta + max(GST, x).
 Before GST the adversary policy decides delays (either held until GST or a
 seeded random delay, clamped to the bound); after GST delays are seeded
-uniform in [1, Delta]. Time is integer ticks, events execute in (time, seq)
-order, and the whole run is a pure function of the config, so identical
-configs give bit-identical traces.
+uniform in [1, Delta]. Time is integer ticks, and the whole run is a pure
+function of the config, so identical configs give bit-identical traces.
+
+The event queue is a calendar (Brown, "Calendar queues", CACM 1988): one FIFO
+bucket per tick that holds events, and a heap of those ticks. Events run in
+tick order and, within a tick, in the order they were queued; an event queued
+for the tick being drained joins the end of its bucket.
 
 Every receiver echoes a vertex to all peers. The simulator issues the echo
 itself when a copy runs at a peer other than the vertex's creator (Narwhal
@@ -27,15 +31,6 @@ echo at ``now`` can queue nothing once that maximum is at or below
 ``max(now, GST) + 1``, the earliest tick a copy can land. After GST with
 Delta 1 that holds for every echo.
 
-After GST with Delta 1 all peers' copies of a broadcast land at ``now + 1``
-with consecutive sequence numbers (the sender's own copy, which lands at
-``now``, takes the number before them). They share one ``FANOUT`` queue
-entry that holds the peers still to receive one; ``step`` takes one peer
-from it per call and drops it with its last copy. Anything queued meanwhile has a larger
-sequence number or a later tick, so copies pop in the per-copy order, and
-``step`` still handles and returns one copy per call. Other copies are one
-``DELIVER`` entry each.
-
 A queued copy can still be overtaken by a faster echo queued after it
 (Delta >= 2). When it pops, its target has already seen the vertex, so it is
 retired without running. ``events_executed`` counts only events that can
@@ -53,6 +48,7 @@ from __future__ import annotations
 import gc
 import heapq
 import random
+from collections import deque
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -66,19 +62,15 @@ from .node import Node
 from .reputation import initial_schedule
 from .traces import Tracer
 
-# Event kinds; crash sorts before boot at equal (time, seq) by construction,
-# because fault-plan events are enqueued first. A FANOUT entry only sits in
-# the queue, and ``step`` never returns one: its ``target`` is the list of
-# peers still to receive a copy, the next one last, and its ``seq`` is that of
-# the last copy.
-CRASH, BOOT, DELIVER, TIMER, FANOUT = 0, 1, 2, 3, 4
+# Event kinds; a crash runs before a boot at the same tick, because fault-plan
+# events are queued first.
+CRASH, BOOT, DELIVER, TIMER = 0, 1, 2, 3
 # A tick later than any run reaches: "no crash" and "no copy yet".
 _NEVER = 1 << 62
 
 
 class SimEvent(NamedTuple):
     at: int
-    seq: int
     kind: int
     target: ValidatorId
     vertex: Vertex | None
@@ -145,8 +137,10 @@ class Simulation:
         self.committee = new_committee(list(cfg.stakes))
         genesis = initial_schedule(self.committee, cfg.seed, cfg.slot_length)
         self.rng = random.Random(cfg.seed)
-        self._seq = 0
-        self._queue: list[SimEvent] = []
+        # The calendar: a heap of the ticks that hold events, and per such
+        # tick its events in the order they were queued.
+        self._queue: list[int] = []
+        self._buckets: dict[int, deque[SimEvent]] = {}
         self._crash_at = [_NEVER] * self.committee.n
         for validator, crash_at in cfg.fault_plan:
             self._crash_at[validator] = crash_at
@@ -177,8 +171,6 @@ class Simulation:
         # the random bits a skipped echo advances the stream by after and
         # before GST (random() takes two 32-bit words), and the random:k bound.
         self._gst, self._peers, self._pre_max = cfg.gst, self.committee.n - 1, cfg.pre_gst_max
-        # After GST every copy lands one tick after its send: fan-out entries.
-        self._one_tick = cfg.delta == 1
         pre_gst_draws = 1 if self._pre_max is None else 2
         self._skip_bits = (64 * self._peers * (cfg.delta > 1), 64 * self._peers * pre_gst_draws)
         # Per vertex with copies in flight: per peer, the earliest tick a copy
@@ -191,14 +183,21 @@ class Simulation:
             self._push(0, BOOT, v, None)
 
     def _push(self, at: int, kind: int, target: int, vertex: Vertex | None) -> None:
-        heapq.heappush(self._queue, SimEvent(at, self._seq, kind, target, vertex))
-        self._seq += 1
+        ev = SimEvent(at, kind, target, vertex)
+        bucket = self._buckets.get(at)
+        if bucket is None:
+            self._buckets[at] = deque((ev,))
+            heapq.heappush(self._queue, at)
+        else:
+            bucket.append(ev)
 
     def _delivery_times(self, now: int, copies: int) -> list[int]:
         """Landing ticks of ``copies`` copies sent at ``now``, in draw order."""
         gst, delta, pre_max = self._gst, self.cfg.delta, self._pre_max
         rand = self.rng.random
         if now >= gst:
+            if delta == 1:
+                return [now + 1] * copies
             return [now + 1 + int(rand() * delta) for _ in range(copies)]
         if pre_max is None:
             return [gst + 1 + int(rand() * delta) for _ in range(copies)]
@@ -214,49 +213,36 @@ class Simulation:
         A copy is dropped when its peer crashes at or before it lands (crash
         events are queued first, so they pop first) or when a copy of ``v``
         already lands there at or before it (that copy pops first, so this
-        one would hit ``_seen``). After GST with Delta 1 the sender's own
-        copy, which lands at ``now``, is one ``DELIVER`` entry and the peers'
-        copies, which land at ``now + 1``, are one ``FANOUT`` entry.
+        one would hit ``_seen``). The sender's own copy lands at ``now``.
         """
         vid = v.id
         arrivals = self._arrivals.get(vid)
         if arrivals is None:
             arrivals = self._arrivals[vid] = self._crash_at.copy()
+        ticks = self._delivery_times(now, self._peers)
+        ticks.insert(sender, now)
         # tuple.__new__ skips the NamedTuple's Python-level constructor.
-        push, new, seq, queue = heapq.heappush, tuple.__new__, self._seq, self._queue
-        if self._one_tick and now >= self._gst:
-            if now < arrivals[sender]:
-                arrivals[sender] = now
-                push(queue, new(SimEvent, (now, seq, DELIVER, sender, v)))
-                seq += 1
-            at = now + 1
-            peers = [peer for peer, first in enumerate(arrivals) if at < first]
-            if peers:
-                for peer in peers:
-                    arrivals[peer] = at
-                peers.reverse()
-                seq += len(peers)
-                push(queue, new(SimEvent, (at, seq - 1, FANOUT, peers, v)))
-        else:
-            ticks = self._delivery_times(now, self._peers)
-            ticks.insert(sender, now)
-            for peer, at in enumerate(ticks):
-                if at < arrivals[peer]:
-                    arrivals[peer] = at
-                    push(queue, new(SimEvent, (at, seq, DELIVER, peer, v)))
-                    seq += 1
+        new, buckets, queue, queued = tuple.__new__, self._buckets, self._queue, 0
+        for peer, at in enumerate(ticks):
+            if at < arrivals[peer]:
+                arrivals[peer] = at
+                queued += 1
+                ev = new(SimEvent, (at, DELIVER, peer, v))
+                bucket = buckets.get(at)
+                if bucket is None:
+                    buckets[at] = deque((ev,))
+                    heapq.heappush(queue, at)
+                else:
+                    bucket.append(ev)
         self._arrival_max[vid] = max(arrivals)
-        self._in_flight[vid] = self._in_flight.get(vid, 0) + seq - self._seq
-        self._seq = seq
+        self._in_flight[vid] = self._in_flight.get(vid, 0) + queued
 
     def step(self) -> SimEvent | None:
-        """Handle the next event, or one copy of a fan-out; None once the queue is empty.
+        """Pop and handle the next event; None once the queue is empty.
 
-        A copy taken from a ``FANOUT`` entry is handled and returned as its
-        own ``DELIVER`` event, with its own sequence number. A copy that runs
-        at a peer other than the vertex's creator is echoed, unless the echo
-        can queue nothing: then it only advances the random stream by the
-        draws it skips.
+        A copy that runs at a peer other than the vertex's creator is echoed,
+        unless the echo can queue nothing: then it only advances the random
+        stream by the draws it skips.
 
         A delivery whose target already has an earlier copy of the vertex
         was overtaken: it is retired without running, without moving ``now``
@@ -268,24 +254,19 @@ class Simulation:
         queue = self._queue
         if not queue:
             return None
-        ev = queue[0]
-        at, seq, kind, target, vertex = ev
-        if kind == FANOUT:
-            # The entry stays at the head, ahead of everything else, until
-            # its last copy is taken.
-            peers = target
-            target = peers.pop()
-            if not peers:
-                heapq.heappop(queue)
-            kind = DELIVER
-            ev = tuple.__new__(SimEvent, (at, seq - len(peers), DELIVER, target, vertex))
-        else:
+        at = queue[0]
+        bucket = self._buckets[at]
+        ev = bucket.popleft()
+        if not bucket:
             heapq.heappop(queue)
+            del self._buckets[at]
+        _, kind, target, vertex = ev
         if kind == DELIVER:
             # It runs unless an earlier copy overtook it; no copy is ever
             # queued for a crashed peer, so none reaches one here.
             vid = vertex.id
-            if self._arrivals[vid][target] >= at:
+            runs = self._arrivals[vid][target] >= at
+            if runs:
                 self.now = self.tracers[target].now = at
                 self.events_executed += 1
                 effects = self.nodes[target].on_deliver(vertex, at)
@@ -299,10 +280,6 @@ class Simulation:
                         self.broadcast(target, vertex, at)
                     elif skip := self._skip_bits[at < gst]:
                         self.rng.getrandbits(skip)
-                for v in effects.broadcasts:
-                    self.broadcast(target, v, at)
-                for deadline in effects.timers:
-                    self._push(deadline, TIMER, target, None)
             # One queued copy is gone; with none left, no copy can deliver
             # the vertex first anywhere, so nobody can echo it again.
             left = self._in_flight[vid] - 1
@@ -310,23 +287,20 @@ class Simulation:
                 self._in_flight[vid] = left
             else:
                 del self._in_flight[vid], self._arrivals[vid], self._arrival_max[vid]
-            return ev
-        self.now = at
-        self.events_executed += 1
-        node = self.nodes[target]
-        if kind == CRASH:
-            node.crashed = True
-            return ev
-        if node.crashed:
-            # Timers to crashed nodes are dropped at execution.
-            return ev
-        self.tracers[target].now = at
-        if kind == TIMER:
-            effects = node.on_timer(at)
-        elif kind == BOOT:
-            effects = node.boot(at)
+            if not runs:
+                return ev
         else:
-            raise AssertionError(f"unknown event kind {kind}")
+            self.now = at
+            self.events_executed += 1
+            node = self.nodes[target]
+            if kind == CRASH:
+                node.crashed = True
+                return ev
+            if node.crashed:
+                # Timers to crashed nodes are dropped at execution.
+                return ev
+            self.tracers[target].now = at
+            effects = node.on_timer(at) if kind == TIMER else node.boot(at)
         for v in effects.broadcasts:
             self.broadcast(target, v, at)
         for deadline in effects.timers:
@@ -344,7 +318,7 @@ def run(cfg: SimConfig) -> RunResult:
     sim = Simulation(cfg)
     with gc_paused():
         if cfg.max_time is not None:
-            while sim._queue and sim._queue[0].at <= cfg.max_time:
+            while sim._queue and sim._queue[0] <= cfg.max_time:
                 sim.step()
         else:
             while sim._queue:

@@ -4,11 +4,12 @@ These stay deliberately naive: plain depth-first search for reachability
 (over ids built from each vertex's parent sources),
 literal per-round enumeration for scores, a step-by-step rendering of the
 swap rule, a hop-by-hop scan of client re-attachment, a per-copy
-broadcast and event loop, a set test of parent completeness,
-reliable-broadcast checkers that hold every honest node's first deliveries
-at once, and metrics that read the records in four passes. None of them
-share code with the package internals beyond the verdict and metrics types
-and the honest-node, committed-round and rank helpers.
+broadcast and event loop over a plain (time, seq) heap, a set test of
+parent completeness, reliable-broadcast checkers that hold every honest
+node's first deliveries at once, and metrics that read the records in four
+passes. None of them share code with the package internals beyond the
+verdict, metrics and event types and the honest-node, committed-round and
+rank helpers.
 """
 
 import heapq
@@ -17,7 +18,7 @@ from typing import Any
 from repdag.checks import DeliveryVerdict
 from repdag.dag import DagState, UnknownVertex, VertexId
 from repdag.metrics import Metrics, Records, _nearest_rank, committed_anchor_rounds, honest_nodes
-from repdag.simnet import CRASH, DELIVER, TIMER
+from repdag.simnet import BOOT, CRASH, DELIVER, TIMER, SimEvent
 
 
 def naive_path(dag: DagState, frm: VertexId, to: VertexId) -> bool:
@@ -109,68 +110,93 @@ def per_copy_delay(rng, cfg, now):
     return min(held + 1 + int(rng.random() * cfg.delta), cfg.gst + cfg.delta)
 
 
-def per_copy_broadcast(sim, sender, v, now):
-    """``Simulation.broadcast`` as one loop over every peer, skipping nothing.
+class PerCopyLoop:
+    """``Simulation.step`` and ``broadcast`` as a plain per-copy loop.
 
-    Each copy gets its own delay draw, in peer order (none after GST with
-    Delta 1, where every copy lands at ``now + 1``), and is queued as its own
-    ``DELIVER`` event when it lands before the peer's crash and before any
-    other copy of ``v`` headed to that peer. It keeps its per-vertex rows of
-    earliest landing ticks in ``sim._arrivals`` and never drops them, so only
-    :func:`per_copy_step` can run on what it queues.
+    It keeps its own queue, a heap of ``(at, seq, event)`` entries with a
+    counter for ``seq``, and its own rows of earliest landing ticks, which it
+    never drops. It takes the simulation's initial events out of the calendar
+    and queues its own: the fault plan's crashes, then every boot. Only the
+    nodes, tracers, clock and random stream of ``sim`` are shared.
     """
-    cfg = sim.cfg
-    crash_at = dict(cfg.fault_plan)
-    arrivals = sim._arrivals.setdefault(v.id, [float("inf")] * cfg.n)
-    for peer in range(cfg.n):
-        if peer == sender:
-            at = now
-        elif now >= cfg.gst and cfg.delta == 1:
-            at = now + 1
+
+    def __init__(self, sim):
+        self.sim, self.heap, self.seq, self.arrivals = sim, [], 0, {}
+        sim._queue.clear()
+        sim._buckets.clear()
+        for validator, at in sim.cfg.fault_plan:
+            self.push(at, CRASH, validator, None)
+        for validator in range(sim.cfg.n):
+            self.push(0, BOOT, validator, None)
+
+    def push(self, at, kind, target, vertex):
+        heapq.heappush(self.heap, (at, self.seq, SimEvent(at, kind, target, vertex)))
+        self.seq += 1
+
+    def next_tick(self):
+        """The tick of the next event, or None once the queue is empty."""
+        return self.heap[0][0] if self.heap else None
+
+    def broadcast(self, sender, v, now):
+        """One loop over every peer, skipping nothing.
+
+        Each copy gets its own delay draw, in peer order (none after GST with
+        Delta 1, where every copy lands at ``now + 1``), and is queued as its
+        own ``DELIVER`` event when it lands before the peer's crash and before
+        any other copy of ``v`` headed to that peer.
+        """
+        cfg = self.sim.cfg
+        crash_at = dict(cfg.fault_plan)
+        arrivals = self.arrivals.setdefault(v.id, [float("inf")] * cfg.n)
+        for peer in range(cfg.n):
+            if peer == sender:
+                at = now
+            elif now >= cfg.gst and cfg.delta == 1:
+                at = now + 1
+            else:
+                at = per_copy_delay(self.sim.rng, cfg, now)
+            if at < arrivals[peer] and at < crash_at.get(peer, float("inf")):
+                arrivals[peer] = at
+                self.push(at, DELIVER, peer, v)
+
+    def step(self):
+        """Pop one event and handle it; None once the queue is empty.
+
+        Every queued copy is its own event. A copy whose target has already
+        seen the vertex was overtaken and is retired without running or
+        counting. Every other copy runs, and its receiver, unless it created
+        the vertex, echoes it through :meth:`broadcast`, whether or not the
+        echo can queue anything.
+        """
+        if not self.heap:
+            return None
+        sim = self.sim
+        ev = heapq.heappop(self.heap)[2]
+        at, kind, target, vertex = ev
+        node = sim.nodes[target]
+        if kind == DELIVER and vertex.id in node._seen:
+            return ev
+        sim.now = at
+        sim.events_executed += 1
+        if kind == CRASH:
+            node.crashed = True
+            return ev
+        if node.crashed:
+            return ev
+        sim.tracers[target].now = at
+        if kind == DELIVER:
+            effects = node.on_deliver(vertex, at)
+            if vertex.source != target:
+                self.broadcast(target, vertex, at)
+        elif kind == TIMER:
+            effects = node.on_timer(at)
         else:
-            at = per_copy_delay(sim.rng, cfg, now)
-        if at < arrivals[peer] and at < crash_at.get(peer, float("inf")):
-            arrivals[peer] = at
-            sim._push(at, DELIVER, peer, v)
-
-
-def per_copy_step(sim):
-    """``Simulation.step`` as a plain per-copy loop: pop one event and handle it.
-
-    Every queued copy is its own event. A copy whose target has already seen
-    the vertex was overtaken and is retired without running or counting.
-    Every other copy runs, and its receiver, unless it created the vertex,
-    echoes it through :func:`per_copy_broadcast`, whether or not the echo can
-    queue anything. Returns the event, or None once the queue is empty.
-    """
-    if not sim._queue:
-        return None
-    ev = heapq.heappop(sim._queue)
-    at, _, kind, target, vertex = ev
-    node = sim.nodes[target]
-    if kind == DELIVER and vertex.id in node._seen:
+            effects = node.boot(at)
+        for v in effects.broadcasts:
+            self.broadcast(target, v, at)
+        for deadline in effects.timers:
+            self.push(deadline, TIMER, target, None)
         return ev
-    sim.now = at
-    sim.events_executed += 1
-    if kind == CRASH:
-        node.crashed = True
-        return ev
-    if node.crashed:
-        return ev
-    sim.tracers[target].now = at
-    if kind == DELIVER:
-        effects = node.on_deliver(vertex, at)
-        if vertex.source != target:
-            per_copy_broadcast(sim, target, vertex, at)
-    elif kind == TIMER:
-        effects = node.on_timer(at)
-    else:
-        effects = node.boot(at)
-    for v in effects.broadcasts:
-        per_copy_broadcast(sim, target, v, at)
-    for deadline in effects.timers:
-        sim._push(deadline, TIMER, target, None)
-    return ev
 
 
 def parents_complete(dag: DagState, v) -> bool:

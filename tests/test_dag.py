@@ -71,10 +71,24 @@ class TestInsert:
             with pytest.raises(ValueError, match="malformed vertex"):
                 mk_vertex(1, source, parents)
 
+    def test_out_of_range_ids_rejected(self, committee4):
+        # A parent id >= n would wait in ``pending`` for ever, and a source
+        # >= n would count toward its round's quorum.
+        dag = full_dag(committee4, 1)
+        for round, source, parents in (
+            (2, 0, [0, 1, 4]),  # parent past n
+            (2, 4, [0, 1, 2]),  # source past n
+            (0, 4, []),  # genesis source past n
+        ):
+            assert dag.insert(mk_vertex(round, source, parents)) is InsertOutcome.MALFORMED_EDGES
+        assert sorted(dag.vertices_at(0)) == [0, 1, 2, 3]
+        assert dag.vertices_at(2) == {}
+
     @settings(max_examples=150, deadline=None)
     @given(st.integers(min_value=4, max_value=12), st.integers(min_value=0, max_value=10**6))
     def test_mask_check_matches_the_set_test(self, n, seed):
-        """``insert`` decides as the old rule, ``vertices_at(r - 1).keys() >= parents``."""
+        """``insert`` decides as the old rule, ``vertices_at(r - 1).keys() >= parents``,
+        after a set test of the ids against the committee."""
         from repdag.committee import new_committee
 
         committee = new_committee([1] * n)
@@ -82,10 +96,10 @@ class TestInsert:
         rng = random.Random(seed)
         vertices = random_dag_vertices(rng, committee, 5)
         rounds = max(v.round for v in vertices)
-        # Parents that are never created (absent sources, ids past n), and
-        # malformed vertices with fewer than quorum parents.
+        # Parents that are never created (absent sources), source and parent
+        # ids past n, and vertices with fewer than quorum parents.
         for _ in range(n):
-            r, s = rng.randint(1, rounds + 1), rng.randrange(n)
+            r, s = rng.randint(1, rounds + 1), rng.randrange(n + 1)
             k = rng.randint(quorum, n)
             extra = rng.sample(range(n + 3), k) if rng.random() < 0.3 else rng.sample(range(n), k)
             vertices.append(mk_vertex(r, s, extra))
@@ -96,8 +110,10 @@ class TestInsert:
 
         dag, pending, outcomes = DagState(committee), [], Counter()
 
+        members = set(committee.members)
+
         def deliver(v):
-            if v.round and len(v.parents) < quorum:
+            if (v.round and len(v.parents) < quorum) or v.source not in members or not v.parents <= members:
                 want = InsertOutcome.MALFORMED_EDGES
             elif v.id in dag:
                 want = InsertOutcome.DUPLICATE

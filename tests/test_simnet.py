@@ -14,29 +14,32 @@ from repdag.checks import (
 from repdag.config import parse_config
 from repdag.dag import Vertex, VertexId
 from repdag.reputation import initial_schedule
-from repdag.simnet import DELIVER, FANOUT, TIMER, Simulation, client_supply, run
+from repdag.simnet import BOOT, CRASH, DELIVER, TIMER, Simulation, client_supply, run
 from repdag.traces import serialize
 
 from .conftest import manifest_for, quick_run
-from .oracles import brute_client_counts, per_copy_step
+from .oracles import PerCopyLoop, brute_client_counts
 
 
 def queued_copies(sim):
-    """(landing tick, peer) of every copy in the queue, fan-out entries included."""
-    for entry in sim._queue:
-        if entry.kind == DELIVER:
-            yield entry.at, entry.target
-        elif entry.kind == FANOUT:
-            for peer in entry.target:
-                yield entry.at, peer
+    """(landing tick, peer) of every copy in the calendar's buckets."""
+    for at, bucket in sim._buckets.items():
+        for ev in bucket:
+            if ev.kind == DELIVER:
+                yield at, ev.target
 
 
 class TestDeliveryTiming:
     def test_post_gst_window(self):
-        cfg = parse_config({"stakes": [1, 1, 1, 1], "GST": 0, "Delta": 5, "seed": 1})
-        sim = Simulation(cfg)
-        for d in sim._delivery_times(40, 300):
-            assert 40 < d <= 45
+        for delta in (5, 1):
+            cfg = parse_config({"stakes": [1, 1, 1, 1], "GST": 0, "Delta": delta, "seed": 1})
+            sim = Simulation(cfg)
+            state = sim.rng.getstate()
+            ticks = sim._delivery_times(40, 300)
+            assert all(40 < d <= 40 + delta for d in ticks)
+        # Delta 1: every copy lands at now + 1, and nothing is drawn.
+        assert ticks == [41] * 300
+        assert sim.rng.getstate() == state
 
     def test_pre_gst_hold_until_gst(self):
         cfg = parse_config({"stakes": [1, 1, 1, 1], "GST": 100, "Delta": 5, "seed": 1})
@@ -61,12 +64,44 @@ class TestDeliveryTiming:
 
 
 class TestStep:
-    def test_equal_time_ties_break_by_seq(self):
-        cfg = parse_config({"stakes": [1, 1, 1, 1], "seed": 0})
+    def test_events_at_one_tick_run_in_push_order(self):
+        # The fault plan's crash is queued before the boots, so it runs first.
+        # Each boot queues its sender's own copy at the tick being drained,
+        # behind the boots already there.
+        cfg = parse_config({"stakes": [1] * 4, "faultPlan": [[2, 0]], "Delta": 2, "seed": 0})
         sim = Simulation(cfg)
-        first = sim.step()
-        second = sim.step()
-        assert (first.at, first.seq) <= (second.at, second.seq)
+        events = [sim.step() for _ in range(8)]
+        assert [(ev.at, ev.kind, ev.target) for ev in events] == [
+            (0, CRASH, 2),
+            (0, BOOT, 0),
+            (0, BOOT, 1),
+            (0, BOOT, 2),
+            (0, BOOT, 3),
+            (0, DELIVER, 0),
+            (0, DELIVER, 1),
+            (0, DELIVER, 3),
+        ]
+        assert [ev.vertex.id for ev in events[5:]] == [(0, 0), (0, 1), (0, 3)]
+        assert sim._queue[0] == 1 and 0 not in sim._buckets
+
+    def test_a_push_to_a_just_emptied_tick_runs_first(self):
+        # The lone boot empties tick 0's bucket; its own copy then opens a new
+        # one there, ahead of the peers' copies at tick 1.
+        cfg = parse_config({"stakes": [1] * 4, "Delta": 1, "seed": 0})
+        sim = Simulation(cfg)
+        sim._queue.clear()
+        sim._buckets.clear()
+        sim._push(0, BOOT, 0, None)
+        assert sim.step().kind == BOOT
+        assert sorted(sim._queue) == [0, 1]
+        assert {at: len(bucket) for at, bucket in sim._buckets.items()} == {0: 1, 1: 3}
+        events = [sim.step() for _ in range(4)]
+        assert [(ev.at, ev.kind, ev.target) for ev in events] == [
+            (0, DELIVER, 0),
+            (1, DELIVER, 1),
+            (1, DELIVER, 2),
+            (1, DELIVER, 3),
+        ]
 
     def test_crash_is_absorbing(self):
         cfg = parse_config({"stakes": [1, 1, 1, 1], "faultPlan": [[2, 5]], "stop": {"maxRound": 12}})
@@ -108,7 +143,7 @@ class TestQueuedCopies:
         assert sim.events_executed == cfg.n * vertices + cfg.n + timers
 
     def test_no_copy_is_queued_for_a_crashed_peer(self):
-        # Per-copy entries only, then fan-out entries too.
+        # Delta 4, then Delta 1, whose copies after GST share one tick.
         for delta, gst, policy, plan in (
             (4, 30, "random:10", [[2, 23], [5, 41]]),
             (1, 10, "hold", [[2, 14], [5, 22]]),
@@ -129,16 +164,15 @@ class TestQueuedCopies:
         )
         crash_at = dict(cfg.fault_plan)
         sim = Simulation(cfg)
-        delivered_to_crashed = fanned_out = 0
+        delivered_to_crashed = copies_read = 0
         while (ev := sim.step()) is not None:
             for at, peer in queued_copies(sim):
+                copies_read += 1
                 if peer in crash_at:
                     assert at < crash_at[peer], (at, peer)
-            fanned_out += sum(len(q.target) for q in sim._queue if q.kind == FANOUT)
             if ev.kind == DELIVER and ev.target in crash_at:
                 delivered_to_crashed += 1
-        # Fan-out entries exactly when Delta is 1, so their peers were read.
-        assert (fanned_out > 0) == (delta == 1)
+        assert copies_read > 0
         # The crashed validators took part before their crash, and the
         # others kept broadcasting to them after it.
         assert delivered_to_crashed > 0
@@ -163,12 +197,13 @@ class TestQueuedCopies:
             }
         )
         sim = Simulation(cfg)
-        fanned_out = 0
+        copies_read = 0
         while (ev := sim.step()) is not None:
             assert not (ev.kind == DELIVER and ev.target in (1, 4)), ev
-            assert not [peer for _, peer in queued_copies(sim) if peer in (1, 4)]
-            fanned_out += sum(len(q.target) for q in sim._queue if q.kind == FANOUT)
-        assert (fanned_out > 0) == (delta == 1)
+            peers = [peer for _, peer in queued_copies(sim)]
+            assert 1 not in peers and 4 not in peers
+            copies_read += len(peers)
+        assert copies_read > 0
         for tracer in sim.tracers:
             if tracer.node not in (1, 4):
                 assert [20, tracer.node] in [r["id"] for r in tracer.records if r["kind"] == "vertex-created"]
@@ -223,18 +258,25 @@ class TestQueuedCopies:
         assert peak(100) == peak(400)
 
 
-def drive(cfg, step=Simulation.step):
-    """Run ``cfg`` to its stop condition as ``run`` does, one ``step(sim)`` at a time.
+def drive(cfg, per_copy=False):
+    """Run ``cfg`` to its stop condition as ``run`` does, one step at a time.
 
-    Returns the simulation and, per event returned, ``(at, kind, target,
-    vertex id, ran)``, where ``ran`` says whether ``events_executed`` grew.
+    Steps go through the calendar or, with ``per_copy``, through the
+    reference loop's own ``(at, seq)`` heap. Returns the simulation and, per
+    event returned, ``(at, kind, target, vertex id, ran)``, where ``ran`` says
+    whether ``events_executed`` grew.
     """
     sim = Simulation(cfg)
+    if per_copy:
+        reference = PerCopyLoop(sim)
+        step, next_tick = reference.step, reference.next_tick
+    else:
+        step, next_tick = sim.step, lambda: sim._queue[0] if sim._queue else None
     stop = cfg.max_time if cfg.max_time is not None else float("inf")
     events = []
-    while sim._queue and sim._queue[0].at <= stop:
+    while (at := next_tick()) is not None and at <= stop:
         executed = sim.events_executed
-        ev = step(sim)
+        ev = step()
         vid = ev.vertex.id if ev.vertex is not None else None
         events.append((ev.at, ev.kind, ev.target, vid, sim.events_executed > executed))
     return sim, events
@@ -272,8 +314,8 @@ lone_creator = example(
         "seed": 0,
     }
 )
-# Delta 1 across GST: per-copy entries before it, fan-out entries after it,
-# a creator crashing mid-run and one crashed at t=0.
+# Delta 1 across GST: drawn delays before it, every peer's copy one tick after
+# its send after it, a creator crashing mid-run and one crashed at t=0.
 delta_one_across_gst = example(
     {
         "stakes": [1] * 7,
@@ -300,8 +342,8 @@ crashes_cut_by_max_time = example(
 
 
 class TestBroadcastEquivalence:
-    """Skipping dead echoes and sharing fan-out entries change nothing a run
-    shows, the random stream included."""
+    """Skipping dead echoes and queueing by per-tick buckets change nothing a
+    run shows, the random stream included."""
 
     @pytest.mark.filterwarnings("ignore:fault plan crashes")
     @settings(max_examples=100, deadline=None)
@@ -310,10 +352,10 @@ class TestBroadcastEquivalence:
     @delta_one_across_gst
     @crashes_cut_by_max_time
     def test_matches_the_per_copy_loop(self, raw):
-        # The reference queues every copy on its own and sends every echo,
-        # dead or not, through the per-copy broadcast.
+        # The reference queues every copy on its own in a (time, seq) heap and
+        # sends every echo, dead or not, through the per-copy broadcast.
         cfg = parse_config(raw)
-        (fast, fast_events), (slow, slow_events) = drive(cfg), drive(cfg, per_copy_step)
+        (fast, fast_events), (slow, slow_events) = drive(cfg), drive(cfg, per_copy=True)
         assert [serialize(t.node, t.records) for t in fast.tracers] == [
             serialize(t.node, t.records) for t in slow.tracers
         ]
@@ -332,7 +374,7 @@ class TestBroadcastEquivalence:
         cfg = parse_config(raw)
         sim = Simulation(cfg)
         stop = cfg.max_time if cfg.max_time is not None else float("inf")
-        while sim._queue and sim._queue[0].at <= stop:
+        while sim._queue and sim._queue[0] <= stop:
             sim.step()
             assert sim._arrival_max == {vid: max(row) for vid, row in sim._arrivals.items()}
         if cfg.max_time is None:
@@ -355,6 +397,7 @@ class TestBroadcastEquivalence:
         now, v = 10, Vertex(VertexId(0, 0), frozenset())
         sim = Simulation(cfg)
         sim._queue.clear()
+        sim._buckets.clear()
         # Every peer already has a copy at ``now``; the one to 2 runs.
         sim._arrivals[v.id] = [now] * cfg.n
         sim._arrival_max[v.id] = now
@@ -362,7 +405,7 @@ class TestBroadcastEquivalence:
         sim._push(now, DELIVER, 2, v)
         sim.broadcast = lambda *args: pytest.fail("a dead echo reached broadcast")
         assert sim.step().target == 2 and sim.events_executed == 1
-        assert sim._queue == []
+        assert sim._queue == [] and sim._buckets == {}
         words = random.Random(cfg.seed)
         for _ in range((cfg.n - 1) * draws_per_copy):
             words.random()
