@@ -9,7 +9,9 @@ one honest node's records at a time. Besides that node's deliveries they
 hold one run-wide table of vertex ids (the created ones, or the union of the
 delivered ones), never one per node: delivery records grow with n^2 per
 round, a single node's with n. The rb checkers build ``missing`` only when
-they fail.
+they fail. They read a vertex id by unpacking it into its two fields, so an id
+that is not a pair raises ``ValueError`` (a bad trace) instead of counting as
+a vertex nobody created.
 """
 
 from __future__ import annotations
@@ -154,7 +156,8 @@ def _pre_gst_round(records_by_node: Records, honest: list[int], gst: int) -> int
     for node in honest:
         for rec in records_by_node.get(node, []):
             if rec["kind"] == "vertex-created" and rec["at"] <= gst:
-                top = max(top, rec["id"][0])
+                r, _ = rec["id"]
+                top = max(top, r)
     return top
 
 
@@ -199,13 +202,14 @@ def _created_by(records_by_node: Records) -> dict[tuple[int, int], int]:
     for node, records in records_by_node.items():
         for rec in records:
             if rec["kind"] == "vertex-created":
-                created[tuple(rec["id"])] = rec["at"]
+                r, s = rec["id"]
+                created[r, s] = rec["at"]
     return created
 
 
 def _delivered_ids(records: list[dict[str, Any]]) -> set[tuple[int, int]]:
     """The vertex ids a node delivered."""
-    return {tuple(rec["id"]) for rec in records if rec["kind"] == "vertex-delivered"}
+    return {(r, s) for rec in records if rec["kind"] == "vertex-delivered" for r, s in (rec["id"],)}
 
 
 def _first_deliveries(records: list[dict[str, Any]]) -> dict[tuple[int, int], int]:
@@ -213,7 +217,8 @@ def _first_deliveries(records: list[dict[str, Any]]) -> dict[tuple[int, int], in
     ticks: dict[tuple[int, int], int] = {}
     for rec in records:
         if rec["kind"] == "vertex-delivered":
-            ticks.setdefault(tuple(rec["id"]), rec["at"])
+            r, s = rec["id"]
+            ticks.setdefault((r, s), rec["at"])
     return ticks
 
 

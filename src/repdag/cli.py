@@ -53,11 +53,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
         wanted = [runner for _flag, runner in CHECKERS]
     try:
         verdicts = [runner(records, manifest) for runner in wanted]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         # The parser checks record kinds, not payloads; a checker that trips
-        # over a missing or mistyped field read a bad trace. This also
-        # reports a checker's own KeyError or TypeError as a trace error.
-        raise TraceInvalid(f"a record lacks a field or has one of the wrong type: {exc!r}") from exc
+        # over a missing or mistyped field, or a vertex id that is not a
+        # pair, read a bad trace. This also reports a checker's own KeyError,
+        # TypeError or ValueError as a trace error.
+        raise TraceInvalid(f"a record lacks a field or has one of the wrong type or shape: {exc!r}") from exc
     failed = False
     for verdict in verdicts:
         print(str(verdict))

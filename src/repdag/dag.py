@@ -73,6 +73,8 @@ class DagState:
 
     def __init__(self, committee: Committee):
         self.committee = committee
+        # The committee is frozen; insert reads these on every copy.
+        self._n, self._quorum = committee.n, committee.quorum_threshold
         self.by_round: dict[int, dict[ValidatorId, Vertex]] = {}
         # Per round, the sources held there as a bitmask (bit s for source s).
         self.held: dict[int, int] = {}
@@ -106,21 +108,21 @@ class DagState:
         signals reliable-broadcast integrity handling (same id already
         present).
         """
-        n = self.committee.n
-        if v.source >= n or v.mask >> n or (v.round and len(v.parents) < self.committee.quorum_threshold):
+        r, source, mask, n = v.round, v.source, v.mask, self._n
+        if source >= n or mask >> n or (r and len(v.parents) < self._quorum):
             return MALFORMED_EDGES
-        row = self.by_round.get(v.round)
-        if row is not None and v.source in row:
+        row = self.by_round.get(r)
+        if row is not None and source in row:
             return DUPLICATE
         held = self.held
-        if v.mask & ~held.get(v.round - 1, 0):
+        if mask & ~held.get(r - 1, 0):
             return MISSING_PARENTS
         if row is None:
-            row = self.by_round[v.round] = {}
-        row[v.source] = v
-        held[v.round] = held.get(v.round, 0) | 1 << v.source
-        if v.round > self.highest_round:
-            self.highest_round = v.round
+            row = self.by_round[r] = {}
+        row[source] = v
+        held[r] = held.get(r, 0) | 1 << source
+        if r > self.highest_round:
+            self.highest_round = r
         return INSERTED
 
 

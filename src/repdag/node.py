@@ -3,7 +3,9 @@
 One node owns one dag and one commit state. It reacts to three stimuli:
 boot (create the genesis vertex), delivery of a vertex, and timer expiry.
 Each handler runs to completion and returns the broadcasts and timer
-requests it produced; all inter-node effects travel through the simulator.
+requests it produced as an ``Effects``, or None when it produced neither (a
+duplicate, a copy to a crashed node, and most deliveries, which only fill a
+DAG row); all inter-node effects travel through the simulator.
 Relaying a delivered vertex to the peers (the reliable-broadcast echo) is the
 simulator's job too, as in Narwhal, where dissemination lives in the
 transport: a node returns only the vertices it creates.
@@ -46,6 +48,7 @@ class Node:
     ):
         self.me = me
         self.committee = committee
+        self._quorum = committee.quorum_threshold
         self.dag = DagState(committee)
         self.commit = CommitState(committee, ScheduleBook(genesis_schedule), switch_span, exclusion_fraction)
         self.tracer = tracer
@@ -62,37 +65,43 @@ class Node:
 
     # -- stimuli ---------------------------------------------------------
 
-    def boot(self, now: int) -> Effects:
-        effects = Effects()
+    def boot(self, now: int) -> Effects | None:
         if self.crashed:
-            return effects
+            return None
+        effects = Effects()
         effects.broadcasts.append(self._make_vertex(0, now))
         return effects
 
-    def on_deliver(self, v: Vertex, now: int) -> Effects:
-        effects = Effects()
+    def on_deliver(self, v: Vertex, now: int) -> Effects | None:
         if self.crashed:
-            return effects
-        if v.id in self._seen:
+            return None
+        vid, seen = v.id, self._seen
+        if vid in seen:
             # Reliable-broadcast integrity: duplicates change nothing.
-            return effects
-        self._seen.add(v.id)
-        outcome = self.dag.insert(v)
+            return None
+        seen.add(vid)
+        dag = self.dag
+        outcome = dag.insert(v)
         if outcome is INSERTED:
-            self.tracer.emit("vertex-delivered", id=[v.round, v.source])
-            inserted = [v, *self._drain_pending()] if self.pending else [v]
-            commit_inserted(self.commit, self.dag, inserted, self.tracer)
+            r = v.round
+            self.tracer.emit("vertex-delivered", id=[r, v.source])
+            if self.pending and (drained := self._drain_pending()):
+                commit_inserted(self.commit, dag, [v, *drained], self.tracer)
+            elif not r % 2 and r - 2 > self.commit.last_ordered_round:
+                # A lone vertex can commit only past the first test of
+                # commit.try_committing, repeated here to spare the call.
+                commit_inserted(self.commit, dag, [v], self.tracer)
         elif outcome is MISSING_PARENTS:
-            self.pending[v.id] = v
-        self._try_advance(now, effects)
-        return effects
+            self.pending[vid] = v
+        # The first test of _try_advance's loop: below quorum it does nothing.
+        if len(dag.by_round.get(self.current_round, ())) < self._quorum:
+            return None
+        return self._try_advance(now)
 
-    def on_timer(self, now: int) -> Effects:
-        effects = Effects()
+    def on_timer(self, now: int) -> Effects | None:
         if self.crashed:
-            return effects
-        self._try_advance(now, effects)
-        return effects
+            return None
+        return self._try_advance(now)
 
     # -- internals -------------------------------------------------------
 
@@ -108,15 +117,16 @@ class Node:
                 self.tracer.emit("vertex-delivered", id=[v.round, v.source])
         return drained
 
-    def _try_advance(self, now: int, effects: Effects) -> None:
+    def _try_advance(self, now: int) -> Effects | None:
         """Advance rounds while the quorum and leader-wait rules allow it.
 
         At an even round with the anchor still missing, a deadline of
         ``leader_timeout`` ticks is armed once; the round is left either when
         the anchor arrives or when the deadline passes. Odd rounds advance on
-        quorum alone.
+        quorum alone. Returns the vertices created and the deadline armed, or
+        None if there are neither.
         """
-        by_round, quorum = self.dag.by_round, self.committee.quorum_threshold
+        by_round, quorum, effects = self.dag.by_round, self._quorum, None
         while self.current_round < self.round_cap:
             held = by_round.get(self.current_round, ())
             if len(held) < quorum:
@@ -126,14 +136,17 @@ class Node:
                 if leader not in held:
                     if self.leader_wait_deadline is None:
                         self.leader_wait_deadline = now + self.leader_timeout
+                        effects = effects or Effects()
                         effects.timers.append(self.leader_wait_deadline)
                         break
                     if now < self.leader_wait_deadline:
                         break
                     self.tracer.emit("leader-timeout", round=self.current_round)
+            effects = effects or Effects()
             effects.broadcasts.append(self._make_vertex(self.current_round + 1, now))
             self.leader_wait_deadline = None
             self.current_round += 1
+        return effects
 
     def _make_vertex(self, round: int, now: int) -> Vertex:
         self.backlog += self.tx_supply(self.me, now)

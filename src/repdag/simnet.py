@@ -301,10 +301,12 @@ class Simulation:
                 return ev
             self.tracers[target].now = at
             effects = node.on_timer(at) if kind == TIMER else node.boot(at)
-        for v in effects.broadcasts:
-            self.broadcast(target, v, at)
-        for deadline in effects.timers:
-            self._push(deadline, TIMER, target, None)
+        # None: the node created no vertex and armed no timer.
+        if effects is not None:
+            for v in effects.broadcasts:
+                self.broadcast(target, v, at)
+            for deadline in effects.timers:
+                self._push(deadline, TIMER, target, None)
         return ev
 
 
@@ -316,13 +318,15 @@ def run(cfg: SimConfig) -> RunResult:
     stop cuts the run at the first event past the deadline.
     """
     sim = Simulation(cfg)
+    # The calendar's tick heap is only ever changed in place.
+    queue, step, max_time = sim._queue, sim.step, cfg.max_time
     with gc_paused():
-        if cfg.max_time is not None:
-            while sim._queue and sim._queue[0] <= cfg.max_time:
-                sim.step()
+        if max_time is not None:
+            while queue and queue[0] <= max_time:
+                step()
         else:
-            while sim._queue:
-                sim.step()
+            while queue:
+                step()
     return RunResult(
         config=cfg,
         committee=sim.committee,

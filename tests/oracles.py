@@ -192,10 +192,11 @@ class PerCopyLoop:
             effects = node.on_timer(at)
         else:
             effects = node.boot(at)
-        for v in effects.broadcasts:
-            self.broadcast(target, v, at)
-        for deadline in effects.timers:
-            self.push(deadline, TIMER, target, None)
+        if effects is not None:
+            for v in effects.broadcasts:
+                self.broadcast(target, v, at)
+            for deadline in effects.timers:
+                self.push(deadline, TIMER, target, None)
         return ev
 
 

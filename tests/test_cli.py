@@ -37,7 +37,7 @@ def test_run_then_check_ok(tmp_path, capsys):
 
 def test_check_flags_corrupted_trace(tmp_path):
     out_dir = persisted_run(tmp_path)
-    _edit_first_commit_record(out_dir, lambda rec: rec["ordered"].reverse())
+    _edit_first_record(out_dir, lambda rec: rec["ordered"].reverse())
     assert main(["check", "--trace", str(out_dir), "--total-order"]) == 1
 
 
@@ -293,23 +293,23 @@ def test_check_malformed_record_exits_two(tmp_path, capsys, record, message):
     assert out == ""
 
 
-def _edit_first_commit_record(out_dir, edit):
+def _edit_first_record(out_dir, edit, kind="anchor-committed"):
     trace = out_dir / "node-01.jsonl"
     lines = trace.read_text().splitlines()
     for i, line in enumerate(lines):
         rec = json.loads(line)
-        if rec.get("kind") == "anchor-committed":
+        if rec.get("kind") == kind:
             edit(rec)
             lines[i] = json.dumps(rec, separators=(",", ":"))
             break
     else:
-        raise AssertionError("the run committed no anchor")
+        raise AssertionError(f"the run emitted no {kind} record")
     trace.write_text("\n".join(lines) + "\n")
 
 
 def test_check_record_missing_a_field_exits_two(tmp_path, capsys):
     out_dir = persisted_run(tmp_path)
-    _edit_first_commit_record(out_dir, lambda rec: rec.pop("ordered"))
+    _edit_first_record(out_dir, lambda rec: rec.pop("ordered"))
     capsys.readouterr()
     assert main(["check", "--trace", str(out_dir)]) == 2
     err = capsys.readouterr().err
@@ -318,10 +318,27 @@ def test_check_record_missing_a_field_exits_two(tmp_path, capsys):
 
 def test_check_record_with_a_mistyped_field_exits_two(tmp_path, capsys):
     out_dir = persisted_run(tmp_path)
-    _edit_first_commit_record(out_dir, lambda rec: rec.update(ordered=None))
+    _edit_first_record(out_dir, lambda rec: rec.update(ordered=None))
     capsys.readouterr()
     assert main(["check", "--trace", str(out_dir)]) == 2
     out, err = capsys.readouterr()
     assert err.startswith("trace error:") and "TypeError" in err
     # No verdict is printed for a run that turned out to be unreadable.
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "kind, flag",
+    [("vertex-delivered", "--all"), ("vertex-created", "--all"), ("vertex-created", "--utilization")],
+)
+@pytest.mark.parametrize("vid", [[1], [1, 2, 3]])
+def test_check_vertex_id_that_is_not_a_pair_exits_two(tmp_path, capsys, kind, flag, vid):
+    # A bad id is bad input, not a delivery of a vertex nobody created. The
+    # first vertex-created record is a genesis vertex, made before GST.
+    out_dir = persisted_run(tmp_path)
+    _edit_first_record(out_dir, lambda rec: rec.update(id=vid), kind)
+    capsys.readouterr()
+    assert main(["check", flag, "--trace", str(out_dir)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("trace error:") and "ValueError" in err
     assert out == ""

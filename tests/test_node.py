@@ -1,6 +1,12 @@
+from collections import Counter
+
+import pytest
+
+from repdag.config import parse_config
 from repdag.dag import VertexId
-from repdag.node import Node
+from repdag.node import Effects, Node
 from repdag.reputation import Schedule
+from repdag.simnet import Simulation
 from repdag.traces import Tracer
 
 from .conftest import mk_vertex
@@ -35,6 +41,7 @@ class TestDelivery:
         node.on_deliver(mk_vertex(0, 0), 1)  # leader(0) = 0 present
         effects = node.on_deliver(mk_vertex(0, 1), 2)
         assert node.current_round == 1
+        assert isinstance(effects, Effects) and effects.timers == []
         created = [v for v in effects.broadcasts if v.source == 3 and v.round == 1]
         assert len(created) == 1
         assert created[0].parents == {0, 1, 3}
@@ -51,31 +58,44 @@ class TestDelivery:
         assert not node.pending
 
     # The echo of a delivered vertex is the simulator's, so a node returns
-    # only what it creates (tests/test_simnet.py::TestEcho).
+    # only what it creates (tests/test_simnet.py::TestEcho), and None when it
+    # creates nothing and arms no timer.
     def test_duplicate_delivery_changes_nothing(self, committee4):
         node = make_node(committee4)
         v = mk_vertex(0, 0)
-        first = node.on_deliver(v, 0)
-        assert first.broadcasts == [] and first.timers == []
+        assert node.on_deliver(v, 0) is None  # below quorum
         records_before = len(node.tracer.records)
-        second = node.on_deliver(v, 1)
-        assert second.broadcasts == [] and second.timers == []
+        assert node.on_deliver(v, 1) is None
         assert len(node.tracer.records) == records_before
 
     def test_own_vertex_not_echoed(self, committee4):
         node = make_node(committee4)
         boot = node.boot(0)
+        assert isinstance(boot, Effects) and boot.timers == []
         own = boot.broadcasts[0]
-        effects = node.on_deliver(own, 0)
-        assert effects.broadcasts == []
+        assert node.on_deliver(own, 0) is None
         assert own.id in node.dag
 
     def test_crashed_node_is_inert(self, committee4):
         node = make_node(committee4)
         node.crashed = True
-        effects = node.on_deliver(mk_vertex(0, 0), 0)
-        assert effects.broadcasts == [] and effects.timers == []
-        assert VertexId(0, 0) not in node.dag
+        assert node.on_deliver(mk_vertex(0, 0), 0) is None
+        assert node.boot(0) is None and node.on_timer(0) is None
+        assert VertexId(0, 0) not in node.dag and node.tracer.records == []
+
+    def test_commit_only_copy_returns_none(self, committee4):
+        # Full rounds 0-3, the node's own vertices fed back to it; its own
+        # round-4 vertex then commits the round-2 anchor and creates nothing.
+        node = make_node(committee4)
+        own = node.boot(0).broadcasts
+        for r in range(4):
+            for v in [own[-1]] + [mk_vertex(r, s, range(4) if r else []) for s in (0, 1, 2)]:
+                if (effects := node.on_deliver(v, r + 1)) is not None:
+                    own += effects.broadcasts
+        assert own[-1].id == VertexId(4, 3) and node.current_round == 4
+        before = len(node.tracer.records)
+        assert node.on_deliver(own[-1], 5) is None
+        assert kinds(node)[before:] == ["vertex-delivered", "anchor-committed"]
 
 
 class TestLeaderWait:
@@ -89,11 +109,14 @@ class TestLeaderWait:
     def test_waits_before_deadline(self, committee4):
         node, effects = self.boot_with_quorum_no_leader(committee4)
         assert node.current_round == 0
+        assert isinstance(effects, Effects) and effects.broadcasts == []
         assert effects.timers == [2 + 4]
         assert node.leader_wait_deadline == 6
-        # more deliveries before the deadline do not re-arm or advance
-        effects2 = node.on_timer(4)
-        assert node.current_round == 0 and effects2.broadcasts == []
+        # More deliveries and timers before the deadline neither re-arm nor
+        # advance: the wait is armed once.
+        assert node.on_deliver(mk_vertex(1, 1, [1, 2, 3]), 3) is None
+        assert node.on_timer(4) is None
+        assert node.current_round == 0 and node.leader_wait_deadline == 6
 
     def test_timeout_emits_without_leader_edge(self, committee4):
         node, _ = self.boot_with_quorum_no_leader(committee4)
@@ -132,10 +155,9 @@ class TestLeaderWait:
     def test_round_cap_stops_vertex_creation(self, committee4):
         node = make_node(committee4, cap=0)
         node.on_deliver(node.boot(0).broadcasts[0], 0)
-        for s in (0, 1, 2):
-            effects = node.on_deliver(mk_vertex(0, s), 1)
+        effects = [node.on_deliver(mk_vertex(0, s), 1) for s in (0, 1, 2)]
         assert node.current_round == 0
-        assert all(not e.broadcasts or e.broadcasts[0].round == 0 for e in [effects])
+        assert effects == [None, None, None]
 
 
 class TestCreateVertex:
@@ -156,7 +178,9 @@ class TestCreateVertex:
         node = make_node(committee4)
         node.on_deliver(node.boot(0).broadcasts[0], 0)
         effects = [node.on_deliver(mk_vertex(0, s), 1) for s in (0, 1, 2)]
-        own1 = [v for e in effects for v in e.broadcasts if v.id == VertexId(1, 3)]
+        # Below quorum, the quorum advance, then a copy past quorum.
+        assert effects[0] is None and effects[2] is None
+        own1 = [v for v in effects[1].broadcasts if v.id == VertexId(1, 3)]
         assert len(own1) == 1, "round-1 vertex should have been created once"
         assert node.current_round == 1
         # The quorum formed with genesis 1; genesis 2 came after the vertex was made.
@@ -172,9 +196,57 @@ class TestCreateVertex:
         for r in range(4):
             parents = range(4) if r else []
             for v in [own[-1]] + [mk_vertex(r, s, parents) for s in (0, 1, 2)]:
-                own += [b for b in node.on_deliver(v, r + 1).broadcasts if b.source == 3]
+                if (effects := node.on_deliver(v, r + 1)) is not None:
+                    own += [b for b in effects.broadcasts if b.source == 3]
                 assert node.backlog == 2 * len(created())
         records = created()
         assert len(records) == 5  # genesis and rounds 1 to 4
         assert all(rec["txCount"] == 3 for rec in records)
         assert sum(rec["txCount"] for rec in records) + node.backlog == 5 * len(records)
+
+
+class TestReturnContract:
+    """Over whole runs, a handler returns None exactly when it creates no
+    vertex and arms no leader-wait deadline, and otherwise what it did."""
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {"stakes": [1] * 7, "Delta": 3, "leaderTimeout": 2, "faultPlan": [[2, 0], [5, 20]], "seed": 4},
+            {"stakes": [1] * 4, "Delta": 1, "GST": 15, "preGstPolicy": "random:5", "seed": 1},
+        ],
+    )
+    def test_none_exactly_when_nothing_is_created_or_armed(self, raw):
+        sim = Simulation(parse_config({**raw, "stop": {"maxRound": 24}}))
+        seen = Counter()
+
+        def watched(node, handler, kind):
+            def call(*args):
+                records, deadline = len(node.tracer.records), node.leader_wait_deadline
+                effects = handler(*args)
+                new = node.tracer.records[records:]
+                created = [rec["id"] for rec in new if rec["kind"] == "vertex-created"]
+                armed = node.leader_wait_deadline not in (None, deadline)
+                if effects is None:
+                    assert not created and not armed
+                    commits = any(rec["kind"] == "anchor-committed" for rec in new)
+                    seen[kind, "none", "commit" if commits else "quiet"] += 1
+                else:
+                    assert [list(v.id) for v in effects.broadcasts] == created
+                    assert effects.timers == ([node.leader_wait_deadline] if armed else [])
+                    assert created or armed
+                    seen[kind, "effects", "timer" if armed else "vertex"] += 1
+                return effects
+
+            return call
+
+        for node in sim.nodes:
+            node.boot = watched(node, node.boot, "boot")
+            node.on_deliver = watched(node, node.on_deliver, "deliver")
+            node.on_timer = watched(node, node.on_timer, "timer")
+        while sim.step() is not None:
+            pass
+        booted = sum(at > 0 for at in sim._crash_at)
+        assert seen["boot", "effects", "vertex"] == booted
+        for outcome in (("none", "quiet"), ("none", "commit"), ("effects", "vertex"), ("effects", "timer")):
+            assert seen[("deliver", *outcome)] > 0, (outcome, seen)

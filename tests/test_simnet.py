@@ -364,6 +364,37 @@ class TestBroadcastEquivalence:
         assert fast.rng.getstate() == slow.rng.getstate()
 
     @pytest.mark.filterwarnings("ignore:fault plan crashes")
+    @settings(max_examples=50, deadline=None)
+    @given(equivalence_scenarios)
+    @lone_creator
+    @delta_one_across_gst
+    @crashes_cut_by_max_time
+    def test_no_delivery_reaches_a_crashed_node_or_a_held_vertex(self, raw):
+        # Every copy that runs is a first delivery at a live node, which is
+        # why Node.on_deliver does nothing more for any other copy than
+        # return None.
+        cfg = parse_config(raw)
+        sim = Simulation(cfg)
+        delivered = []
+        for node in sim.nodes:
+
+            def on_deliver(v, now, node=node, deliver=node.on_deliver):
+                assert not node.crashed, (node.me, v.id, now)
+                assert v.id not in node.dag and v.id not in node.pending, (node.me, v.id, now)
+                delivered.append((now, node.me, v.id))
+                return deliver(v, now)
+
+            node.on_deliver = on_deliver
+        stop = cfg.max_time if cfg.max_time is not None else float("inf")
+        executed = []
+        while sim._queue and sim._queue[0] <= stop:
+            before = sim.events_executed
+            ev = sim.step()
+            if ev.kind == DELIVER and sim.events_executed > before:
+                executed.append((ev.at, ev.target, ev.vertex.id))
+        assert executed == delivered
+
+    @pytest.mark.filterwarnings("ignore:fault plan crashes")
     @settings(max_examples=30, deadline=None)
     @given(equivalence_scenarios)
     @lone_creator
@@ -489,8 +520,7 @@ class TestEcho:
         node = sim.nodes[1]
         records = list(node.tracer.records)
         for vid in sorted(node._seen):
-            effects = node.on_deliver(node.dag.get(vid) or node.pending[vid], sim.now + 1)
-            assert effects.broadcasts == [] and effects.timers == []
+            assert node.on_deliver(node.dag.get(vid) or node.pending[vid], sim.now + 1) is None
         assert node.tracer.records == records
 
 
