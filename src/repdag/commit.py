@@ -40,6 +40,8 @@ class CommitState:
     # The commit log: each ordered vertex, in order, mapped to the round of
     # the anchor that ordered it.
     ordered: dict[VertexId, int] = field(init=False, default_factory=dict)
+    # The same vertices per round, as a bitmask of their sources.
+    ordered_sources: dict[int, int] = field(init=False, default_factory=dict)
     last_ordered_round: int = field(init=False, default=0)
     discarded_anchors: list[VertexId] = field(init=False, default_factory=list)
 
@@ -116,24 +118,30 @@ def order_history(state: CommitState, dag: DagState, chain: list[Vertex], tracer
     Every anchor is re-validated against the current book right before it is
     ordered (see module docstring). After ordering, the anchor may trigger a
     schedule switch; the rest of the chain is then ordered under the new
-    schedule.
+    schedule. Ordered vertices are downward closed (histories are ordered
+    atomically), so a walk that skips ``ordered_sources`` stops at the first
+    ordered ancestor. Its rows, read bottom-up, are in (round, source) order.
     """
+    ordered, sources = state.ordered, state.ordered_sources
     for anchor in reversed(chain):
         if state.book.leader_for(anchor.round) != anchor.source:
             state.discarded_anchors.append(anchor.id)
             continue
-        # Ordered vertices are downward closed (histories are ordered
-        # atomically), so the walk stops at the first ordered ancestor.
-        history = sorted(causal_history(dag, anchor.id, exclude=state.ordered))
-        for vid in history:
-            state.ordered[vid] = anchor.round
+        history = []
+        for row in reversed(causal_history(dag, anchor.id, exclude=sources)):
+            mask = 0
+            for u in row:
+                ordered[u.id] = anchor.round
+                history.append([u.round, u.source])
+                mask |= 1 << u.source
+            sources[row[0].round] = sources.get(row[0].round, 0) | mask
         state.last_ordered_round = anchor.round
         tracer.emit(
             "anchor-committed",
             round=anchor.round,
             leader=anchor.source,
             direct=anchor is chain[0],
-            ordered=[list(vid) for vid in history],
+            ordered=history,
         )
         switch = update_schedule(state, dag, anchor)
         if switch is not None:

@@ -7,13 +7,15 @@ them by source alone. The store enforces causal completeness: a vertex is only
 inserted once every parent it names is present. Each vertex carries its parent
 sources as a bitmask too, and the store keeps one of the sources it holds per
 round, so that test is one integer operation however large the committee.
+The history walk steps down those masks: a round's frontier is one integer,
+and its bits, read from the lowest up, give the round's row in source order.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Container, NamedTuple
+from typing import Mapping, NamedTuple
 
 from .committee import Committee, ValidatorId
 
@@ -130,60 +132,59 @@ def path(dag: DagState, frm: VertexId, to: VertexId) -> bool:
     """True iff a parent chain leads from ``frm`` down to ``to``.
 
     A single vertex counts as a chain, so ``path(v, v)`` is true. Each hop
-    drops exactly one round, so nothing below ``to``'s round can lead to it.
+    drops one round, so the walk stops at ``to``'s round, its last row.
     """
-    return to in causal_history(dag, frm, min_round=to.round)
+    rows = causal_history(dag, frm, min_round=to.round)
+    return bool(rows) and any(u.id == to for u in rows[-1])
 
 
 class AnchorReach:
     """Every vertex up to ``max_round`` with a path to one target vertex.
 
-    Scans the store upward one round at a time from the target: a vertex
-    reaches the target iff one of the parents it names does. Answers
-    membership queries in O(1) and is equivalent to calling :func:`path` per
-    query. The commit rule no longer uses it (direct parent links decide its
-    votes, see ``commit.anchor_votes``); it stays as a cross-check of
-    :func:`path`.
+    Scans upward from the target: a vertex reaches it iff its parent mask
+    meets the sources that reach it one round below. A cross-check of
+    :func:`path`; the commit rule counts direct parent links instead.
     """
 
     def __init__(self, dag: DagState, target: VertexId, max_round: int):
         self.target = target
-        reached = {target}
-        layer = {target.source}
+        # Per round, the sources that reach the target, as a bitmask.
+        self._reached = reached = {target.round: 1 << target.source}
         for r in range(target.round + 1, max_round + 1):
-            row = dag.vertices_at(r)
-            layer = {s for s, v in row.items() if not layer.isdisjoint(v.parents)}
+            layer = sum(1 << s for s, v in dag.vertices_at(r).items() if v.mask & reached[r - 1])
             if not layer:
                 break
-            reached.update(row[s].id for s in layer)
-        self._reached = reached
+            reached[r] = layer
 
     def covers(self, vid: VertexId) -> bool:
-        return vid in self._reached
+        return bool(self._reached.get(vid.round, 0) >> vid.source & 1)
 
 
 def causal_history(
-    dag: DagState, anchor: VertexId, min_round: int = 0, exclude: Container[VertexId] = frozenset()
-) -> set[VertexId]:
-    """All vertices reachable from ``anchor`` (itself included) at round >= min_round.
+    dag: DagState, anchor: VertexId, min_round: int = 0, exclude: Mapping[int, int] = {}
+) -> list[list[Vertex]]:
+    """The vertices reachable from ``anchor`` (itself included) at round >= min_round,
+    as rows: one per round from the anchor's down, each in ascending source order.
 
-    The walk steps down a round at a time and does not enter ``exclude``. For
-    a downward-closed ``exclude``, such as the vertices a node has already
-    ordered, the result is the history minus ``exclude``.
+    ``exclude`` maps a round to a bitmask of sources the walk does not enter.
+    For a downward-closed ``exclude``, such as the vertices a node has already
+    ordered, the rows are the history minus ``exclude``; no row is empty.
     """
     v = dag.get(anchor)
     if v is None:
         raise UnknownVertex(anchor)
-    if anchor in exclude or anchor.round < min_round:
-        return set()
-    out = {v.id}
-    frontier = [v]
-    for r in range(anchor.round - 1, min_round - 1, -1):
-        row = dag.vertices_at(r)
-        # A list, not a generator: unpacking one strands a tuple per call.
-        frontier = [row[s] for s in set().union(*[u.parents for u in frontier])]
-        frontier = [u for u in frontier if u.id not in exclude]
+    r = anchor.round
+    if r < min_round or exclude.get(r, 0) >> anchor.source & 1:
+        return []
+    rows, frontier, by_round = [[v]], v.mask, dag.by_round
+    for r in range(r - 1, min_round - 1, -1):
+        frontier &= ~exclude.get(r, 0)
         if not frontier:
             break
-        out.update(u.id for u in frontier)
-    return out
+        store = by_round[r]
+        row = [store[s] for s in range(frontier.bit_length()) if frontier >> s & 1]
+        rows.append(row)
+        frontier = 0
+        for u in row:
+            frontier |= u.mask
+    return rows

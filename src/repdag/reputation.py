@@ -137,8 +137,9 @@ def compute_scores(
     ``to_round_exclusive`` is the round of the anchor that triggered the
     schedule change; only votes inside that anchor's causal history count, so
     every node that commits the anchor computes identical scores no matter
-    what else its local dag holds. A validator earns one point per round
-    where its vertex at round e+1 references the leader vertex of round e.
+    what else its local dag holds. A validator earns one point per round e
+    where its vertex in that history at round e+1 has the bit of round e's
+    leader in its parent mask.
     """
     if from_round > to_round_exclusive:
         raise ValueError("empty-or-forward window required")
@@ -148,14 +149,14 @@ def compute_scores(
     trigger = get_anchor(dag, book, to_round_exclusive)
     if trigger is None:
         return scores
+    # Row k holds the history's vertices at round to_round_exclusive - k.
     history = causal_history(dag, trigger.id, min_round=from_round)
-    first_even = from_round if from_round % 2 == 0 else from_round + 1
-    for e in range(first_even, to_round_exclusive, 2):
+    for e in range(from_round + from_round % 2, to_round_exclusive, 2):
         leader_vertex = get_anchor(dag, book, e)
         if leader_vertex is None:
             continue
-        for voter in dag.vertices_at(e + 1).values():
-            if voter.id in history and leader_vertex.source in voter.parents:
+        for voter in history[to_round_exclusive - e - 1]:
+            if voter.mask & (1 << leader_vertex.source):
                 scores[voter.source] += 1
     return scores
 

@@ -16,31 +16,27 @@ itself when a copy runs at a peer other than the vertex's creator (Narwhal
 likewise leaves dissemination to the transport, not to the consensus node).
 A copy is queued only when it can change its receiver: copies that would land
 at or after the receiver's crash, or at or after another copy of the same
-vertex already headed there, are never queued. So every copy that runs is a
-first delivery at a live node. Every copy's delay is drawn (an echo that can
-queue none just advances the random stream by its draws), so the stream and
-the traces do not depend on this. After GST with Delta 1 every draw would be
-0, so none is made: time never goes back and the stream feeds only delivery
-delays, so no later draw can tell.
+vertex already headed there, are never queued, so every copy that runs is a
+first delivery at a live node. Every copy's delay is still drawn, so the
+random stream and the traces do not depend on this; after GST with Delta 1
+every draw would be 0, so none is made (the stream feeds only delivery
+delays, so no later draw can tell).
 
-Whether an echo can queue anything is an O(1) test, made in ``step`` before
-any ``broadcast`` call: per vertex in flight the simulator keeps the latest
-tick in its arrivals row (the earliest landing or crash tick per peer),
-updated once by each broadcast, the only place a row changes. An
-echo at ``now`` can queue nothing once that maximum is at or below
-``max(now, GST) + 1``, the earliest tick a copy can land. After GST with
-Delta 1 that holds for every echo.
+Whether an echo can queue anything is an O(1) test in ``step``: per vertex in
+flight the simulator keeps the latest tick of its arrivals row (per peer, the
+earliest landing or crash tick), which only ``broadcast`` changes. An echo at
+``now`` queues nothing, and only advances the stream by its draws, once that
+maximum is at or below ``max(now, GST) + 1``, the earliest tick a copy can
+land; after GST with Delta 1 that holds for every echo.
 
 A queued copy can still be overtaken by a faster echo queued after it
 (Delta >= 2). When it pops, its target has already seen the vertex, so it is
-retired without running. ``events_executed`` counts only events that can
-act, and ``now`` after a drained run is the tick of the last of them.
-
-``run`` pauses the cyclic garbage collector (``gc_paused``), and ``harness``
-pauses it over the metrics, writing and parsing around a run. Run and trace
-data hold no reference cycles (``tests/test_gc_pause.py``), so reference
-counting frees them; a collection would only walk every live vertex and
-record again, and find nothing.
+retired without running and without counting in ``events_executed``, which
+counts every other event popped: boots, crashes, first deliveries and every
+timer, also those that act on nothing (a leader-wait timer whose round its
+node has left, a timer or boot at a crashed node). ``now`` after a drained
+run is the tick of the last counted event. ``run`` pauses the cyclic garbage
+collector (``gc_paused``).
 """
 
 from __future__ import annotations
@@ -240,16 +236,10 @@ class Simulation:
     def step(self) -> SimEvent | None:
         """Pop and handle the next event; None once the queue is empty.
 
-        A copy that runs at a peer other than the vertex's creator is echoed,
-        unless the echo can queue nothing: then it only advances the random
-        stream by the draws it skips.
-
-        A delivery whose target already has an earlier copy of the vertex
-        was overtaken: it is retired without running, without moving ``now``
-        and without counting in ``events_executed``, and it is still
-        returned. So a returned ``DELIVER`` may not have run: it ran exactly
-        when ``events_executed`` grew across the call. Only Delta >= 2 runs
-        have overtaken copies.
+        A copy that runs at a peer other than the vertex's creator is echoed.
+        An overtaken copy (see the module docstring) is retired without moving
+        ``now`` and still returned: a returned ``DELIVER`` ran exactly when
+        ``events_executed`` grew across the call.
         """
         queue = self._queue
         if not queue:

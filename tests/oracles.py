@@ -39,6 +39,19 @@ def naive_path(dag: DagState, frm: VertexId, to: VertexId) -> bool:
     return dfs(frm)
 
 
+def naive_ancestors(dag: DagState, frm: VertexId) -> set[VertexId]:
+    """Every id a parent chain leads to from ``frm``, ``frm`` included."""
+    seen, stack = {frm}, [frm]
+    while stack:
+        vid = stack.pop()
+        for s in dag.get(vid).parents:
+            parent = VertexId(vid.round - 1, s)
+            if parent not in seen:
+                seen.add(parent)
+                stack.append(parent)
+    return seen
+
+
 def brute_scores(dag, book, committee, from_round, to_round_exclusive):
     points = {v: 0 for v in committee.members}
     if from_round >= to_round_exclusive:

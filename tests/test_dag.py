@@ -26,6 +26,25 @@ from .conftest import full_dag, mk_vertex, random_dag_vertices
 from .oracles import naive_path, parents_complete
 
 
+def grouped(vids):
+    """Vertex ids as ``causal_history`` rows hold them: one row per round,
+    highest round first, each row in ascending source order."""
+    rounds = sorted({vid.round for vid in vids}, reverse=True)
+    return [sorted(vid for vid in vids if vid.round == r) for r in rounds]
+
+
+def row_ids(rows):
+    return [[v.id for v in row] for row in rows]
+
+
+def source_masks(vids):
+    """Per round, the sources of ``vids`` as a bitmask: the form of ``exclude``."""
+    masks = {}
+    for vid in vids:
+        masks[vid.round] = masks.get(vid.round, 0) | 1 << vid.source
+    return masks
+
+
 class TestInsert:
     def test_genesis_into_empty_dag(self, committee4):
         dag = DagState(committee4)
@@ -195,8 +214,40 @@ class TestPath:
         closed = set().union(*(ancestors(v.id) for v in rng.sample(vertices, k=2)))
         for a in probes:
             want = {vid for vid in ancestors(a.id) if vid.round >= min_round}
-            assert causal_history(dag, a.id, min_round=min_round) == want
-            assert causal_history(dag, a.id, min_round=min_round, exclude=closed) == want - closed
+            assert row_ids(causal_history(dag, a.id, min_round=min_round)) == grouped(want)
+            got = causal_history(dag, a.id, min_round=min_round, exclude=source_masks(closed))
+            assert row_ids(got) == grouped(want - closed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=10**6),
+        st.lists(st.integers(min_value=1, max_value=5), min_size=4, max_size=12),
+    )
+    def test_rows_are_the_history_by_round(self, seed, stakes):
+        from repdag.committee import new_committee
+
+        committee = new_committee(stakes)
+        rng = random.Random(seed)
+        vertices = random_dag_vertices(rng, committee, 6)
+        dag = DagState(committee)
+        for v in vertices:
+            assert dag.insert(v) is InsertOutcome.INSERTED
+
+        def ancestors(vid):
+            return {v.id for v in vertices if naive_path(dag, vid, v.id)}
+
+        closed = set().union(*(ancestors(v.id) for v in rng.sample(vertices, k=2)))
+        for a in rng.sample(vertices, k=min(10, len(vertices))):
+            rows = causal_history(dag, a.id)
+            # Anchor round first, one row per round down to genesis.
+            assert [row[0].round for row in rows] == list(range(a.round, -1, -1))
+            assert row_ids(rows) == grouped(ancestors(a.id))
+            for row in rows:
+                sources = [v.source for v in row]
+                assert sources == sorted(set(sources))
+            got = causal_history(dag, a.id, exclude=source_masks(closed))
+            assert row_ids(got) == grouped(ancestors(a.id) - closed)
+            assert all(got)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=10**6))
@@ -226,8 +277,11 @@ class TestPath:
         dag = full_dag(committee4, 4)
         for r, row in dag.by_round.items():
             for s in row:
-                for ancestor in causal_history(dag, VertexId(r, s)):
-                    assert ancestor in dag
+                rows = causal_history(dag, VertexId(r, s))
+                assert all(v is dag.get(v.id) for got in rows for v in got)
+                # Every vertex names every vertex one round below it.
+                below = [[VertexId(q, t) for t in committee4.members] for q in range(r - 1, -1, -1)]
+                assert row_ids(rows) == [[VertexId(r, s)], *below]
 
 
 class TestAnchorReach:

@@ -36,8 +36,8 @@ MUTANTS = {
     "reversed-history-order": (
         commit,
         "order_history",
-        "history = sorted(causal_history(dag, anchor.id, exclude=state.ordered))",
-        "history = sorted(causal_history(dag, anchor.id, exclude=state.ordered), reverse=True)",
+        "for row in reversed(causal_history(dag, anchor.id, exclude=sources)):",
+        "for row in causal_history(dag, anchor.id, exclude=sources):",
     ),
     "f-votes": (
         commit,
@@ -48,8 +48,8 @@ MUTANTS = {
     "scores-from-local-dag": (
         reputation,
         "compute_scores",
-        "if voter.id in history and leader_vertex.source in voter.parents:",
-        "if leader_vertex.source in voter.parents:",
+        "for voter in history[to_round_exclusive - e - 1]:",
+        "for voter in dag.vertices_at(e + 1).values():",
     ),
 }
 

@@ -6,7 +6,8 @@ counters off their arguments and results. A change to those boundaries can
 break ``perfbench/run.py --trace 1`` without failing anything here, as the
 benchmark's own tests are not part of this suite. So this test installs the
 hooks in a fresh process (the wrapping is process-wide), runs two small
-scenarios and asserts the benchmark's self-checks against the trace records.
+scenarios and asserts the benchmark's three self-checks against the trace
+records, and that the DAG walk of the commit path is timed at all.
 It reads ``perfbench/`` and changes nothing there.
 """
 
@@ -42,6 +43,9 @@ print(json.dumps({
     "on_deliver_calls": rec.calls["node.on_deliver"],
     "first_deliveries": rec.counts["node.first_deliveries"],
     "step_calls": rec.calls["simnet.step"],
+    "compute_scores_calls": rec.calls["reputation.compute_scores"],
+    "switched_records": sum(r["kind"] == "schedule-switched" for r in records),
+    "causal_history_calls": rec.calls["dag.causal_history"],
 }))
 """
 
@@ -68,3 +72,6 @@ def test_traced_counts_match_the_trace_records(raw):
     assert got["inserted"] == got["delivered_records"] > 0
     assert got["on_deliver_calls"] == got["first_deliveries"] > 0
     assert got["step_calls"] > got["on_deliver_calls"]
+    assert got["compute_scores_calls"] == got["switched_records"] > 0
+    # The commit path's walk stays visible to the per-layer view.
+    assert got["causal_history_calls"] > 0

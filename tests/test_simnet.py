@@ -18,7 +18,9 @@ from repdag.simnet import BOOT, CRASH, DELIVER, TIMER, Simulation, client_supply
 from repdag.traces import serialize
 
 from .conftest import manifest_for, quick_run
-from .oracles import PerCopyLoop, brute_client_counts
+from .oracles import PerCopyLoop, brute_client_counts, naive_ancestors
+from .test_dag import source_masks
+from .test_golden import CORPUS
 
 
 def queued_copies(sim):
@@ -442,6 +444,31 @@ class TestBroadcastEquivalence:
             words.random()
         assert sim.rng.getstate() == words.getstate()
 
+
+
+class TestCommitLog:
+    """The ordered log over the equivalence configs, against the reference rule."""
+
+    @pytest.mark.filterwarnings("ignore:fault plan crashes")
+    @settings(max_examples=30, deadline=None)
+    @given(equivalence_scenarios)
+    @lone_creator
+    @delta_one_across_gst
+    @crashes_cut_by_max_time
+    # Split views: back-chained commits, discarded anchors, schedule switches.
+    @example(CORPUS["n4-split-160"][0])
+    @example(CORPUS["n4-split-804"][0])
+    def test_ordered_log_is_each_new_history_sorted(self, raw):
+        # Each committed anchor appends its causal history minus the log so
+        # far, sorted by (round, source).
+        for node in run(parse_config(raw)).nodes:
+            want = []
+            for rec in node.tracer.records:
+                if rec["kind"] == "anchor-committed":
+                    history = naive_ancestors(node.dag, VertexId(rec["round"], rec["leader"]))
+                    want.extend(sorted(history - set(want)))
+            assert list(node.commit.ordered) == want
+            assert node.commit.ordered_sources == source_masks(want)
 
 class TestEcho:
     """The simulator, not the node, echoes each first delivery."""
