@@ -59,8 +59,9 @@ def main() -> int:
     ratios = {mode: [] for mode in pairs}
     for mode, configs in pairs.items():
         for seed, (clean_cfg, faulty_cfg) in enumerate(configs):
-            clean, _ = run_in_memory(clean_cfg)
-            faulty, _ = run_in_memory(faulty_cfg)
+            # Only the metrics are kept: a finished run is freed before the next starts.
+            clean = run_in_memory(clean_cfg)[0]
+            faulty = run_in_memory(faulty_cfg)[0]
             # A run too short to commit has no throughput to compare against.
             ratio = faulty.throughput / clean.throughput if clean.throughput else None
             if ratio is not None:

@@ -41,8 +41,7 @@ def main() -> int:
     for rounds, configs in rows.items():
         row = []
         for cfg in configs:
-            result = run(cfg)
-            report = check_leader_utilization(result.records_by_node, {"config": cfg.to_json_dict()})
+            report = check_leader_utilization(run(cfg).records_by_node, {"config": cfg.to_json_dict()})
             row.append(report.skipped)
         print(f"{rounds:>7} {row[0]:>11} {row[1]:>7}")
     return 0

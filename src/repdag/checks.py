@@ -17,7 +17,7 @@ a vertex nobody created.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Sequence
 
 from .metrics import Records, committed_anchor_rounds, honest_nodes
 
@@ -96,8 +96,9 @@ class DeliveryVerdict:
         return f"{self.name}: violation at {len(self.missing)} (node, vertex) deliveries"
 
 
-def ordered_sequence(records: list[dict[str, Any]]) -> list[list[int]]:
-    """A node's ordered vertex ids, as ``[round, source]`` lists, in order."""
+def ordered_sequence(records: list[dict[str, Any]]) -> list[Sequence[int]]:
+    """A node's ordered vertex ids, in order: ``VertexId``s in memory,
+    ``[round, source]`` lists once parsed."""
     return [vid for r in records if r["kind"] == "anchor-committed" for vid in r["ordered"]]
 
 

@@ -90,8 +90,8 @@ def anchor_votes(dag: DagState, v: Vertex, anchor: VertexId) -> int:
     the anchor iff it names the anchor's source: the direct links are the
     votes.
     """
-    parents = dag.vertices_at(v.round - 1)
-    return sum(anchor.source in parents[s].parents for s in v.parents)
+    row, mask, a = dag.vertices_at(v.round - 1), v.mask, anchor.source
+    return sum(row[s].mask >> a & 1 for s in range(mask.bit_length()) if mask >> s & 1)
 
 
 def order_anchors(state: CommitState, dag: DagState, anchor: Vertex, tracer: Tracer) -> None:
@@ -132,7 +132,7 @@ def order_history(state: CommitState, dag: DagState, chain: list[Vertex], tracer
             mask = 0
             for u in row:
                 ordered[u.id] = anchor.round
-                history.append([u.round, u.source])
+                history.append(u.id)
                 mask |= 1 << u.source
             sources[row[0].round] = sources.get(row[0].round, 0) | mask
         state.last_ordered_round = anchor.round

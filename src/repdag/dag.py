@@ -3,10 +3,11 @@
 A vertex is keyed by (round, source): reliable-broadcast integrity guarantees
 at most one vertex per key in honest views, which lets us skip content
 digests entirely. A vertex's parents all sit one round below it, so it names
-them by source alone. The store enforces causal completeness: a vertex is only
-inserted once every parent it names is present. Each vertex carries its parent
-sources as a bitmask too, and the store keeps one of the sources it holds per
-round, so that test is one integer operation however large the committee.
+them by source alone, and all of them in one bitmask: that mask is the only
+record of its parents. The store enforces causal completeness: a vertex is
+only inserted once every parent it names is present. The store keeps a mask
+of the sources it holds per round, so that test is one integer operation
+however large the committee.
 The history walk steps down those masks: a round's frontier is one integer,
 and its bits, read from the lowest up, give the round's row in source order.
 """
@@ -29,29 +30,24 @@ class VertexId(NamedTuple):
 class Vertex:
     """A DAG vertex; its shape is checked once, here, for every receiver.
 
-    Raises ``ValueError`` for a negative round, a genesis vertex with parents
-    or a negative source or parent; a parent cannot sit at a wrong round, as it
-    is named by source.
+    Raises ``ValueError`` for a negative round, source or mask, or a genesis
+    vertex with parents; a parent cannot sit at a wrong round, as it is named
+    by source.
     """
 
     id: VertexId
-    parents: frozenset[ValidatorId]
+    # Its parents: bit s is set iff source s, one round below, is one.
+    mask: int
     # Denormalized from id; plain fields keep the hot paths cheap.
     round: int = field(init=False)
     source: ValidatorId = field(init=False)
-    # Bit s is set iff source s is a parent.
-    mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        (r, source), parents = self.id, self.parents
-        if r < 0 or source < 0 or (r == 0 and parents) or (parents and min(parents) < 0):
-            raise ValueError(f"malformed vertex {self.id}: parents {sorted(parents)}")
-        mask = 0
-        for s in parents:
-            mask |= 1 << s
+        (r, source), mask = self.id, self.mask
+        if r < 0 or source < 0 or mask < 0 or (r == 0 and mask):
+            raise ValueError(f"malformed vertex {self.id}: parent mask {mask:#x}")
         object.__setattr__(self, "round", r)
         object.__setattr__(self, "source", source)
-        object.__setattr__(self, "mask", mask)
 
 
 class InsertOutcome(enum.Enum):
@@ -111,7 +107,7 @@ class DagState:
         present).
         """
         r, source, mask, n = v.round, v.source, v.mask, self._n
-        if source >= n or mask >> n or (r and len(v.parents) < self._quorum):
+        if source >= n or mask >> n or (r and mask.bit_count() < self._quorum):
             return MALFORMED_EDGES
         row = self.by_round.get(r)
         if row is not None and source in row:

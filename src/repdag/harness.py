@@ -82,10 +82,11 @@ def load_run(run_dir: str | Path) -> tuple[dict[str, Any], Records]:
 def run_scenario(cfg: SimConfig, out_dir: str | Path) -> tuple[Metrics, Path]:
     """Run one scenario, persist its traces and write ``metrics.json``.
 
-    The metrics are computed from the records the run wrote, which parse
-    back equal to them, so the traces are never read back here.
-    ``repdag check`` reads them for its checkers, and the benchmark and
-    ``tests/test_metrics.py`` recompute the metrics from them.
+    The metrics are computed from the records the run wrote, so the traces
+    are never read back here. ``repdag check`` reads them for its checkers,
+    and the benchmark and ``tests/test_metrics.py`` recompute the metrics
+    from them, which come out the same: the metrics only unpack vertex ids,
+    ``VertexId``s in memory and ``[round, source]`` lists once parsed.
     """
     with gc_paused():
         metrics, result = run_in_memory(cfg)
@@ -196,7 +197,7 @@ def sweep(
                         seed=seed,
                     )
                     cfg = parse_config(point.to_json_dict())
-                    metrics, _ = run_in_memory(cfg)
+                    metrics = run_in_memory(cfg)[0]
                     rows.append(
                         {
                             "n": n,

@@ -84,7 +84,7 @@ class Node:
         outcome = dag.insert(v)
         if outcome is INSERTED:
             r = v.round
-            self.tracer.emit("vertex-delivered", id=[r, v.source])
+            self.tracer.emit("vertex-delivered", id=vid)
             if self.pending and (drained := self._drain_pending()):
                 commit_inserted(self.commit, dag, [v, *drained], self.tracer)
             elif not r % 2 and r - 2 > self.commit.last_ordered_round:
@@ -114,7 +114,7 @@ class Node:
             if self.dag.insert(v) is INSERTED:
                 del self.pending[vid]
                 drained.append(v)
-                self.tracer.emit("vertex-delivered", id=[v.round, v.source])
+                self.tracer.emit("vertex-delivered", id=vid)
         return drained
 
     def _try_advance(self, now: int) -> Effects | None:
@@ -152,7 +152,7 @@ class Node:
         self.backlog += self.tx_supply(self.me, now)
         tx_count = min(self.batch_size, self.backlog)
         self.backlog -= tx_count
-        # Via a tuple: a frozenset built from a dict presizes its table.
-        parents = frozenset(tuple(self.dag.vertices_at(round - 1)))
-        self.tracer.emit("vertex-created", id=[round, self.me], txCount=tx_count)
-        return Vertex(VertexId(round, self.me), parents)
+        # One id, shared by the vertex and every record that names it.
+        vid = VertexId(round, self.me)
+        self.tracer.emit("vertex-created", id=vid, txCount=tx_count)
+        return Vertex(vid, self.dag.held.get(round - 1, 0))

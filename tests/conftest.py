@@ -18,7 +18,7 @@ def committee4() -> Committee:
 
 def mk_vertex(round, source, parents=()):
     """A vertex whose parents are the given sources, one round below it."""
-    return Vertex(id=VertexId(round, source), parents=frozenset(parents))
+    return Vertex(id=VertexId(round, source), mask=sum(1 << s for s in set(parents)))
 
 
 def full_dag(committee, rounds, absent=frozenset()):

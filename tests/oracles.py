@@ -1,7 +1,7 @@
 """Independent brute-force oracles the implementation is checked against.
 
 These stay deliberately naive: plain depth-first search for reachability
-(over ids built from each vertex's parent sources),
+(over ids built from each vertex's parent mask),
 literal per-round enumeration for scores, a step-by-step rendering of the
 swap rule, a hop-by-hop scan of client re-attachment, a per-copy
 broadcast and event loop over a plain (time, seq) heap, a set test of
@@ -21,6 +21,11 @@ from repdag.metrics import Metrics, Records, _nearest_rank, committed_anchor_rou
 from repdag.simnet import BOOT, CRASH, DELIVER, TIMER, SimEvent
 
 
+def parent_sources(v) -> frozenset[int]:
+    """The sources of ``v``'s parents, read bit by bit from its mask."""
+    return frozenset(s for s in range(v.mask.bit_length()) if v.mask >> s & 1)
+
+
 def naive_path(dag: DagState, frm: VertexId, to: VertexId) -> bool:
     if frm not in dag:
         raise UnknownVertex(frm)
@@ -30,7 +35,7 @@ def naive_path(dag: DagState, frm: VertexId, to: VertexId) -> bool:
         if vid == to:
             return True
         seen.add(vid)
-        for s in sorted(dag.get(vid).parents):
+        for s in sorted(parent_sources(dag.get(vid))):
             parent = VertexId(vid.round - 1, s)
             if parent not in seen and dfs(parent):
                 return True
@@ -44,7 +49,7 @@ def naive_ancestors(dag: DagState, frm: VertexId) -> set[VertexId]:
     seen, stack = {frm}, [frm]
     while stack:
         vid = stack.pop()
-        for s in dag.get(vid).parents:
+        for s in parent_sources(dag.get(vid)):
             parent = VertexId(vid.round - 1, s)
             if parent not in seen:
                 seen.add(parent)
@@ -68,7 +73,7 @@ def brute_scores(dag, book, committee, from_round, to_round_exclusive):
             voter = dag.get(VertexId(e + 1, s))
             if voter is None:
                 continue
-            if leader_vid.source in voter.parents and naive_path(dag, trigger, voter.id):
+            if leader_vid.source in parent_sources(voter) and naive_path(dag, trigger, voter.id):
                 points[s] += 1
     return points
 
@@ -216,7 +221,7 @@ class PerCopyLoop:
 def parents_complete(dag: DagState, v) -> bool:
     """The causal-completeness rule as a set test: every parent ``v`` names is
     held one round below it."""
-    return dag.vertices_at(v.round - 1).keys() >= v.parents
+    return dag.vertices_at(v.round - 1).keys() >= parent_sources(v)
 
 
 def _created_by(records_by_node):

@@ -17,7 +17,7 @@ from repdag.dag import DagState, VertexId
 from repdag.reputation import Schedule, ScheduleBook, select_swap_sets
 
 from .conftest import full_dag, mk_vertex, random_dag_vertices, replay
-from .oracles import naive_path
+from .oracles import naive_path, parent_sources
 
 
 def fresh_state(committee, slots=(0, 1, 2, 3), span=None):
@@ -104,7 +104,7 @@ class TestAnchorVotes:
                 if v.round < 2:
                     continue
                 for anchor in dag.vertices_at(v.round - 2).values():
-                    parents = [VertexId(v.round - 1, s) for s in v.parents]
+                    parents = [VertexId(v.round - 1, s) for s in parent_sources(v)]
                     want = sum(naive_path(dag, parent, anchor.id) for parent in parents)
                     assert anchor_votes(dag, v, anchor.id) == want
                     counts.add((want, len(parents)))
@@ -172,7 +172,7 @@ class TestOrderHistory:
         try_committing(state, dag, dag.get(VertexId(8, 0)), tr)
         # No vertex is ordered twice: the histories the anchors record
         # concatenate to the log without repeats.
-        assert ordered_sequence(tr.records) == [list(vid) for vid in state.ordered]
+        assert ordered_sequence(tr.records) == list(state.ordered)
         anchor_rounds = list(state.ordered.values())
         assert anchor_rounds == sorted(anchor_rounds)
 
@@ -182,7 +182,7 @@ class TestOrderHistory:
         try_committing(state, dag, dag.get(VertexId(8, 0)), tracer0())
         position = {vid: i for i, vid in enumerate(state.ordered)}
         for vid in position:
-            for s in dag.get(vid).parents:
+            for s in parent_sources(dag.get(vid)):
                 assert position[VertexId(vid.round - 1, s)] < position[vid]
 
     def test_switch_orders_trigger_history_first(self, committee4):

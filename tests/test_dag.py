@@ -10,6 +10,7 @@ from repdag.dag import (
     DagState,
     InsertOutcome,
     UnknownVertex,
+    Vertex,
     VertexId,
     causal_history,
     path,
@@ -23,7 +24,7 @@ from repdag.reputation import (
 )
 
 from .conftest import full_dag, mk_vertex, random_dag_vertices
-from .oracles import naive_path, parents_complete
+from .oracles import naive_path, parent_sources, parents_complete
 
 
 def grouped(vids):
@@ -85,10 +86,10 @@ class TestInsert:
                 mk_vertex(round, 3, parents)
 
     def test_negative_ids_rejected(self):
-        # Not a bare shift error from building the parent mask.
-        for source, parents in ((0, [-1, 0, 1]), (-1, [0, 1, 2])):
+        # A negative parent has no bit, so a negative mask stands in for it.
+        for source, mask in ((0, -1), (-1, 0b111)):
             with pytest.raises(ValueError, match="malformed vertex"):
-                mk_vertex(1, source, parents)
+                Vertex(VertexId(1, source), mask)
 
     def test_out_of_range_ids_rejected(self, committee4):
         # A parent id >= n would wait in ``pending`` for ever, and a source
@@ -132,7 +133,8 @@ class TestInsert:
         members = set(committee.members)
 
         def deliver(v):
-            if (v.round and len(v.parents) < quorum) or v.source not in members or not v.parents <= members:
+            parents = parent_sources(v)
+            if (v.round and len(parents) < quorum) or v.source not in members or not parents <= members:
                 want = InsertOutcome.MALFORMED_EDGES
             elif v.id in dag:
                 want = InsertOutcome.DUPLICATE

@@ -10,6 +10,7 @@ from repdag.simnet import Simulation
 from repdag.traces import Tracer
 
 from .conftest import mk_vertex
+from .oracles import parent_sources
 
 
 def make_node(
@@ -44,7 +45,7 @@ class TestDelivery:
         assert isinstance(effects, Effects) and effects.timers == []
         created = [v for v in effects.broadcasts if v.source == 3 and v.round == 1]
         assert len(created) == 1
-        assert created[0].parents == {0, 1, 3}
+        assert parent_sources(created[0]) == {0, 1, 3}
 
     def test_missing_parent_buffers_until_drained(self, committee4):
         node = make_node(committee4)
@@ -123,15 +124,15 @@ class TestLeaderWait:
         effects = node.on_timer(6)
         assert node.current_round == 1
         vertex = effects.broadcasts[0]
-        assert 0 not in vertex.parents
-        assert len(vertex.parents) == 3
+        assert 0 not in parent_sources(vertex)
+        assert len(parent_sources(vertex)) == 3
         assert "leader-timeout" in kinds(node)
 
     def test_leader_arrival_cancels_wait(self, committee4):
         node, _ = self.boot_with_quorum_no_leader(committee4)
         effects = node.on_deliver(mk_vertex(0, 0), 3)
         assert node.current_round == 1
-        assert 0 in effects.broadcasts[-1].parents
+        assert 0 in parent_sources(effects.broadcasts[-1])
         assert "leader-timeout" not in kinds(node)
 
     def test_odd_round_advances_on_quorum_alone(self, committee4):
@@ -184,7 +185,7 @@ class TestCreateVertex:
         assert len(own1) == 1, "round-1 vertex should have been created once"
         assert node.current_round == 1
         # The quorum formed with genesis 1; genesis 2 came after the vertex was made.
-        assert own1[0].parents == {3, 0, 1}
+        assert parent_sources(own1[0]) == {3, 0, 1}
 
     def test_backlog_conserves_supplied_transactions(self, committee4):
         node = make_node(committee4, supply=lambda me, now: 5, batch=3)
@@ -232,7 +233,7 @@ class TestReturnContract:
                     commits = any(rec["kind"] == "anchor-committed" for rec in new)
                     seen[kind, "none", "commit" if commits else "quiet"] += 1
                 else:
-                    assert [list(v.id) for v in effects.broadcasts] == created
+                    assert [v.id for v in effects.broadcasts] == created
                     assert effects.timers == ([node.leader_wait_deadline] if armed else [])
                     assert created or armed
                     seen[kind, "effects", "timer" if armed else "vertex"] += 1

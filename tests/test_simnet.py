@@ -18,7 +18,7 @@ from repdag.simnet import BOOT, CRASH, DELIVER, TIMER, Simulation, client_supply
 from repdag.traces import serialize
 
 from .conftest import manifest_for, quick_run
-from .oracles import PerCopyLoop, brute_client_counts, naive_ancestors
+from .oracles import PerCopyLoop, brute_client_counts, naive_ancestors, parent_sources
 from .test_dag import source_masks
 from .test_golden import CORPUS
 
@@ -208,7 +208,7 @@ class TestQueuedCopies:
         assert copies_read > 0
         for tracer in sim.tracers:
             if tracer.node not in (1, 4):
-                assert [20, tracer.node] in [r["id"] for r in tracer.records if r["kind"] == "vertex-created"]
+                assert (20, tracer.node) in [r["id"] for r in tracer.records if r["kind"] == "vertex-created"]
 
     def test_overtaken_copies_do_not_reach_the_node(self):
         cfg = parse_config(
@@ -427,7 +427,7 @@ class TestBroadcastEquivalence:
         # Nothing but a sender's own copy lands before GST + 1, so runs echo
         # only after GST; the pre-GST regimes are pinned here alone.
         cfg = parse_config({"stakes": [1] * 5, "seed": 3, **raw})
-        now, v = 10, Vertex(VertexId(0, 0), frozenset())
+        now, v = 10, Vertex(VertexId(0, 0), 0)
         sim = Simulation(cfg)
         sim._queue.clear()
         sim._buckets.clear()
@@ -603,7 +603,7 @@ class TestGoldenRun:
         for node in result.nodes:
             position = {vid: i for i, vid in enumerate(node.commit.ordered)}
             for vid in position:
-                for s in node.dag.get(vid).parents:
+                for s in parent_sources(node.dag.get(vid)):
                     assert position[VertexId(vid.round - 1, s)] < position[vid]
 
 

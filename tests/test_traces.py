@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 
@@ -16,7 +17,7 @@ def test_round_trip_is_bit_exact():
             text = serialize(tracer.node, tracer.records)
             node, records = parse(text)
             assert node == tracer.node
-            assert records == tracer.records, raw
+            assert records == json.loads(json.dumps(tracer.records)), raw
             assert serialize(node, records) == text
 
 
@@ -102,7 +103,26 @@ def test_ordered_lists_concatenate_to_the_commit_log():
     for node, tracer in zip(result.nodes, result.tracers):
         ordered = ordered_sequence(tracer.records)
         assert ordered, "the run ordered no vertex"
-        assert ordered == [list(vid) for vid in node.commit.ordered]
+        assert ordered == list(node.commit.ordered)
+
+
+def test_records_share_the_stored_vertex_ids():
+    # A record names a vertex by the one id object the vertex holds, not a copy.
+    _, result = quick_run(seed=8, stop={"maxRound": 16})
+    counts = Counter()
+    for node, tracer in zip(result.nodes, result.tracers):
+        for rec in tracer.records:
+            kind = rec["kind"]
+            if kind in ("vertex-created", "vertex-delivered"):
+                ids = [rec["id"]]
+            elif kind == "anchor-committed":
+                ids = rec["ordered"]
+            else:
+                continue
+            for vid in ids:
+                assert vid is node.dag.get(vid).id, (node.me, rec)
+                counts[kind] += 1
+    assert len(counts) == 3, counts
 
 
 def test_tracer_accumulates_with_current_time():
