@@ -16,14 +16,12 @@ a vertex nobody created.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from .metrics import Records, committed_anchor_rounds, honest_nodes
 
 
-@dataclass(frozen=True)
-class TotalOrderVerdict:
+class TotalOrderVerdict(NamedTuple):
     ok: bool
     node_a: int | None = None
     node_b: int | None = None
@@ -38,8 +36,7 @@ class TotalOrderVerdict:
         )
 
 
-@dataclass(frozen=True)
-class ScheduleAgreementVerdict:
+class ScheduleAgreementVerdict(NamedTuple):
     status: str  # ok | inconclusive | violation
     epoch: int | None = None
     detail: str = ""
@@ -53,8 +50,7 @@ class ScheduleAgreementVerdict:
         return f"schedule-agreement: {self.status}{suffix}"
 
 
-@dataclass(frozen=True)
-class LeaderUtilizationReport:
+class LeaderUtilizationReport(NamedTuple):
     ok: bool
     skipped: int
     bound: int
@@ -81,8 +77,7 @@ class LeaderUtilizationReport:
         return text
 
 
-@dataclass(frozen=True)
-class DeliveryVerdict:
+class DeliveryVerdict(NamedTuple):
     """``missing`` lists the (node, vertex) deliveries that checker ``name``
     found absent (rb-validity, rb-agreement) or late (delivery-bound)."""
 

@@ -21,29 +21,29 @@ retroactively and replicas that switched earlier would diverge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .committee import Committee, ValidatorId
 from .dag import DagState, Vertex, VertexId, causal_history, path
 from .reputation import Schedule, ScheduleBook, build_next_schedule, compute_scores, get_anchor
 from .traces import Tracer
 
 
-@dataclass
 class CommitState:
     """Per-node ordering state. Never shared across nodes."""
 
-    committee: Committee
-    book: ScheduleBook
-    switch_span: int | None
-    exclusion_fraction: float
-    # The commit log: each ordered vertex, in order, mapped to the round of
-    # the anchor that ordered it.
-    ordered: dict[VertexId, int] = field(init=False, default_factory=dict)
-    # The same vertices per round, as a bitmask of their sources.
-    ordered_sources: dict[int, int] = field(init=False, default_factory=dict)
-    last_ordered_round: int = field(init=False, default=0)
-    discarded_anchors: list[VertexId] = field(init=False, default_factory=list)
+    def __init__(
+        self, committee: Committee, book: ScheduleBook, switch_span: int | None, exclusion_fraction: float
+    ):
+        self.committee = committee
+        self.book = book
+        self.switch_span = switch_span
+        self.exclusion_fraction = exclusion_fraction
+        # The commit log: each ordered vertex, in order, mapped to the round of
+        # the anchor that ordered it.
+        self.ordered: dict[VertexId, int] = {}
+        # The same vertices per round, as a bitmask of their sources.
+        self.ordered_sources: dict[int, int] = {}
+        self.last_ordered_round = 0
+        self.discarded_anchors: list[VertexId] = []
 
 
 def commit_inserted(state: CommitState, dag: DagState, inserted: list[Vertex], tracer: Tracer) -> None:

@@ -7,7 +7,7 @@ be stable across runs given the same input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .frozen import Frozen
 
 
 ValidatorId = int
@@ -21,34 +21,22 @@ class ZeroStake(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Committee:
+class Committee(Frozen):
     """Immutable committee of ``n`` validators tolerating ``f`` faults.
 
     ``f`` is always derived as ``floor((n - 1) / 3)`` so that ``3f + 1 <= n``
     holds by construction. Edge quorums count vertices (``n - f``), commits
     need ``f + 1`` votes; stake only enters slot allocation and the sizing of
-    the swap sets at schedule changes.
+    the swap sets at schedule changes. Every field but ``stakes`` is derived
+    from it: ``quorum_threshold`` (round advancement, parent edges) and
+    ``commit_threshold`` (direct anchor commits) among them.
     """
 
-    stakes: tuple[int, ...]
-    n: int = field(init=False)
-    f: int = field(init=False)
-    members: tuple[ValidatorId, ...] = field(init=False)
-    # Vertex count required for round advancement and parent edges.
-    quorum_threshold: int = field(init=False)
-    # Votes required for a direct anchor commit.
-    commit_threshold: int = field(init=False)
-    total_stake: int = field(init=False)
+    __slots__ = ("stakes", "n", "f", "members", "quorum_threshold", "commit_threshold", "total_stake")
 
-    def __post_init__(self):
-        n, f = len(self.stakes), (len(self.stakes) - 1) // 3
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "members", tuple(range(n)))
-        object.__setattr__(self, "quorum_threshold", n - f)
-        object.__setattr__(self, "commit_threshold", f + 1)
-        object.__setattr__(self, "total_stake", sum(self.stakes))
+    def __init__(self, stakes: tuple[int, ...]):
+        n, f = len(stakes), (len(stakes) - 1) // 3
+        self._assign(stakes, n, f, tuple(range(n)), n - f, f + 1, sum(stakes))
 
     def stake(self, v: ValidatorId) -> int:
         return self.stakes[v]

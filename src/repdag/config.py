@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable
+
+from .frozen import Frozen
 
 MODES = ("hammerhead", "round-robin")
 
@@ -23,31 +24,43 @@ class ConfigInvalid(ValueError):
         super().__init__(f"{field}: {message}")
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    stakes: tuple[int, ...]
-    mode: str = "hammerhead"
-    commits_per_epoch: int = 10
-    exclusion_fraction: float = 0.33
-    slot_length: int | None = None  # None: the committee size
-    gst: int = 0
-    delta: int = 2
-    leader_timeout: int | None = None  # None: 2 * delta
-    pre_gst_policy: str = "hold"
-    seed: int = 0
-    fault_plan: tuple[tuple[int, int], ...] = ()
-    max_round: int | None = 60
-    max_time: int | None = None
-    tx_rate_per_node: int = 2
-    batch_size: int | None = None  # None: n * tx_rate_per_node, at least 1
+class SimConfig(Frozen):
+    __slots__ = (
+        "stakes", "mode", "commits_per_epoch", "exclusion_fraction", "slot_length", "gst", "delta",
+        "leader_timeout", "pre_gst_policy", "seed", "fault_plan", "max_round", "max_time",
+        "tx_rate_per_node", "batch_size"
+    )
 
-    def __post_init__(self) -> None:
-        if self.slot_length is None:
-            object.__setattr__(self, "slot_length", self.n)
-        if self.leader_timeout is None:
-            object.__setattr__(self, "leader_timeout", 2 * self.delta)
-        if self.batch_size is None:
-            object.__setattr__(self, "batch_size", max(1, self.n * self.tx_rate_per_node))
+    def __init__(
+        self,
+        stakes: tuple[int, ...],
+        mode: str = "hammerhead",
+        commits_per_epoch: int = 10,
+        exclusion_fraction: float = 0.33,
+        slot_length: int | None = None,  # None: the committee size
+        gst: int = 0,
+        delta: int = 2,
+        leader_timeout: int | None = None,  # None: 2 * delta
+        pre_gst_policy: str = "hold",
+        seed: int = 0,
+        fault_plan: tuple[tuple[int, int], ...] = (),
+        max_round: int | None = 60,
+        max_time: int | None = None,
+        tx_rate_per_node: int = 2,
+        batch_size: int | None = None,  # None: n * tx_rate_per_node, at least 1
+    ) -> None:
+        n = len(stakes)
+        slot_length = n if slot_length is None else slot_length
+        leader_timeout = 2 * delta if leader_timeout is None else leader_timeout
+        batch_size = max(1, n * tx_rate_per_node) if batch_size is None else batch_size
+        self._assign(
+            stakes, mode, commits_per_epoch, exclusion_fraction, slot_length, gst, delta, leader_timeout,
+            pre_gst_policy, seed, fault_plan, max_round, max_time, tx_rate_per_node, batch_size
+        )
+
+    def replace(self, **changes: Any) -> SimConfig:
+        """A copy with ``changes`` applied; a derived setting changed to None is derived again."""
+        return SimConfig(**dict(zip(self.__slots__, self._values())) | changes)
 
     @property
     def n(self) -> int:
@@ -64,7 +77,7 @@ class SimConfig:
         return None if self.pre_gst_policy == "hold" else int(self.pre_gst_policy.split(":", 1)[1])
 
     def with_seed(self, seed: int) -> "SimConfig":
-        return replace(self, seed=seed)
+        return self.replace(seed=seed)
 
     def to_json_dict(self) -> dict[str, Any]:
         """Canonical wire form, same keys a config file uses."""

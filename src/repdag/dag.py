@@ -15,10 +15,10 @@ and its bits, read from the lowest up, give the round's row in source order.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple
 
 from .committee import Committee, ValidatorId
+from .frozen import Frozen
 
 
 class VertexId(NamedTuple):
@@ -26,28 +26,31 @@ class VertexId(NamedTuple):
     source: ValidatorId
 
 
-@dataclass(frozen=True, slots=True)
-class Vertex:
+class Vertex(Frozen):
     """A DAG vertex; its shape is checked once, here, for every receiver.
 
     Raises ``ValueError`` for a negative round, source or mask, or a genesis
     vertex with parents; a parent cannot sit at a wrong round, as it is named
-    by source.
+    by source. ``mask`` holds its parents: bit s is set iff source s, one
+    round below, is one. ``round`` and ``source`` are denormalized from
+    ``id``; plain fields keep the hot paths cheap.
     """
 
-    id: VertexId
-    # Its parents: bit s is set iff source s, one round below, is one.
-    mask: int
-    # Denormalized from id; plain fields keep the hot paths cheap.
-    round: int = field(init=False)
-    source: ValidatorId = field(init=False)
+    __slots__ = ("id", "mask", "round", "source")
 
-    def __post_init__(self):
-        (r, source), mask = self.id, self.mask
+    def __init__(self, id: VertexId, mask: int):
+        r, source = id
         if r < 0 or source < 0 or mask < 0 or (r == 0 and mask):
-            raise ValueError(f"malformed vertex {self.id}: parent mask {mask:#x}")
-        object.__setattr__(self, "round", r)
-        object.__setattr__(self, "source", source)
+            raise ValueError(f"malformed vertex {id}: parent mask {mask:#x}")
+        _set_id(self, id)
+        _set_mask(self, mask)
+        _set_round(self, r)
+        _set_source(self, source)
+
+
+# The slots' own setters: every created vertex is built once, and calling
+# these costs less than ``object.__setattr__``, which looks each slot up.
+_set_id, _set_mask, _set_round, _set_source = (Vertex.__dict__[name].__set__ for name in Vertex.__slots__)
 
 
 class InsertOutcome(enum.Enum):

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import json
-import statistics
-from dataclasses import dataclass, replace
+import math
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 from . import __version__
 from .config import ConfigInvalid, SimConfig, parse_config
@@ -109,8 +108,7 @@ def run_in_memory(cfg: SimConfig) -> tuple[Metrics, RunResult]:
     return metrics, result
 
 
-@dataclass(frozen=True)
-class Comparison:
+class Comparison(NamedTuple):
     seeds: tuple[int, ...]
     metrics_a: tuple[Metrics, ...]
     metrics_b: tuple[Metrics, ...]
@@ -118,7 +116,7 @@ class Comparison:
     def mean(self, side: str, attr: str) -> float:
         values = [getattr(m, attr) for m in (self.metrics_a if side == "a" else self.metrics_b)]
         values = [v for v in values if v is not None]
-        return statistics.fmean(values) if values else float("nan")
+        return math.fsum(values) / len(values) if values else float("nan")
 
     def to_rows(self) -> list[dict[str, Any]]:
         rows = []
@@ -187,8 +185,7 @@ def sweep(
                 for seed in seeds:
                     # None re-derives the slot length and batch size from this n, and
                     # parsing refuses a grid point no config file could hold.
-                    point = replace(
-                        base,
+                    point = base.replace(
                         stakes=(1,) * n,
                         slot_length=None,
                         batch_size=None,

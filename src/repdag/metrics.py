@@ -10,14 +10,12 @@ node over the whole run duration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 Records = dict[int, list[dict[str, Any]]]
 
 
-@dataclass(frozen=True)
-class Metrics:
+class Metrics(NamedTuple):
     latency_p50: float | None
     latency_p95: float | None
     latency_avg: float | None

@@ -12,10 +12,10 @@ from __future__ import annotations
 import random
 import warnings
 from bisect import bisect_right
-from dataclasses import dataclass
 
 from .committee import Committee, ValidatorId
 from .dag import DagState, Vertex, VertexId, causal_history
+from .frozen import Frozen
 
 
 class BadLength(ValueError):
@@ -30,8 +30,7 @@ class UncoveredRound(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(Frozen):
     """One epoch's round-to-leader mapping.
 
     ``slots`` is indexed by anchor-round offset from ``initial_round`` and
@@ -39,9 +38,10 @@ class Schedule:
     higher ``initial_round`` takes over.
     """
 
-    epoch: int
-    initial_round: int
-    slots: tuple[ValidatorId, ...]
+    __slots__ = ("epoch", "initial_round", "slots")
+
+    def __init__(self, epoch: int, initial_round: int, slots: tuple[ValidatorId, ...]):
+        self._assign(epoch, initial_round, slots)
 
     def leader_for(self, round: int) -> ValidatorId:
         if round % 2 != 0:

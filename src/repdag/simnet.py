@@ -47,7 +47,6 @@ import random
 from collections import deque
 from collections.abc import Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import partial
 from typing import Any, NamedTuple
 
@@ -111,8 +110,7 @@ def client_supply(crash_at: list[int], rate: int, node: ValidatorId, now: int) -
     return clients * rate
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     config: SimConfig
     committee: Committee
     nodes: list[Node]

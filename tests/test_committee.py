@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -46,7 +44,7 @@ def test_derived_constants_are_set_once():
     c = new_committee([2, 1, 1, 1])
     assert c.members is c.members
     assert (c.quorum_threshold, c.commit_threshold, c.total_stake) == (3, 2, 5)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         c.members = (0,)
 
 

@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import pytest
 
@@ -101,6 +102,30 @@ def test_with_seed_only_changes_seed():
     other = cfg.with_seed(9)
     assert other.seed == 9
     assert other.to_json_dict() == {**cfg.to_json_dict(), "seed": 9}
+
+
+def test_replace_derives_again_what_it_sets_to_none():
+    cfg = parse_config(minimal(Delta=3, txRatePerNode=1))
+    assert (cfg.slot_length, cfg.leader_timeout, cfg.batch_size) == (4, 6, 4)
+    kept = cfg.replace(stakes=(1,) * 7, delta=2)
+    assert (kept.slot_length, kept.leader_timeout, kept.batch_size) == (4, 6, 4)
+    derived = cfg.replace(stakes=(1,) * 7, delta=2, slot_length=None, leader_timeout=None, batch_size=None)
+    assert (derived.slot_length, derived.leader_timeout, derived.batch_size) == (7, 4, 7)
+    assert derived == SimConfig(stakes=(1,) * 7, tx_rate_per_node=1)
+    assert SimConfig(stakes=(1,) * 5).with_seed(3) == SimConfig(stakes=(1,) * 5, seed=3)
+    assert cfg.replace() == cfg and cfg.with_seed(cfg.seed) == cfg
+
+
+def test_a_config_is_an_immutable_value_that_pickles():
+    cfg = parse_config(minimal(T=4, faultPlan=[[3, 5]], stop={"maxTime": 90}))
+    for field in ("seed", "slot_length"):
+        with pytest.raises(AttributeError):
+            setattr(cfg, field, 1)
+        with pytest.raises(AttributeError):
+            delattr(cfg, field)
+    again = pickle.loads(pickle.dumps(cfg))
+    assert again == cfg and hash(again) == hash(cfg)
+    assert again.to_json_dict() == cfg.to_json_dict()
 
 
 def test_load_config_from_file(tmp_path):

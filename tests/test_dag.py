@@ -91,6 +91,17 @@ class TestInsert:
             with pytest.raises(ValueError, match="malformed vertex"):
                 Vertex(VertexId(1, source), mask)
 
+    def test_a_vertex_is_an_immutable_value(self):
+        v = mk_vertex(1, 2, [0, 1, 3])
+        assert (v.id, v.mask, v.round, v.source) == (VertexId(1, 2), 0b1011, 1, 2)
+        assert v == mk_vertex(1, 2, [3, 1, 0]) and hash(v) == hash(mk_vertex(1, 2, [0, 1, 3]))
+        assert v != mk_vertex(1, 2, [0, 1, 2])
+        for field in ("id", "mask", "round", "source"):
+            with pytest.raises(AttributeError):
+                setattr(v, field, 0)
+            with pytest.raises(AttributeError):
+                delattr(v, field)
+
     def test_out_of_range_ids_rejected(self, committee4):
         # A parent id >= n would wait in ``pending`` for ever, and a source
         # >= n would count toward its round's quorum.

@@ -1,10 +1,15 @@
 import json
+import math
+import pickle
+import statistics
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repdag.cli import main
-from repdag.harness import load_run
+from repdag.config import SimConfig
+from repdag.harness import Comparison, compare, load_run
 from repdag.metrics import compute_metrics
 
 from .conftest import manifest_for, quick_run
@@ -87,6 +92,21 @@ def test_crashed_nodes_excluded_from_throughput():
     }
     m = compute_metrics(records, manifest)
     assert m.distinct_txs == 0  # only the crashed node ordered anything
+
+
+def test_metrics_and_comparisons_are_immutable_values_that_pickle():
+    cfg = SimConfig(stakes=(1,) * 4, max_round=14)
+    comparison = compare(cfg, cfg.replace(mode="round-robin"), seeds=[0, 1, 2])
+    metrics = comparison.metrics_a[0]
+    with pytest.raises(AttributeError):
+        metrics.throughput = 0.0
+    assert pickle.loads(pickle.dumps(metrics)) == metrics
+    assert pickle.loads(pickle.dumps(comparison)) == comparison
+    for side, runs in (("a", comparison.metrics_a), ("b", comparison.metrics_b)):
+        # Bit for bit what statistics.fmean gives.
+        assert comparison.mean(side, "throughput") == statistics.fmean(m.throughput for m in runs)
+    no_latency = Comparison(seeds=(0,), metrics_a=(metrics._replace(latency_avg=None),), metrics_b=())
+    assert math.isnan(no_latency.mean("a", "latency_avg"))
 
 
 def test_metrics_recompute_equals_stored(tmp_path):

@@ -51,6 +51,14 @@ class TestScheduleBookCovering:
             book_with([0, 1, 2, 3]).covering(-2)
 
 
+def test_a_schedule_is_an_immutable_value():
+    s = Schedule(1, 10, (0, 1, 2))
+    assert s == Schedule(epoch=1, initial_round=10, slots=(0, 1, 2)) != Schedule(1, 12, (0, 1, 2))
+    for field in ("epoch", "initial_round", "slots"):
+        with pytest.raises(AttributeError):
+            setattr(s, field, 0)
+
+
 class TestInitialSchedule:
     def test_equal_stakes_one_slot_each(self, committee4):
         s = initial_schedule(committee4, seed=0, length=4)
