@@ -4,7 +4,7 @@ anchor back-chaining, history ordering, and schedule-switch triggering.
 Commit decisions depend only on dag content plus the schedule book, both of
 which all honest nodes agree on (eventually for content, by induction for the
 book), so replicas produce identical commit logs no matter how deliveries
-interleave.
+interleave. That log is kept only in the ``anchor-committed`` records.
 
 Each anchor round is decided once: committed directly, committed by
 back-chaining from a later anchor, or skipped. Once ``last_ordered_round``
@@ -28,7 +28,8 @@ from .traces import Tracer
 
 
 class CommitState:
-    """Per-node ordering state. Never shared across nodes."""
+    """Per-node ordering state. Never shared across nodes. It keeps no copy of
+    the commit log; ``ordered_sources`` is the log's only in-memory index."""
 
     def __init__(
         self, committee: Committee, book: ScheduleBook, switch_span: int | None, exclusion_fraction: float
@@ -37,10 +38,7 @@ class CommitState:
         self.book = book
         self.switch_span = switch_span
         self.exclusion_fraction = exclusion_fraction
-        # The commit log: each ordered vertex, in order, mapped to the round of
-        # the anchor that ordered it.
-        self.ordered: dict[VertexId, int] = {}
-        # The same vertices per round, as a bitmask of their sources.
+        # The ordered vertices per round, as a bitmask of their sources.
         self.ordered_sources: dict[int, int] = {}
         self.last_ordered_round = 0
         self.discarded_anchors: list[VertexId] = []
@@ -120,9 +118,10 @@ def order_history(state: CommitState, dag: DagState, chain: list[Vertex], tracer
     schedule switch; the rest of the chain is then ordered under the new
     schedule. Ordered vertices are downward closed (histories are ordered
     atomically), so a walk that skips ``ordered_sources`` stops at the first
-    ordered ancestor. Its rows, read bottom-up, are in (round, source) order.
+    ordered ancestor. Its rows, read bottom-up, are in (round, source) order
+    and fill the anchor's ``anchor-committed`` record, the log's one copy.
     """
-    ordered, sources = state.ordered, state.ordered_sources
+    sources = state.ordered_sources
     for anchor in reversed(chain):
         if state.book.leader_for(anchor.round) != anchor.source:
             state.discarded_anchors.append(anchor.id)
@@ -131,7 +130,6 @@ def order_history(state: CommitState, dag: DagState, chain: list[Vertex], tracer
         for row in reversed(causal_history(dag, anchor.id, exclude=sources)):
             mask = 0
             for u in row:
-                ordered[u.id] = anchor.round
                 history.append(u.id)
                 mask |= 1 << u.source
             sources[row[0].round] = sources.get(row[0].round, 0) | mask

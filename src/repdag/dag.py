@@ -146,7 +146,6 @@ class AnchorReach:
     """
 
     def __init__(self, dag: DagState, target: VertexId, max_round: int):
-        self.target = target
         # Per round, the sources that reach the target, as a bitmask.
         self._reached = reached = {target.round: 1 << target.source}
         for r in range(target.round + 1, max_round + 1):

@@ -47,7 +47,6 @@ class Node:
         tx_supply: Callable[[ValidatorId, int], int],
     ):
         self.me = me
-        self.committee = committee
         self._quorum = committee.quorum_threshold
         self.dag = DagState(committee)
         self.commit = CommitState(committee, ScheduleBook(genesis_schedule), switch_span, exclusion_fraction)

@@ -6,10 +6,10 @@ literal per-round enumeration for scores, a step-by-step rendering of the
 swap rule, a hop-by-hop scan of client re-attachment, a per-copy
 broadcast and event loop over a plain (time, seq) heap, a set test of
 parent completeness, reliable-broadcast checkers that hold every honest
-node's first deliveries at once, and metrics that read the records in four
-passes. None of them share code with the package internals beyond the
-verdict, metrics and event types and the honest-node, committed-round and
-rank helpers.
+node's first deliveries at once, metrics that read the records in four
+passes, and a commit log read straight off the records. None of them share
+code with the package internals beyond the verdict, metrics and event types
+and the honest-node, committed-round and rank helpers.
 """
 
 import heapq
@@ -216,6 +216,12 @@ class PerCopyLoop:
             for deadline in effects.timers:
                 self.push(deadline, TIMER, target, None)
         return ev
+
+
+def commit_log(records) -> list[tuple[Any, int]]:
+    """A node's commit log from its ``anchor-committed`` records: each ordered
+    vertex id, in order, paired with the round of the anchor that ordered it."""
+    return [(vid, r["round"]) for r in records if r["kind"] == "anchor-committed" for vid in r["ordered"]]
 
 
 def parents_complete(dag: DagState, v) -> bool:

@@ -17,7 +17,8 @@ from repdag.dag import DagState, VertexId
 from repdag.reputation import Schedule, ScheduleBook, select_swap_sets
 
 from .conftest import full_dag, mk_vertex, random_dag_vertices, replay
-from .oracles import naive_path, parent_sources
+from .oracles import commit_log, naive_path, parent_sources
+from .test_dag import source_masks
 
 
 def fresh_state(committee, slots=(0, 1, 2, 3), span=None):
@@ -65,15 +66,17 @@ class TestTryCommitting:
     def test_one_vote_is_not_enough(self, committee4):
         dag, committer, _ = self.build(committee4, linking_parents=1)
         state = fresh_state(committee4)
-        assert try_committing(state, dag, committer, tracer0()) is None
-        assert state.ordered == {}
+        tr = tracer0()
+        assert try_committing(state, dag, committer, tr) is None
+        assert commit_log(tr.records) == []
 
     def test_odd_round_is_a_no_op(self, committee4):
         dag = full_dag(committee4, 3)
         state = fresh_state(committee4)
         v = dag.get(VertexId(3, 0))
-        assert try_committing(state, dag, v, tracer0()) is None
-        assert state.ordered == {}
+        tr = tracer0()
+        assert try_committing(state, dag, v, tr) is None
+        assert commit_log(tr.records) == []
 
     def test_genesis_round_is_a_no_op(self, committee4):
         dag = full_dag(committee4, 0)
@@ -145,11 +148,11 @@ class TestOrderAnchors:
         state = fresh_state(committee4)
         tr = tracer0()
         assert try_committing(state, dag, dag.get(VertexId(8, 0)), tr) == 6
-        log_before = list(state.ordered.items())
+        log_before = commit_log(tr.records)
         records_before = len(tr.records)
         # (8, 1) also certifies the round-6 anchor, which is already ordered
         assert try_committing(state, dag, dag.get(VertexId(8, 1)), tr) is None
-        assert list(state.ordered.items()) == log_before
+        assert commit_log(tr.records) == log_before
         assert len(tr.records) == records_before
 
 
@@ -157,13 +160,15 @@ class TestOrderHistory:
     def test_first_anchor_orders_genesis_then_itself(self, committee4):
         dag = full_dag(committee4, 4)
         state = fresh_state(committee4)
-        try_committing(state, dag, dag.get(VertexId(4, 0)), tracer0())
-        ordered = list(state.ordered)
+        tr = tracer0()
+        try_committing(state, dag, dag.get(VertexId(4, 0)), tr)
+        log = commit_log(tr.records)
+        ordered = [vid for vid, _ in log]
         # (round, source) ascending: all genesis, all round-1, then the anchor
         assert ordered[:4] == [VertexId(0, s) for s in range(4)]
         assert ordered[4:8] == [VertexId(1, s) for s in range(4)]
         assert ordered[8] == VertexId(2, 1)
-        assert set(state.ordered.values()) == {2}
+        assert {r for _, r in log} == {2}
 
     def test_histories_partition_without_duplicates(self, committee4):
         dag = full_dag(committee4, 8)
@@ -171,16 +176,21 @@ class TestOrderHistory:
         tr = tracer0()
         try_committing(state, dag, dag.get(VertexId(8, 0)), tr)
         # No vertex is ordered twice: the histories the anchors record
-        # concatenate to the log without repeats.
-        assert ordered_sequence(tr.records) == list(state.ordered)
-        anchor_rounds = list(state.ordered.values())
+        # concatenate to the log without repeats, oldest anchor first.
+        log = commit_log(tr.records)
+        seq = [vid for vid, _ in log]
+        assert len(set(seq)) == len(seq)
+        anchor_rounds = [r for _, r in log]
         assert anchor_rounds == sorted(anchor_rounds)
+        assert {r for _, r in log} == {2, 4, 6}
+        assert state.ordered_sources == source_masks(seq)
 
     def test_atomic_history(self, committee4):
         dag = full_dag(committee4, 8)
         state = fresh_state(committee4)
-        try_committing(state, dag, dag.get(VertexId(8, 0)), tracer0())
-        position = {vid: i for i, vid in enumerate(state.ordered)}
+        tr = tracer0()
+        try_committing(state, dag, dag.get(VertexId(8, 0)), tr)
+        position = {vid: i for i, vid in enumerate(ordered_sequence(tr.records))}
         for vid in position:
             for s in parent_sources(dag.get(vid)):
                 assert position[VertexId(vid.round - 1, s)] < position[vid]
@@ -298,11 +308,11 @@ class TestDeterminism:
         committee = new_committee([1, 1, 1, 1])
         rng = random.Random(seed)
         vertices = random_dag_vertices(rng, committee, 10)
-        canonical, _, _ = replay(committee, vertices, range(len(vertices)), seed, switch_span=4)
+        canonical, _, canonical_tr = replay(committee, vertices, range(len(vertices)), seed, switch_span=4)
         order = list(range(len(vertices)))
         rng.shuffle(order)
-        shuffled, _, _ = replay(committee, vertices, order, seed, switch_span=4)
-        assert list(canonical.ordered.items()) == list(shuffled.ordered.items())
+        shuffled, _, shuffled_tr = replay(committee, vertices, order, seed, switch_span=4)
+        assert commit_log(canonical_tr.records) == commit_log(shuffled_tr.records)
         assert [s.slots for s in canonical.book.schedules] == [s.slots for s in shuffled.book.schedules]
         assert [s.initial_round for s in canonical.book.schedules] == [
             s.initial_round for s in shuffled.book.schedules

@@ -18,7 +18,7 @@ from repdag.simnet import BOOT, CRASH, DELIVER, TIMER, Simulation, client_supply
 from repdag.traces import serialize
 
 from .conftest import manifest_for, quick_run
-from .oracles import PerCopyLoop, brute_client_counts, naive_ancestors, parent_sources
+from .oracles import PerCopyLoop, brute_client_counts, commit_log, naive_ancestors, parent_sources
 from .test_dag import source_masks
 from .test_golden import CORPUS
 
@@ -467,8 +467,13 @@ class TestCommitLog:
                 if rec["kind"] == "anchor-committed":
                     history = naive_ancestors(node.dag, VertexId(rec["round"], rec["leader"]))
                     want.extend(sorted(history - set(want)))
-            assert list(node.commit.ordered) == want
-            assert node.commit.ordered_sources == source_masks(want)
+            log = commit_log(node.tracer.records)
+            seq = [vid for vid, _ in log]
+            assert seq == want
+            assert len(set(seq)) == len(seq)
+            anchor_rounds = [r for _, r in log]
+            assert anchor_rounds == sorted(anchor_rounds)
+            assert node.commit.ordered_sources == source_masks(seq)
 
 class TestEcho:
     """The simulator, not the node, echoes each first delivery."""
@@ -601,7 +606,7 @@ class TestGoldenRun:
         # every node's ordering respects causal order: parents before children
         _, result = self.golden()
         for node in result.nodes:
-            position = {vid: i for i, vid in enumerate(node.commit.ordered)}
+            position = {vid: i for i, (vid, _) in enumerate(commit_log(node.tracer.records))}
             for vid in position:
                 for s in parent_sources(node.dag.get(vid)):
                     assert position[VertexId(vid.round - 1, s)] < position[vid]

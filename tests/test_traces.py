@@ -7,6 +7,7 @@ from repdag.checks import ordered_sequence
 from repdag.traces import RECORD_KINDS, Tracer, header_line, parse, serialize
 
 from .conftest import quick_run
+from .test_dag import source_masks
 from .test_golden import CORPUS, PERSISTED
 
 
@@ -101,9 +102,12 @@ def test_records_are_time_ordered_per_node():
 def test_ordered_lists_concatenate_to_the_commit_log():
     _, result = quick_run(seed=8, stop={"maxRound": 16})
     for node, tracer in zip(result.nodes, result.tracers):
+        # The lists are the node's only copy of the log; its one in-memory
+        # index, the per-round ordered sources, must hold the same vertices.
         ordered = ordered_sequence(tracer.records)
         assert ordered, "the run ordered no vertex"
-        assert ordered == list(node.commit.ordered)
+        assert len(set(ordered)) == len(ordered)
+        assert node.commit.ordered_sources == source_masks(ordered)
 
 
 def test_records_share_the_stored_vertex_ids():
