@@ -15,6 +15,9 @@ from repdag.cli import _at_least
 from repdag.config import ConfigInvalid, parse_config
 from repdag.harness import run_in_memory
 
+# Delta of every run unless given; the header names any other.
+DELTA = 1
+
 
 def _fmt(value: float | None, spec: str) -> str:
     """``value`` in ``spec``, or ``-`` when there is none."""
@@ -27,6 +30,7 @@ def main() -> int:
     ap.add_argument("--crashes", type=_at_least(0), default=None, help="default: the fault bound f")
     ap.add_argument("--rounds", type=_at_least(1), default=400)
     ap.add_argument("--seeds", type=_at_least(1), default=5)
+    ap.add_argument("--delta", type=_at_least(1), default=DELTA, help="Delta: the post-GST delay bound, in ticks")
     args = ap.parse_args()
 
     f = (args.n - 1) // 3
@@ -35,7 +39,7 @@ def main() -> int:
     base = {
         "stakes": [1] * args.n,
         "stop": {"maxRound": args.rounds},
-        "Delta": 1,
+        "Delta": args.delta,
         "leaderTimeout": 6,
     }
     try:
@@ -54,7 +58,8 @@ def main() -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    print(f"n={args.n}, {crashes} crashes at t=0, {args.rounds} rounds")
+    timing = f", Delta {args.delta}" if args.delta != DELTA else ""
+    print(f"n={args.n}, {crashes} crashes at t=0, {args.rounds} rounds{timing}")
     print(f"{'mode':>12} {'seed':>5} {'tput':>8} {'vs faultless':>13} {'latency':>8}")
     ratios = {mode: [] for mode in pairs}
     for mode, configs in pairs.items():

@@ -9,14 +9,17 @@ one honest node's records at a time. Besides that node's deliveries they
 hold one run-wide table of vertex ids (the created ones, or the union of the
 delivered ones), never one per node: delivery records grow with n^2 per
 round, a single node's with n. The rb checkers build ``missing`` only when
-they fail. They read a vertex id by unpacking it into its two fields, so an id
-that is not a pair raises ``ValueError`` (a bad trace) instead of counting as
-a vertex nobody created.
+they fail.
+
+Every checker keys on a record's vertex id as it stands: a ``(round, source)``
+tuple shared by every record that names the vertex, in memory and once
+parsed. ``traces.parse`` refuses an id that is not a pair of integers, so a
+bad id is a bad trace, never a vertex nobody created.
 """
 
 from __future__ import annotations
 
-from typing import Any, NamedTuple, Sequence
+from typing import Any, NamedTuple
 
 from .metrics import Records, committed_anchor_rounds, honest_nodes
 
@@ -91,9 +94,9 @@ class DeliveryVerdict(NamedTuple):
         return f"{self.name}: violation at {len(self.missing)} (node, vertex) deliveries"
 
 
-def ordered_sequence(records: list[dict[str, Any]]) -> list[Sequence[int]]:
-    """A node's ordered vertex ids, in order: ``VertexId``s in memory,
-    ``[round, source]`` lists once parsed."""
+def ordered_sequence(records: list[dict[str, Any]]) -> list[tuple[int, int]]:
+    """A node's ordered vertex ids, in order: the ``(round, source)`` tuples
+    its ``anchor-committed`` records share with every other record."""
     return [vid for r in records if r["kind"] == "anchor-committed" for vid in r["ordered"]]
 
 
@@ -152,8 +155,7 @@ def _pre_gst_round(records_by_node: Records, honest: list[int], gst: int) -> int
     for node in honest:
         for rec in records_by_node.get(node, []):
             if rec["kind"] == "vertex-created" and rec["at"] <= gst:
-                r, _ = rec["id"]
-                top = max(top, r)
+                top = max(top, rec["id"][0])
     return top
 
 
@@ -194,18 +196,18 @@ def check_leader_utilization(
 
 
 def _created_by(records_by_node: Records) -> dict[tuple[int, int], int]:
-    created = {}
-    for node, records in records_by_node.items():
-        for rec in records:
-            if rec["kind"] == "vertex-created":
-                r, s = rec["id"]
-                created[r, s] = rec["at"]
-    return created
+    """Each created vertex's creation tick."""
+    return {
+        rec["id"]: rec["at"]
+        for records in records_by_node.values()
+        for rec in records
+        if rec["kind"] == "vertex-created"
+    }
 
 
 def _delivered_ids(records: list[dict[str, Any]]) -> set[tuple[int, int]]:
     """The vertex ids a node delivered."""
-    return {(r, s) for rec in records if rec["kind"] == "vertex-delivered" for r, s in (rec["id"],)}
+    return {rec["id"] for rec in records if rec["kind"] == "vertex-delivered"}
 
 
 def _first_deliveries(records: list[dict[str, Any]]) -> dict[tuple[int, int], int]:
@@ -213,8 +215,7 @@ def _first_deliveries(records: list[dict[str, Any]]) -> dict[tuple[int, int], in
     ticks: dict[tuple[int, int], int] = {}
     for rec in records:
         if rec["kind"] == "vertex-delivered":
-            r, s = rec["id"]
-            ticks.setdefault((r, s), rec["at"])
+            ticks.setdefault(rec["id"], rec["at"])
     return ticks
 
 
@@ -265,7 +266,8 @@ def check_delivery_bound(records_by_node: Records, manifest: dict[str, Any]) -> 
     """
     cfg = manifest["config"]
     delta, gst = cfg["Delta"], cfg["GST"]
-    created = _created_by(records_by_node)
+    # Each created vertex's deadline, computed once rather than per delivery.
+    deadline = {vid: delta + max(gst, sent) for vid, sent in _created_by(records_by_node).items()}
     # One node's first deliveries at a time (see the module docstring):
     # every node's at once could also tip the cyclic GC into a full pass
     # over all the records it was given.
@@ -273,6 +275,6 @@ def check_delivery_bound(records_by_node: Records, manifest: dict[str, Any]) -> 
         (node, vid)
         for node in honest_nodes(manifest)
         for vid, at in _first_deliveries(records_by_node.get(node, [])).items()
-        if (sent := created.get(vid)) is None or at > delta + max(gst, sent)
+        if (limit := deadline.get(vid)) is None or at > limit
     ]
     return DeliveryVerdict("delivery-bound", not late, tuple(late))

@@ -11,7 +11,7 @@ from . import __version__
 from .config import ConfigInvalid, SimConfig, parse_config
 from .metrics import Metrics, Records, compute_metrics
 from .simnet import RunResult, gc_paused, run
-from .traces import TraceInvalid, parse, serialize
+from .traces import TraceInvalid, VertexIds, parse, serialize
 
 MANIFEST_NAME = "manifest.json"
 
@@ -45,7 +45,7 @@ def load_run(run_dir: str | Path) -> tuple[dict[str, Any], Records]:
     every validator it lists has exactly one trace, named after it and with
     its node in the header, so a checker never reports on traces it was not
     given. The returned manifest's config is the parsed one, with every
-    default filled in.
+    default filled in. Every node's records name a vertex by the same tuple.
     """
     run_dir = Path(run_dir)
     manifest = json.loads((run_dir / MANIFEST_NAME).read_text())
@@ -65,11 +65,12 @@ def load_run(run_dir: str | Path) -> tuple[dict[str, Any], Records]:
             f"missing {sorted(expected.keys() - found)}, unexpected {sorted(found - expected.keys())}"
         )
     records: Records = {}
+    ids = VertexIds()
     # Parsed records hold no cycles: see ``simnet.gc_paused``.
     with gc_paused():
         for name, validator in expected.items():
             try:
-                node, recs = parse((run_dir / name).read_text())
+                node, recs = parse((run_dir / name).read_text(), ids)
             except (TraceInvalid, json.JSONDecodeError) as exc:
                 raise TraceInvalid(f"{run_dir / name}: {exc}") from None
             if node != validator:
@@ -84,8 +85,10 @@ def run_scenario(cfg: SimConfig, out_dir: str | Path) -> tuple[Metrics, Path]:
     The metrics are computed from the records the run wrote, so the traces
     are never read back here. ``repdag check`` reads them for its checkers,
     and the benchmark and ``tests/test_metrics.py`` recompute the metrics
-    from them, which come out the same: the metrics only unpack vertex ids,
-    ``VertexId``s in memory and ``[round, source]`` lists once parsed.
+    from them, which come out the same: a record's vertex id is a
+    ``(round, source)`` tuple shared by every record that names the vertex,
+    the vertex's ``VertexId`` in memory and the parse table's tuple once
+    parsed.
     """
     with gc_paused():
         metrics, result = run_in_memory(cfg)

@@ -77,10 +77,10 @@ def compute_metrics(records_by_node: Records, manifest: dict[str, Any]) -> Metri
             if kind == "vertex-delivered":
                 continue
             if kind == "vertex-created":
-                created[tuple(rec["id"])] = (at, rec["txCount"])
+                created[rec["id"]] = (at, rec["txCount"])
             elif is_honest and kind == "anchor-committed":
                 committed_rounds.add(rec["round"])
-                for vid in map(tuple, rec["ordered"]):
+                for vid in rec["ordered"]:
                     ordered_ids.add(vid)
                     if vid[1] == node and vid not in first_order:
                         first_order[vid] = at

@@ -4,6 +4,11 @@ One JSON object per line, preceded by a header line that carries the format
 version and names the node, so records do not repeat the node. Field names
 are frozen; times are integer ticks. Everything the metrics and property
 checkers need is recomputable from these files alone.
+
+A record names a vertex by a ``(round, source)`` tuple, the vertex's own
+``VertexId`` in memory. JSON writes it as a ``[round, source]`` list, and
+``parse`` turns it back into a tuple shared by every record that names the
+vertex, so a parsed id is hashable and held once.
 """
 
 from __future__ import annotations
@@ -29,6 +34,8 @@ RECORD_KINDS = frozenset(
 # kind and swaps in the one shared string: the json decoder shares repeated
 # keys but gives each value its own copy.
 _KINDS = {kind: kind for kind in RECORD_KINDS}
+# The kinds whose ``id`` names a vertex.
+_VERTEX_KINDS = frozenset({"vertex-created", "vertex-delivered"})
 
 
 # One compact encoder for every file; ``json.dumps`` with ``separators``
@@ -46,6 +53,31 @@ _BATCH = 128
 
 class TraceInvalid(ValueError):
     """Persisted run input that is not a complete set of repdag traces."""
+
+
+def _is_integer(x: object) -> bool:
+    """An int, or a float or bool equal to one, as ``1.0`` and ``True`` equal ``1``."""
+    return type(x) is int or type(x) is bool or type(x) is float and x.is_integer()
+
+
+class VertexIds(dict):
+    """The vertex ids of parsed traces, each mapped to one shared int tuple.
+
+    Looking up a ``(round, source)`` tuple gives the one shared tuple of that
+    vertex. A key seen for the first time is checked: a non-pair raises
+    ``ValueError`` and a pair that is not two integers ``TypeError``. The
+    check goes by value, as the lookup does: ``(1.0, 2)`` and ``(True, 2)``
+    equal ``(1, 2)``, so all three name that vertex, whichever comes first.
+    """
+
+    def __missing__(self, key: tuple[int, int]) -> tuple[int, int]:
+        r, s = key
+        if type(r) is not int or type(s) is not int:
+            if not (_is_integer(r) and _is_integer(s)):
+                raise TypeError(f"vertex id {list(key)!r} is not two integers")
+            key = int(r), int(s)
+        self[key] = key
+        return key
 
 
 class Tracer:
@@ -82,11 +114,15 @@ def serialize(node: ValidatorId, records: list[dict[str, Any]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse(text: str) -> tuple[ValidatorId, list[dict[str, Any]]]:
+def parse(text: str, ids: VertexIds | None = None) -> tuple[ValidatorId, list[dict[str, Any]]]:
     """Split a trace file into its header's node and its records.
 
-    Raises ``TraceInvalid`` on a missing or foreign header and on a record
-    that is not an object of a known kind.
+    Each vertex id, the ``id`` of a vertex record or an entry of an
+    ``ordered`` list, becomes the tuple ``ids`` holds for it; a fresh table
+    is used when none is given. Raises ``TraceInvalid`` on a missing or
+    foreign header, on a record that is not an object of a known kind, and
+    on a missing, mistyped or non-pair vertex id. A float or boolean
+    component equal to an int reads as that int, wherever it appears.
     """
     lines = text.splitlines()
     if not lines:
@@ -105,13 +141,22 @@ def parse(text: str) -> tuple[ValidatorId, list[dict[str, Any]]]:
     records = json.loads("[" + ",".join(lines[1:]) + "]")
     if len(records) != len(lines) - 1:
         raise TraceInvalid(f"{len(lines) - 1} record lines hold {len(records)} records")
+    kinds, vertex = _KINDS, _VERTEX_KINDS
+    committed = kinds["anchor-committed"]
+    intern = (VertexIds() if ids is None else ids).__getitem__
     try:
         for rec in records:
-            rec["kind"] = _KINDS[rec["kind"]]
-    except (TypeError, KeyError):
+            kind = rec["kind"] = kinds[rec["kind"]]
+            if kind in vertex:
+                rec["id"] = intern(tuple(rec["id"]))
+            elif kind is committed:
+                rec["ordered"] = list(map(intern, map(tuple, rec["ordered"])))
+    except (TypeError, KeyError, ValueError) as exc:
         try:
-            kinds = {rec["kind"] for rec in records}
+            unknown = {rec["kind"] for rec in records} - RECORD_KINDS
         except (TypeError, KeyError):
             raise TraceInvalid("a record is not an object with a hashable 'kind'") from None
-        raise TraceInvalid(f"unknown record kinds: {sorted(map(str, kinds - RECORD_KINDS))}") from None
+        if unknown:
+            raise TraceInvalid(f"unknown record kinds: {sorted(map(str, unknown))}") from None
+        raise TraceInvalid(f"a record lacks a vertex id or holds a malformed one: {exc!r}") from None
     return header["node"], records

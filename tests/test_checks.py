@@ -155,10 +155,10 @@ class TestReliableBroadcast:
         # among the late ones in node and then delivery order.
         cfg, result = crashy_run()
         records = copy.deepcopy(result.records_by_node)
-        records[2].insert(0, {"at": 5, "kind": "vertex-delivered", "id": [91, 0]})
+        records[2].insert(0, {"at": 5, "kind": "vertex-delivered", "id": (91, 0)})
         rec = next(r for r in records[1] if r["kind"] == "vertex-delivered")
         rec["at"] += 10 * (cfg.delta + cfg.gst)
-        records[1].append({"at": 5, "kind": "vertex-delivered", "id": [90, 2]})
+        records[1].append({"at": 5, "kind": "vertex-delivered", "id": (90, 2)})
         verdict = check_delivery_bound(records, manifest_for(cfg))
         assert not verdict.ok
         assert verdict.missing == ((1, tuple(rec["id"])), (1, (90, 2)), (2, (91, 0)))
@@ -237,7 +237,7 @@ class TestRandomScenarios:
             if delivered:
                 del records[node][data.draw(st.sampled_from(delivered))]
         created = [rec["id"] for recs in records.values() for rec in recs if rec["kind"] == "vertex-created"]
-        unknown = st.tuples(st.integers(min_value=0, max_value=50), st.integers(min_value=0, max_value=cfg.n)).map(list)
+        unknown = st.tuples(st.integers(min_value=0, max_value=50), st.integers(min_value=0, max_value=cfg.n))
         vid = data.draw(st.sampled_from(created) | unknown if created else unknown)
         node = data.draw(st.sampled_from(honest))
         at = data.draw(st.integers(min_value=0, max_value=len(records[node])))

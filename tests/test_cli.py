@@ -329,14 +329,28 @@ def test_check_record_with_a_mistyped_field_exits_two(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "kind, flag",
-    [("vertex-delivered", "--all"), ("vertex-created", "--all"), ("vertex-created", "--utilization")],
+    [
+        ("vertex-delivered", "--all"),
+        ("vertex-created", "--all"),
+        ("vertex-created", "--utilization"),
+        ("anchor-committed", "--all"),
+    ],
 )
 @pytest.mark.parametrize("vid", [[1], [1, 2, 3]])
 def test_check_vertex_id_that_is_not_a_pair_exits_two(tmp_path, capsys, kind, flag, vid):
-    # A bad id is bad input, not a delivery of a vertex nobody created. The
-    # first vertex-created record is a genesis vertex, made before GST.
+    # A bad id is bad input, not a delivery of a vertex nobody created nor a
+    # break in the total order. The first vertex-created record is a genesis
+    # vertex, made before GST; an anchor-committed record has its first
+    # ordered entry replaced.
+
+    def edit(rec):
+        if kind == "anchor-committed":
+            rec["ordered"][0] = vid
+        else:
+            rec["id"] = vid
+
     out_dir = persisted_run(tmp_path)
-    _edit_first_record(out_dir, lambda rec: rec.update(id=vid), kind)
+    _edit_first_record(out_dir, edit, kind)
     capsys.readouterr()
     assert main(["check", flag, "--trace", str(out_dir)]) == 2
     out, err = capsys.readouterr()

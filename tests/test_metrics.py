@@ -25,13 +25,13 @@ def synthetic_manifest():
 def test_latency_and_throughput_hand_computed():
     records = {
         0: [
-            {"at": 5, "kind": "vertex-created", "id": [2, 0], "txCount": 3},
-            {"at": 9, "kind": "anchor-committed", "round": 2, "leader": 0, "direct": True, "ordered": [[2, 0]]},
-            {"at": 11, "kind": "anchor-committed", "round": 4, "leader": 0, "direct": True, "ordered": [[2, 0]]},
+            {"at": 5, "kind": "vertex-created", "id": (2, 0), "txCount": 3},
+            {"at": 9, "kind": "anchor-committed", "round": 2, "leader": 0, "direct": True, "ordered": [(2, 0)]},
+            {"at": 11, "kind": "anchor-committed", "round": 4, "leader": 0, "direct": True, "ordered": [(2, 0)]},
         ],
         1: [
-            {"at": 6, "kind": "vertex-created", "id": [2, 1], "txCount": 1},
-            {"at": 20, "kind": "anchor-committed", "round": 4, "leader": 1, "direct": True, "ordered": [[2, 1]]},
+            {"at": 6, "kind": "vertex-created", "id": (2, 1), "txCount": 1},
+            {"at": 20, "kind": "anchor-committed", "round": 4, "leader": 1, "direct": True, "ordered": [(2, 1)]},
         ],
         2: [],
         3: [],
@@ -83,10 +83,10 @@ def test_crashed_nodes_excluded_from_throughput():
     manifest = {"config": {"stakes": [1, 1, 1, 1], "faultPlan": [[0, 0]], "GST": 0, "Delta": 2, "T": 10}}
     records = {
         0: [
-            {"at": 1, "kind": "vertex-created", "id": [0, 0], "txCount": 9},
-            {"at": 2, "kind": "anchor-committed", "round": 2, "leader": 0, "direct": True, "ordered": [[0, 0]]},
+            {"at": 1, "kind": "vertex-created", "id": (0, 0), "txCount": 9},
+            {"at": 2, "kind": "anchor-committed", "round": 2, "leader": 0, "direct": True, "ordered": [(0, 0)]},
         ],
-        1: [{"at": 4, "kind": "vertex-created", "id": [0, 1], "txCount": 2}],
+        1: [{"at": 4, "kind": "vertex-created", "id": (0, 1), "txCount": 2}],
         2: [],
         3: [],
     }

@@ -19,6 +19,7 @@ BAD_ARGS = [
     ("fault_tolerance.py", ["--n", "4", "--crashes", "5"]),
     ("fault_tolerance.py", ["--rounds", "0"]),
     ("fault_tolerance.py", ["--n", "4", "--rounds", "20", "--seeds", "0"]),
+    ("fault_tolerance.py", ["--delta", "0"]),
     ("faultless_parity.py", ["--n", "4", "--rounds", "20", "--seeds", "0"]),
     ("leader_utilization.py", ["--n", "1"]),
 ]
@@ -61,6 +62,16 @@ def test_bad_arguments_exit_two(name, args):
     assert done.returncode == 2, done.stderr
     assert "Traceback" not in done.stderr
     assert done.stderr
+
+
+def test_fault_tolerance_takes_delta():
+    args = ["--n", "4", "--rounds", "12", "--seeds", "1"]
+    done = run_script("fault_tolerance.py", [*args, "--delta", "3"])
+    assert done.returncode == 0, done.stderr
+    header, *rows = done.stdout.splitlines()
+    assert header.endswith(", Delta 3")
+    # The same runs at the default timing read different numbers.
+    assert rows != run_script("fault_tolerance.py", args).stdout.splitlines()[1:]
 
 
 @pytest.mark.parametrize(

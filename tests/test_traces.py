@@ -4,6 +4,8 @@ from collections import Counter
 import pytest
 
 from repdag.checks import ordered_sequence
+from repdag.config import parse_config
+from repdag.harness import load_run, run_scenario
 from repdag.traces import RECORD_KINDS, Tracer, header_line, parse, serialize
 
 from .conftest import quick_run
@@ -18,7 +20,7 @@ def test_round_trip_is_bit_exact():
             text = serialize(tracer.node, tracer.records)
             node, records = parse(text)
             assert node == tracer.node
-            assert records == json.loads(json.dumps(tracer.records)), raw
+            assert records == tracer.records, raw
             assert serialize(node, records) == text
 
 
@@ -39,6 +41,18 @@ MALFORMED_RECORDS = {
     "missing-kind": ({"at": 3, "round": 4}, "a record is not an object with a hashable 'kind'"),
     "unhashable-kind": ({"at": 3, "kind": []}, "a record is not an object with a hashable 'kind'"),
     "not-an-object": ([3, "leader-timeout"], "a record is not an object with a hashable 'kind'"),
+    "id-not-two-ints": (
+        {"at": 3, "kind": "vertex-created", "id": ["1", 2], "txCount": 1},
+        "a record lacks a vertex id or holds a malformed one: TypeError(\"vertex id ['1', 2] is not two integers\")",
+    ),
+    "ordered-id-not-integral": (
+        {"at": 3, "kind": "anchor-committed", "round": 2, "leader": 0, "direct": True, "ordered": [[1.5, 0]]},
+        "a record lacks a vertex id or holds a malformed one: TypeError('vertex id [1.5, 0] is not two integers')",
+    ),
+    "no-ordered-list": (
+        {"at": 3, "kind": "anchor-committed", "round": 2, "leader": 0, "direct": True},
+        "a record lacks a vertex id or holds a malformed one: KeyError('ordered')",
+    ),
 }
 malformed_records = pytest.mark.parametrize(
     "record, message", list(MALFORMED_RECORDS.values()), ids=list(MALFORMED_RECORDS)
@@ -47,12 +61,25 @@ malformed_records = pytest.mark.parametrize(
 
 @malformed_records
 def test_parse_messages_for_malformed_records(record, message):
-    valid = {"at": 1, "kind": "leader-timeout", "round": 2}
+    valid = [{"at": 1, "kind": "leader-timeout", "round": 2}, {"at": 1, "kind": "vertex-delivered", "id": [1, 0]}]
     # Written line by line: serialize refuses a record that is not an object.
-    text = "\n".join([header_line(1), json.dumps(valid), json.dumps(record)]) + "\n"
+    text = "\n".join([header_line(1), *map(json.dumps, valid), json.dumps(record)]) + "\n"
     with pytest.raises(ValueError) as exc:
         parse(text)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("first", [[1, 0], [1.0, 0], [True, 0]])
+def test_parse_reads_id_components_by_value(first):
+    # 1.0 and true equal 1, so they name vertex (1, 0) in any record order.
+    ids = [first, [1, 0], [1.0, 0], [True, 0]]
+    records = [{"at": 1, "kind": "vertex-delivered", "id": vid} for vid in ids]
+    records.append({"at": 2, "kind": "anchor-committed", "round": 2, "leader": 0, "direct": False, "ordered": ids})
+    _, parsed = parse("\n".join([header_line(1), *map(json.dumps, records)]) + "\n")
+    vid = parsed[0]["id"]
+    assert vid == (1, 0) and all(type(x) is int for x in vid)
+    assert all(rec["id"] is vid for rec in parsed[:-1])
+    assert all(entry is vid for entry in parsed[-1]["ordered"])
 
 
 def test_serialize_writes_one_line_per_record():
@@ -127,6 +154,28 @@ def test_records_share_the_stored_vertex_ids():
                 assert vid is node.dag.get(vid).id, (node.me, rec)
                 counts[kind] += 1
     assert len(counts) == 3, counts
+
+
+def test_loaded_records_share_one_id_per_vertex(tmp_path):
+    # Every record that names a vertex, at any node, holds the same tuple.
+    cfg = parse_config({"stakes": [1] * 5, "stop": {"maxRound": 12}, "Delta": 2, "seed": 4})
+    _, run_dir = run_scenario(cfg, tmp_path / "run")
+    _, records = load_run(run_dir)
+    shared = {}
+    holders = Counter()
+    for node, recs in records.items():
+        for rec in recs:
+            if rec["kind"] in ("vertex-created", "vertex-delivered"):
+                ids = [rec["id"]]
+            elif rec["kind"] == "anchor-committed":
+                ids = rec["ordered"]
+            else:
+                continue
+            for vid in ids:
+                assert type(vid) is tuple, rec
+                assert shared.setdefault(vid, vid) is vid, (node, rec)
+                holders[vid] += 1
+    assert len(shared) > cfg.n and min(holders.values()) > cfg.n, holders
 
 
 def test_tracer_accumulates_with_current_time():
