@@ -8,6 +8,7 @@ from pathlib import Path
 from typing import Any, NamedTuple
 
 from . import __version__
+from .committee import ValidatorId
 from .config import ConfigInvalid, SimConfig, parse_config
 from .metrics import Metrics, Records, compute_metrics
 from .simnet import RunResult, gc_paused, run
@@ -46,6 +47,8 @@ def load_run(run_dir: str | Path) -> tuple[dict[str, Any], Records]:
     its node in the header, so a checker never reports on traces it was not
     given. The returned manifest's config is the parsed one, with every
     default filled in. Every node's records name a vertex by the same tuple.
+    Each trace is parsed from the open file, one batch of lines at a time, so
+    at its peak this holds the records read so far plus one batch.
     """
     run_dir = Path(run_dir)
     manifest = json.loads((run_dir / MANIFEST_NAME).read_text())
@@ -70,7 +73,8 @@ def load_run(run_dir: str | Path) -> tuple[dict[str, Any], Records]:
     with gc_paused():
         for name, validator in expected.items():
             try:
-                node, recs = parse((run_dir / name).read_text(), ids)
+                with (run_dir / name).open() as lines:
+                    node, recs = parse(lines, ids)
             except (TraceInvalid, json.JSONDecodeError) as exc:
                 raise TraceInvalid(f"{run_dir / name}: {exc}") from None
             if node != validator:
@@ -82,19 +86,31 @@ def load_run(run_dir: str | Path) -> tuple[dict[str, Any], Records]:
 def run_scenario(cfg: SimConfig, out_dir: str | Path) -> tuple[Metrics, Path]:
     """Run one scenario, persist its traces and write ``metrics.json``.
 
-    The metrics are computed from the records the run wrote, so the traces
-    are never read back here. ``repdag check`` reads them for its checkers,
-    and the benchmark and ``tests/test_metrics.py`` recompute the metrics
-    from them, which come out the same: a record's vertex id is a
-    ``(round, source)`` tuple shared by every record that names the vertex,
-    the vertex's ``VertexId`` in memory and the parse table's tuple once
-    parsed.
+    Once the simulation ends, each node is replaced by the round it reached,
+    the one fact of it the manifest holds, so its DAG, pending buffer and
+    commit state are freed before the metrics and the encoder allocate: the
+    process peaks at the end of the simulation. The metrics are computed
+    from the records the run wrote, so the traces are never read back here.
+    ``repdag check`` reads them for its checkers, and the benchmark and
+    ``tests/test_metrics.py`` recompute the metrics from them, which come out
+    the same: a record's vertex id is a ``(round, source)`` tuple shared by
+    every record that names the vertex, the vertex's ``VertexId`` in memory
+    and the parse table's tuple once parsed.
     """
     with gc_paused():
-        metrics, result = run_in_memory(cfg)
+        result = run(cfg)
+        result = result._replace(nodes=[_RoundReached(n.me, n.current_round) for n in result.nodes])
+        metrics = compute_metrics(result.records_by_node, {"config": cfg.to_json_dict()})
         path = write_run(result, out_dir)
         (path / "metrics.json").write_text(json.dumps(metrics.to_dict(), indent=2, sort_keys=True) + "\n")
     return metrics, path
+
+
+class _RoundReached(NamedTuple):
+    """What ``write_run`` reads of a node: its id and the round it reached."""
+
+    me: ValidatorId
+    current_round: int
 
 
 def run_in_memory(cfg: SimConfig) -> tuple[Metrics, RunResult]:

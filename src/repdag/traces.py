@@ -14,7 +14,8 @@ vertex, so a parsed id is hashable and held once.
 from __future__ import annotations
 
 import json
-from typing import Any
+from itertools import islice
+from typing import Any, Callable, Iterable
 
 from .committee import ValidatorId
 
@@ -45,9 +46,12 @@ _encode = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 # Where one record ends and the next begins in the encoding of a record list:
 # every record opens with "at", and no record holds a list of objects.
 _BETWEEN, _BETWEEN_LINES = '},{"at":', '}\n{"at":'
-# Records per encoder call. The encoder holds every piece of its output until
-# it joins them, about 0.5 kB per record; a batch bounds that, at a small cost
-# in calls.
+# Records per encoder call, and record lines per decoder call. The encoder
+# holds every piece of its output until it joins them, about 0.5 kB per
+# record, and the decoder its input text next to the records it builds; a
+# batch bounds both, at a small cost in calls. The decoder shares a repeated
+# key string only within one call, so the records of each parsed batch keep
+# their own copies of the keys, about 0.5 kB per batch.
 _BATCH = 128
 
 
@@ -114,36 +118,50 @@ def serialize(node: ValidatorId, records: list[dict[str, Any]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse(text: str, ids: VertexIds | None = None) -> tuple[ValidatorId, list[dict[str, Any]]]:
-    """Split a trace file into its header's node and its records.
+def parse(lines: Iterable[str], ids: VertexIds | None = None) -> tuple[ValidatorId, list[dict[str, Any]]]:
+    """Split a trace file, given as its lines, into its header's node and its records.
 
-    Each vertex id, the ``id`` of a vertex record or an entry of an
-    ``ordered`` list, becomes the tuple ``ids`` holds for it; a fresh table
-    is used when none is given. Raises ``TraceInvalid`` on a missing or
-    foreign header, on a record that is not an object of a known kind, and
-    on a missing, mistyped or non-pair vertex id. A float or boolean
-    component equal to an int reads as that int, wherever it appears.
+    The records are read ``_BATCH`` lines at a time, so besides the records
+    it returns, parse holds one batch: its lines, their joined text and their
+    decoded records. Each vertex id, the ``id`` of a vertex record or an
+    entry of an ``ordered`` list, becomes the tuple ``ids`` holds for it; a
+    fresh table is used when none is given. Raises ``TraceInvalid`` on a
+    missing or foreign header, on a record that is not an object of a known
+    kind, and on a missing, mistyped or non-pair vertex id; the line counts
+    and decoder positions in a record error refer to the record's batch. A
+    float or boolean component equal to an int reads as that int, wherever
+    it appears. A line's LF or CRLF ending is not part of it.
     """
-    lines = text.splitlines()
-    if not lines:
+    lines = iter(lines)
+    first = next(lines, None)
+    if first is None:
         raise TraceInvalid("empty trace file")
-    header = json.loads(lines[0])
+    first = first.rstrip("\r\n")
+    header = json.loads(first)
     if (
         not isinstance(header, dict)
         or header.get("format") != TRACE_FORMAT
         or header.get("version") != TRACE_VERSION
         or type(header.get("node")) is not int
     ):
-        raise TraceInvalid(f"unrecognized trace header: {lines[0]!r}")
-    # One decoder call for the whole file is about twice as fast as one per
-    # line; the count check still rejects lines that do not add up to one
-    # record each.
-    records = json.loads("[" + ",".join(lines[1:]) + "]")
-    if len(records) != len(lines) - 1:
-        raise TraceInvalid(f"{len(lines) - 1} record lines hold {len(records)} records")
+        raise TraceInvalid(f"unrecognized trace header: {first!r}")
+    intern = (VertexIds() if ids is None else ids).__getitem__
+    records: list[dict[str, Any]] = []
+    while batch := list(islice(lines, _BATCH)):
+        records += _parse_batch(batch, intern)
+    return header["node"], records
+
+
+def _parse_batch(lines: list[str], intern: Callable[[tuple[int, int]], tuple[int, int]]) -> list[dict[str, Any]]:
+    """The records of consecutive record lines; every line but the file's last ends in a newline."""
+    # One decoder call per batch is about twice as fast as one per line; the
+    # count check still rejects lines that do not add up to one record each.
+    # A raw newline can only end a line, as JSON strings escape it.
+    records = json.loads("[" + ",".join(lines).replace("\n", "") + "]")
+    if len(records) != len(lines):
+        raise TraceInvalid(f"{len(lines)} record lines hold {len(records)} records")
     kinds, vertex = _KINDS, _VERTEX_KINDS
     committed = kinds["anchor-committed"]
-    intern = (VertexIds() if ids is None else ids).__getitem__
     try:
         for rec in records:
             kind = rec["kind"] = kinds[rec["kind"]]
@@ -159,4 +177,4 @@ def parse(text: str, ids: VertexIds | None = None) -> tuple[ValidatorId, list[di
         if unknown:
             raise TraceInvalid(f"unknown record kinds: {sorted(map(str, unknown))}") from None
         raise TraceInvalid(f"a record lacks a vertex id or holds a malformed one: {exc!r}") from None
-    return header["node"], records
+    return records

@@ -5,7 +5,7 @@ import pytest
 from repdag.cli import main
 from repdag.harness import compare, load_run, run_scenario
 from repdag.config import parse_config
-from repdag.traces import header_line
+from repdag.traces import _BATCH, header_line
 
 from .test_traces import malformed_records
 
@@ -286,6 +286,19 @@ def test_check_malformed_record_exits_two(tmp_path, capsys, record, message):
     out_dir = persisted_run(tmp_path)
     trace = out_dir / "node-01.jsonl"
     trace.write_text(trace.read_text() + json.dumps(record) + "\n")
+    capsys.readouterr()
+    assert main(["check", "--trace", str(out_dir)]) == 2
+    out, err = capsys.readouterr()
+    assert err == f"trace error: {trace}: {message}\n"
+    assert out == ""
+
+
+@malformed_records
+def test_check_malformed_record_past_the_first_batch_exits_two(tmp_path, capsys, record, message):
+    out_dir = persisted_run(tmp_path)
+    trace = out_dir / "node-01.jsonl"
+    padding = json.dumps({"at": 0, "kind": "leader-timeout", "round": 1}) + "\n"
+    trace.write_text(trace.read_text() + padding * _BATCH + json.dumps(record) + "\n")
     capsys.readouterr()
     assert main(["check", "--trace", str(out_dir)]) == 2
     out, err = capsys.readouterr()

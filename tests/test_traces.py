@@ -1,3 +1,4 @@
+import io
 import json
 from collections import Counter
 
@@ -5,8 +6,9 @@ import pytest
 
 from repdag.checks import ordered_sequence
 from repdag.config import parse_config
-from repdag.harness import load_run, run_scenario
-from repdag.traces import RECORD_KINDS, Tracer, header_line, parse, serialize
+from repdag.harness import load_run, run_scenario, write_run
+from repdag.simnet import run
+from repdag.traces import _BATCH, RECORD_KINDS, TraceInvalid, Tracer, header_line, parse, serialize
 
 from .conftest import quick_run
 from .test_dag import source_masks
@@ -18,7 +20,7 @@ def test_round_trip_is_bit_exact():
         _, result = quick_run(**raw)
         for tracer in result.tracers:
             text = serialize(tracer.node, tracer.records)
-            node, records = parse(text)
+            node, records = parse(io.StringIO(text))
             assert node == tracer.node
             assert records == tracer.records, raw
             assert serialize(node, records) == text
@@ -29,7 +31,7 @@ def test_parsed_kinds_are_the_shared_strings():
     # object per kind.
     _, result = quick_run(seed=5, stop={"maxRound": 10})
     for tracer in result.tracers:
-        _, records = parse(serialize(tracer.node, tracer.records))
+        _, records = parse(io.StringIO(serialize(tracer.node, tracer.records)))
         assert records
         for rec in records:
             assert any(rec["kind"] is kind for kind in RECORD_KINDS), rec
@@ -65,7 +67,7 @@ def test_parse_messages_for_malformed_records(record, message):
     # Written line by line: serialize refuses a record that is not an object.
     text = "\n".join([header_line(1), *map(json.dumps, valid), json.dumps(record)]) + "\n"
     with pytest.raises(ValueError) as exc:
-        parse(text)
+        parse(io.StringIO(text))
     assert str(exc.value) == message
 
 
@@ -75,7 +77,7 @@ def test_parse_reads_id_components_by_value(first):
     ids = [first, [1, 0], [1.0, 0], [True, 0]]
     records = [{"at": 1, "kind": "vertex-delivered", "id": vid} for vid in ids]
     records.append({"at": 2, "kind": "anchor-committed", "round": 2, "leader": 0, "direct": False, "ordered": ids})
-    _, parsed = parse("\n".join([header_line(1), *map(json.dumps, records)]) + "\n")
+    _, parsed = parse(io.StringIO("\n".join([header_line(1), *map(json.dumps, records)]) + "\n"))
     vid = parsed[0]["id"]
     assert vid == (1, 0) and all(type(x) is int for x in vid)
     assert all(rec["id"] is vid for rec in parsed[:-1])
@@ -113,10 +115,12 @@ def test_header_is_versioned():
 
 
 def test_parse_rejects_foreign_text():
-    with pytest.raises(ValueError):
-        parse('{"something": "else"}\n')
-    with pytest.raises(ValueError):
-        parse("")
+    with pytest.raises(ValueError) as exc:
+        parse(io.StringIO('{"something": "else"}\n'))
+    assert str(exc.value) == """unrecognized trace header: '{"something": "else"}'"""
+    with pytest.raises(ValueError) as exc:
+        parse(io.StringIO(""))
+    assert str(exc.value) == "empty trace file"
 
 
 def test_records_are_time_ordered_per_node():
@@ -165,17 +169,96 @@ def test_loaded_records_share_one_id_per_vertex(tmp_path):
     holders = Counter()
     for node, recs in records.items():
         for rec in recs:
-            if rec["kind"] in ("vertex-created", "vertex-delivered"):
-                ids = [rec["id"]]
-            elif rec["kind"] == "anchor-committed":
-                ids = rec["ordered"]
-            else:
-                continue
-            for vid in ids:
+            for vid in vertex_ids(rec):
                 assert type(vid) is tuple, rec
                 assert shared.setdefault(vid, vid) is vid, (node, rec)
                 holders[vid] += 1
     assert len(shared) > cfg.n and min(holders.values()) > cfg.n, holders
+
+
+def vertex_ids(rec):
+    """The vertex ids a record names."""
+    if rec["kind"] in ("vertex-created", "vertex-delivered"):
+        return [rec["id"]]
+    return rec["ordered"] if rec["kind"] == "anchor-committed" else []
+
+
+def whole_text_parse(text):
+    """A trace's node and records as one decoder call over all its record lines reads them."""
+    header, *lines = text.splitlines()
+    records = json.loads("[" + ",".join(lines) + "]")
+    for rec in records:
+        if "id" in rec:
+            rec["id"] = tuple(rec["id"])
+        if "ordered" in rec:
+            rec["ordered"] = list(map(tuple, rec["ordered"]))
+    return json.loads(header)["node"], records
+
+
+@pytest.mark.filterwarnings("ignore:fault plan crashes")
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_batched_load_matches_a_whole_text_parse(name, tmp_path):
+    # One id per vertex across nodes, and across batches: most traces span several.
+    run_dir = write_run(run(parse_config(CORPUS[name][0])), tmp_path)
+    _, records = load_run(run_dir)
+    shared = {}
+    for node, recs in records.items():
+        assert (node, recs) == whole_text_parse((run_dir / f"node-{node:02d}.jsonl").read_text())
+        for rec in recs:
+            for vid in vertex_ids(rec):
+                assert shared.setdefault(vid, vid) is vid, (node, rec)
+
+
+def delivered(count):
+    return [{"at": i, "kind": "vertex-delivered", "id": [i // 4, i % 4]} for i in range(count)]
+
+
+@pytest.mark.parametrize("count", [0, 1, _BATCH - 1, _BATCH, 2 * _BATCH, 2 * _BATCH + 1])
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_parse_reads_any_record_count_and_line_ending(count, newline):
+    records = delivered(count)
+    text = serialize(2, records).replace("\n", newline)
+    assert parse(io.StringIO(text)) == (2, [{**rec, "id": tuple(rec["id"])} for rec in records])
+    # A last line without its newline reads the same.
+    assert parse(io.StringIO(text.removesuffix(newline))) == parse(io.StringIO(text))
+
+
+def test_parsed_ids_are_shared_across_batches():
+    records = delivered(_BATCH) * 2
+    _, parsed = parse(io.StringIO(serialize(2, records)))
+    assert all(a["id"] is b["id"] for a, b in zip(parsed[:_BATCH], parsed[_BATCH:]))
+
+
+# Record lines that parse refuses in the second batch, with its message: five
+# valid lines precede each in the batch and three follow it.
+SECOND_BATCH_FAULTS = {
+    "bad-id": (
+        '{"at":3,"kind":"vertex-delivered","id":[1]}',
+        "a record lacks a vertex id or holds a malformed one: "
+        "ValueError('not enough values to unpack (expected 2, got 1)')",
+    ),
+    "unknown-kind": ('{"at":3,"kind":"vertex-teleported"}', "unknown record kinds: ['vertex-teleported']"),
+    "two-records-in-a-line": (
+        '{"at":3,"kind":"leader-timeout","round":2},{"at":3,"kind":"leader-timeout","round":2}',
+        "9 record lines hold 10 records",
+    ),
+}
+
+
+@pytest.mark.parametrize("line, message", list(SECOND_BATCH_FAULTS.values()), ids=list(SECOND_BATCH_FAULTS))
+def test_parse_refuses_a_bad_line_past_the_first_batch(line, message):
+    lines = serialize(2, delivered(_BATCH + 8)).splitlines()
+    lines.insert(1 + _BATCH + 5, line)
+    with pytest.raises(TraceInvalid) as exc:
+        parse(io.StringIO("\n".join(lines) + "\n"))
+    assert str(exc.value) == message
+
+
+def test_a_line_separator_inside_a_string_does_not_split_a_record():
+    # Only newlines end a line; JSON strings may hold U+2028, U+2029 and U+0085 raw.
+    record = {"at": 1, "kind": "leader-timeout", "round": 2, "note": "a\u2028b\u2029c\x85d"}
+    text = header_line(1) + "\n" + json.dumps(record, ensure_ascii=False) + "\n"
+    assert parse(io.StringIO(text)) == (1, [record])
 
 
 def test_tracer_accumulates_with_current_time():
@@ -187,20 +270,20 @@ def test_tracer_accumulates_with_current_time():
 
 def test_parse_accepts_every_emitted_kind_and_rejects_others():
     records = [{"at": 3, "kind": "leader-timeout", "round": 4}]
-    assert parse(serialize(1, records)) == (1, records)
+    assert parse(io.StringIO(serialize(1, records))) == (1, records)
     with pytest.raises(ValueError, match="vertex-teleported"):
-        parse(serialize(1, [{"at": 3, "kind": "vertex-teleported"}]))
+        parse(io.StringIO(serialize(1, [{"at": 3, "kind": "vertex-teleported"}])))
     # No longer emitted: a trace written by an older build is refused by name.
     for retired in ("stale-anchor", "round-advanced", "vertex-ordered"):
         with pytest.raises(ValueError, match=retired):
-            parse(serialize(1, [{"at": 3, "kind": retired, "round": 4}]))
+            parse(io.StringIO(serialize(1, [{"at": 3, "kind": retired, "round": 4}])))
     with pytest.raises(ValueError):
-        parse(serialize(1, [[3, 1, "leader-timeout"]]))
+        parse(io.StringIO(serialize(1, [[3, 1, "leader-timeout"]])))
 
 
 def test_parse_requires_one_record_per_line():
     record = '{"at":1,"kind":"leader-timeout","round":2}'
     with pytest.raises(ValueError, match="2 records"):
-        parse(header_line(0) + "\n" + record + "," + record + "\n")
+        parse(io.StringIO(header_line(0) + "\n" + record + "," + record + "\n"))
     with pytest.raises(ValueError):
-        parse(header_line(0) + "\n" + record + "\n\n")
+        parse(io.StringIO(header_line(0) + "\n" + record + "\n\n"))
