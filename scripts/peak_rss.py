@@ -49,7 +49,7 @@ def main() -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (RecursionError, ValueError) as exc:
         print(f"config error: not valid JSON: {exc}", file=sys.stderr)
         return 2
     if not isinstance(raw, dict):

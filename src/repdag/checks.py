@@ -11,10 +11,9 @@ delivered ones), never one per node: delivery records grow with n^2 per
 round, a single node's with n. The rb checkers build ``missing`` only when
 they fail.
 
-Every checker keys on a record's vertex id as it stands: a ``(round, source)``
-tuple shared by every record that names the vertex, in memory and once
-parsed. ``traces.parse`` refuses an id that is not a pair of integers, so a
-bad id is a bad trace, never a vertex nobody created.
+Every checker keys on a record's vertex id as it stands, a ``(round, source)``
+int tuple. ``traces.parse`` refuses an id that is not a pair of integers, so
+a bad id is a bad trace, never a vertex nobody created.
 """
 
 from __future__ import annotations

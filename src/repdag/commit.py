@@ -88,7 +88,7 @@ def anchor_votes(dag: DagState, v: Vertex, anchor: VertexId) -> int:
     the anchor iff it names the anchor's source: the direct links are the
     votes.
     """
-    row, mask, a = dag.vertices_at(v.round - 1), v.mask, anchor.source
+    row, mask, a = dag.vertices_at(v.round - 1), v.mask, anchor[1]
     return sum(row[s].mask >> a & 1 for s in range(mask.bit_length()) if mask >> s & 1)
 
 

@@ -194,9 +194,10 @@ def parse_config(raw: dict[str, Any]) -> SimConfig:
 
 
 def load_config(path: str | Path) -> SimConfig:
+    text = Path(path).read_text()
     try:
-        raw = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        raw = json.loads(text)
+    except (RecursionError, ValueError) as exc:  # ValueError: also an integer too long to parse
         raise ConfigInvalid("<file>", f"not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigInvalid("<file>", "top level must be a JSON object")

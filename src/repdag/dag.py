@@ -1,13 +1,13 @@
 """Per-validator DAG storage and structural queries.
 
-A vertex is keyed by (round, source): reliable-broadcast integrity guarantees
-at most one vertex per key in honest views, which lets us skip content
-digests entirely. A vertex's parents all sit one round below it, so it names
-them by source alone, and all of them in one bitmask: that mask is the only
-record of its parents. The store enforces causal completeness: a vertex is
-only inserted once every parent it names is present. The store keeps a mask
-of the sources it holds per round, so that test is one integer operation
-however large the committee.
+A vertex is keyed by its id, the int tuple (round, source): reliable-broadcast
+integrity guarantees at most one vertex per key in honest views, which lets
+us skip content digests entirely. A vertex's parents all sit one round below
+it, so it names them by source alone, and all of them in one bitmask: that
+mask is the only record of its parents. The store enforces causal
+completeness: a vertex is only inserted once every parent it names is
+present. The store keeps a mask of the sources it holds per round, so that
+test is one integer operation however large the committee.
 The history walk steps down those masks: a round's frontier is one integer,
 and its bits, read from the lowest up, give the round's row in source order.
 """
@@ -15,15 +15,14 @@ and its bits, read from the lowest up, give the round's row in source order.
 from __future__ import annotations
 
 import enum
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 from .committee import Committee, ValidatorId
 from .frozen import Frozen
 
-
-class VertexId(NamedTuple):
-    round: int
-    source: ValidatorId
+# (round, source): a plain tuple, as parsed traces hold. The JSON encoder
+# would copy a tuple subclass into a list before writing it.
+VertexId = tuple[int, ValidatorId]
 
 
 class Vertex(Frozen):
@@ -82,10 +81,10 @@ class DagState:
         self.highest_round = -1
 
     def __contains__(self, vid: VertexId) -> bool:
-        return vid.source in self.by_round.get(vid.round, ())
+        return vid[1] in self.by_round.get(vid[0], ())
 
     def get(self, vid: VertexId) -> Vertex | None:
-        return self.by_round.get(vid.round, {}).get(vid.source)
+        return self.by_round.get(vid[0], {}).get(vid[1])
 
     def vertices_at(self, round: int) -> dict[ValidatorId, Vertex]:
         return self.by_round.get(round, {})
@@ -133,7 +132,7 @@ def path(dag: DagState, frm: VertexId, to: VertexId) -> bool:
     A single vertex counts as a chain, so ``path(v, v)`` is true. Each hop
     drops one round, so the walk stops at ``to``'s round, its last row.
     """
-    rows = causal_history(dag, frm, min_round=to.round)
+    rows = causal_history(dag, frm, min_round=to[0])
     return bool(rows) and any(u.id == to for u in rows[-1])
 
 
@@ -147,15 +146,15 @@ class AnchorReach:
 
     def __init__(self, dag: DagState, target: VertexId, max_round: int):
         # Per round, the sources that reach the target, as a bitmask.
-        self._reached = reached = {target.round: 1 << target.source}
-        for r in range(target.round + 1, max_round + 1):
+        self._reached = reached = {target[0]: 1 << target[1]}
+        for r in range(target[0] + 1, max_round + 1):
             layer = sum(1 << s for s, v in dag.vertices_at(r).items() if v.mask & reached[r - 1])
             if not layer:
                 break
             reached[r] = layer
 
     def covers(self, vid: VertexId) -> bool:
-        return bool(self._reached.get(vid.round, 0) >> vid.source & 1)
+        return bool(self._reached.get(vid[0], 0) >> vid[1] & 1)
 
 
 def causal_history(
@@ -171,8 +170,8 @@ def causal_history(
     v = dag.get(anchor)
     if v is None:
         raise UnknownVertex(anchor)
-    r = anchor.round
-    if r < min_round or exclude.get(r, 0) >> anchor.source & 1:
+    r, source = anchor
+    if r < min_round or exclude.get(r, 0) >> source & 1:
         return []
     rows, frontier, by_round = [[v]], v.mask, dag.by_round
     for r in range(r - 1, min_round - 1, -1):

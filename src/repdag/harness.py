@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import product
 from pathlib import Path
 from typing import Any, NamedTuple
 
@@ -12,7 +13,7 @@ from .committee import ValidatorId
 from .config import ConfigInvalid, SimConfig, parse_config
 from .metrics import Metrics, Records, compute_metrics
 from .simnet import RunResult, gc_paused, run
-from .traces import TraceInvalid, VertexIds, parse, serialize
+from .traces import TraceInvalid, VertexIds, decode_json, parse, serialize
 
 MANIFEST_NAME = "manifest.json"
 
@@ -51,14 +52,18 @@ def load_run(run_dir: str | Path) -> tuple[dict[str, Any], Records]:
     at its peak this holds the records read so far plus one batch.
     """
     run_dir = Path(run_dir)
-    manifest = json.loads((run_dir / MANIFEST_NAME).read_text())
+    manifest_path = run_dir / MANIFEST_NAME
+    try:
+        manifest = decode_json(manifest_path.read_text())
+    except TraceInvalid as exc:
+        raise TraceInvalid(f"{manifest_path}: {exc}") from None
     config = manifest.get("config") if isinstance(manifest, dict) else None
     if not isinstance(config, dict):
-        raise TraceInvalid(f"{run_dir / MANIFEST_NAME}: no config object")
+        raise TraceInvalid(f"{manifest_path}: no config object")
     try:
         cfg = parse_config(config)
     except ConfigInvalid as exc:
-        raise TraceInvalid(f"{run_dir / MANIFEST_NAME}: config {exc}") from None
+        raise TraceInvalid(f"{manifest_path}: config {exc}") from None
     manifest["config"] = cfg.to_json_dict()
     expected = {f"node-{v:02d}.jsonl": v for v in range(cfg.n)}
     found = {path.name for path in run_dir.glob("node-*.jsonl")}
@@ -84,23 +89,14 @@ def load_run(run_dir: str | Path) -> tuple[dict[str, Any], Records]:
 
 
 def run_scenario(cfg: SimConfig, out_dir: str | Path) -> tuple[Metrics, Path]:
-    """Run one scenario, persist its traces and write ``metrics.json``.
+    """``run_in_memory``, then persist its traces and write ``metrics.json``.
 
-    Once the simulation ends, each node is replaced by the round it reached,
-    the one fact of it the manifest holds, so its DAG, pending buffer and
-    commit state are freed before the metrics and the encoder allocate: the
-    process peaks at the end of the simulation. The metrics are computed
-    from the records the run wrote, so the traces are never read back here.
-    ``repdag check`` reads them for its checkers, and the benchmark and
-    ``tests/test_metrics.py`` recompute the metrics from them, which come out
-    the same: a record's vertex id is a ``(round, source)`` tuple shared by
-    every record that names the vertex, the vertex's ``VertexId`` in memory
-    and the parse table's tuple once parsed.
+    The traces are never read back here: ``repdag check`` reads them for its
+    checkers, and the benchmark and ``tests/test_metrics.py`` recompute the
+    metrics from them, which come out the same.
     """
     with gc_paused():
-        result = run(cfg)
-        result = result._replace(nodes=[_RoundReached(n.me, n.current_round) for n in result.nodes])
-        metrics = compute_metrics(result.records_by_node, {"config": cfg.to_json_dict()})
+        metrics, result = run_in_memory(cfg)
         path = write_run(result, out_dir)
         (path / "metrics.json").write_text(json.dumps(metrics.to_dict(), indent=2, sort_keys=True) + "\n")
     return metrics, path
@@ -114,16 +110,18 @@ class _RoundReached(NamedTuple):
 
 
 def run_in_memory(cfg: SimConfig) -> tuple[Metrics, RunResult]:
-    """Like run_scenario but without touching disk; used by sweeps and tests.
+    """Run one scenario and compute its metrics, without touching disk.
 
-    The collector stays paused over the metrics too, so a caller that drops
-    the result frees its records by reference counting before any
+    Each node is replaced by the round it reached once the simulation ends,
+    so its DAG, pending buffer and commit state are freed before the metrics
+    allocate. The collector stays paused over the metrics too, so a caller
+    that drops the result frees its records by reference counting before any
     collection walks them.
     """
     with gc_paused():
         result = run(cfg)
-        manifest = {"config": cfg.to_json_dict()}
-        metrics = compute_metrics(result.records_by_node, manifest)
+        result = result._replace(nodes=[_RoundReached(n.me, n.current_round) for n in result.nodes])
+        metrics = compute_metrics(result.records_by_node, {"config": cfg.to_json_dict()})
     return metrics, result
 
 
@@ -195,35 +193,22 @@ def sweep(
 ) -> list[dict[str, Any]]:
     """Grid of runs over committee size, crash count, and epoch length."""
     rows = []
-    for n in sizes:
-        for c in fault_counts:
-            f = (n - 1) // 3
-            if c > f:
-                continue
-            for span in spans:
-                for seed in seeds:
-                    # None re-derives the slot length and batch size from this n, and
-                    # parsing refuses a grid point no config file could hold.
-                    point = base.replace(
-                        stakes=(1,) * n,
-                        slot_length=None,
-                        batch_size=None,
-                        commits_per_epoch=span,
-                        fault_plan=tuple((n - 1 - i, base.gst) for i in range(c)),
-                        seed=seed,
-                    )
-                    cfg = parse_config(point.to_json_dict())
-                    metrics = run_in_memory(cfg)[0]
-                    rows.append(
-                        {
-                            "n": n,
-                            "faults": c,
-                            "T": span,
-                            "seed": seed,
-                            "mode": cfg.mode,
-                            **metrics.to_dict(),
-                        }
-                    )
+    for n, c, span, seed in product(sizes, fault_counts, spans, seeds):
+        if c > (n - 1) // 3:
+            continue
+        # None re-derives the slot length and batch size from this n, and
+        # parsing refuses a grid point no config file could hold.
+        point = base.replace(
+            stakes=(1,) * n,
+            slot_length=None,
+            batch_size=None,
+            commits_per_epoch=span,
+            fault_plan=tuple((n - 1 - i, base.gst) for i in range(c)),
+            seed=seed,
+        )
+        cfg = parse_config(point.to_json_dict())
+        metrics = run_in_memory(cfg)[0]
+        rows.append({"n": n, "faults": c, "T": span, "seed": seed, "mode": cfg.mode, **metrics.to_dict()})
     return rows
 
 

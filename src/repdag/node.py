@@ -152,6 +152,6 @@ class Node:
         tx_count = min(self.batch_size, self.backlog)
         self.backlog -= tx_count
         # One id, shared by the vertex and every record that names it.
-        vid = VertexId(round, self.me)
+        vid = (round, self.me)
         self.tracer.emit("vertex-created", id=vid, txCount=tx_count)
         return Vertex(vid, self.dag.held.get(round - 1, 0))

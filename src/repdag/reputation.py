@@ -14,7 +14,7 @@ import warnings
 from bisect import bisect_right
 
 from .committee import Committee, ValidatorId
-from .dag import DagState, Vertex, VertexId, causal_history
+from .dag import DagState, Vertex, causal_history
 from .frozen import Frozen
 
 
@@ -95,7 +95,7 @@ class ScheduleBook:
 def get_anchor(dag: DagState, book: ScheduleBook, round: int) -> Vertex | None:
     """The leader's vertex at an anchor round, or None if not (yet) in the dag."""
     leader = book.leader_for(round)
-    return dag.get(VertexId(round, leader))
+    return dag.get((round, leader))
 
 
 def initial_schedule(committee: Committee, seed: int, length: int) -> Schedule:

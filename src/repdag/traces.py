@@ -5,10 +5,9 @@ version and names the node, so records do not repeat the node. Field names
 are frozen; times are integer ticks. Everything the metrics and property
 checkers need is recomputable from these files alone.
 
-A record names a vertex by a ``(round, source)`` tuple, the vertex's own
-``VertexId`` in memory. JSON writes it as a ``[round, source]`` list, and
-``parse`` turns it back into a tuple shared by every record that names the
-vertex, so a parsed id is hashable and held once.
+A record names a vertex by its ``(round, source)`` int tuple. JSON writes it
+as a ``[round, source]`` list, and ``parse`` turns it back into one tuple
+shared by every record that names the vertex.
 """
 
 from __future__ import annotations
@@ -57,6 +56,17 @@ _BATCH = 128
 
 class TraceInvalid(ValueError):
     """Persisted run input that is not a complete set of repdag traces."""
+
+
+def decode_json(text: str) -> Any:
+    """``json.loads``, but JSON nested too deep or holding an integer too long to
+    decode raises ``TraceInvalid``; malformed JSON still raises ``JSONDecodeError``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except (RecursionError, ValueError) as exc:
+        raise TraceInvalid(f"cannot decode JSON: {exc}") from None
 
 
 def _is_integer(x: object) -> bool:
@@ -126,18 +136,19 @@ def parse(lines: Iterable[str], ids: VertexIds | None = None) -> tuple[Validator
     decoded records. Each vertex id, the ``id`` of a vertex record or an
     entry of an ``ordered`` list, becomes the tuple ``ids`` holds for it; a
     fresh table is used when none is given. Raises ``TraceInvalid`` on a
-    missing or foreign header, on a record that is not an object of a known
-    kind, and on a missing, mistyped or non-pair vertex id; the line counts
-    and decoder positions in a record error refer to the record's batch. A
-    float or boolean component equal to an int reads as that int, wherever
-    it appears. A line's LF or CRLF ending is not part of it.
+    missing or foreign header, on JSON ``decode_json`` refuses, on a record
+    that is not an object of a known kind, and on a missing, mistyped or
+    non-pair vertex id; the line counts and decoder positions in a record
+    error refer to the record's batch. A float or boolean component equal to
+    an int reads as that int, wherever it appears. A line's LF or CRLF ending
+    is not part of it.
     """
     lines = iter(lines)
     first = next(lines, None)
     if first is None:
         raise TraceInvalid("empty trace file")
     first = first.rstrip("\r\n")
-    header = json.loads(first)
+    header = decode_json(first)
     if (
         not isinstance(header, dict)
         or header.get("format") != TRACE_FORMAT
@@ -157,7 +168,7 @@ def _parse_batch(lines: list[str], intern: Callable[[tuple[int, int]], tuple[int
     # One decoder call per batch is about twice as fast as one per line; the
     # count check still rejects lines that do not add up to one record each.
     # A raw newline can only end a line, as JSON strings escape it.
-    records = json.loads("[" + ",".join(lines).replace("\n", "") + "]")
+    records = decode_json("[" + ",".join(lines).replace("\n", "") + "]")
     if len(records) != len(lines):
         raise TraceInvalid(f"{len(lines)} record lines hold {len(records)} records")
     kinds, vertex = _KINDS, _VERTEX_KINDS

@@ -4,7 +4,7 @@ import pytest
 
 from repdag.committee import Committee, new_committee
 from repdag.config import parse_config
-from repdag.dag import DagState, InsertOutcome, Vertex, VertexId
+from repdag.dag import DagState, InsertOutcome, Vertex
 from repdag.node import Node
 from repdag.reputation import initial_schedule
 from repdag.simnet import run
@@ -18,7 +18,7 @@ def committee4() -> Committee:
 
 def mk_vertex(round, source, parents=()):
     """A vertex whose parents are the given sources, one round below it."""
-    return Vertex(id=VertexId(round, source), mask=sum(1 << s for s in set(parents)))
+    return Vertex(id=(round, source), mask=sum(1 << s for s in set(parents)))
 
 
 def full_dag(committee, rounds, absent=frozenset()):

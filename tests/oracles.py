@@ -36,7 +36,7 @@ def naive_path(dag: DagState, frm: VertexId, to: VertexId) -> bool:
             return True
         seen.add(vid)
         for s in sorted(parent_sources(dag.get(vid))):
-            parent = VertexId(vid.round - 1, s)
+            parent = (vid[0] - 1, s)
             if parent not in seen and dfs(parent):
                 return True
         return False
@@ -50,7 +50,7 @@ def naive_ancestors(dag: DagState, frm: VertexId) -> set[VertexId]:
     while stack:
         vid = stack.pop()
         for s in parent_sources(dag.get(vid)):
-            parent = VertexId(vid.round - 1, s)
+            parent = (vid[0] - 1, s)
             if parent not in seen:
                 seen.add(parent)
                 stack.append(parent)
@@ -61,19 +61,19 @@ def brute_scores(dag, book, committee, from_round, to_round_exclusive):
     points = {v: 0 for v in committee.members}
     if from_round >= to_round_exclusive:
         return points
-    trigger = VertexId(to_round_exclusive, book.leader_for(to_round_exclusive))
+    trigger = (to_round_exclusive, book.leader_for(to_round_exclusive))
     if dag.get(trigger) is None:
         return points
     start = from_round if from_round % 2 == 0 else from_round + 1
     for e in range(start, to_round_exclusive, 2):
-        leader_vid = VertexId(e, book.leader_for(e))
+        leader_vid = (e, book.leader_for(e))
         if dag.get(leader_vid) is None:
             continue
         for s in committee.members:
-            voter = dag.get(VertexId(e + 1, s))
+            voter = dag.get((e + 1, s))
             if voter is None:
                 continue
-            if leader_vid.source in parent_sources(voter) and naive_path(dag, trigger, voter.id):
+            if leader_vid[1] in parent_sources(voter) and naive_path(dag, trigger, voter.id):
                 points[s] += 1
     return points
 

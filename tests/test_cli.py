@@ -7,7 +7,7 @@ from repdag.harness import compare, load_run, run_scenario
 from repdag.config import parse_config
 from repdag.traces import _BATCH, header_line
 
-from .test_traces import malformed_records
+from .test_traces import TOO_DEEP, TOO_DEEP_ERROR, TOO_LONG_ERROR, TOO_LONG_INT, malformed_records
 
 
 def write_config(tmp_path, name="scenario.json", **extra):
@@ -256,6 +256,36 @@ def test_undecodable_input_exits_two(tmp_path, capsys, target):
     assert err.startswith("io error:") and out == ""
 
 
+@pytest.mark.parametrize(
+    "text, decoder_error",
+    [(TOO_DEEP, TOO_DEEP_ERROR), ('{"stakes":[1,1,1,1],"seed":' + TOO_LONG_INT + "}", TOO_LONG_ERROR)],
+    ids=["nested-too-deep", "over-long-integer"],
+)
+@pytest.mark.parametrize("target", ["node-01.jsonl header", "manifest.json", "run --config", "compare --a"])
+def test_json_the_decoder_cannot_hold_exits_two(tmp_path, capsys, target, text, decoder_error):
+    out_dir = persisted_run(tmp_path)
+    bad = tmp_path / "bad.json"
+    check = ["check", "--trace", str(out_dir)]
+    trace, manifest = out_dir / "node-01.jsonl", out_dir / "manifest.json"
+    config_error = f"config error: <file>: not valid JSON: {decoder_error}"
+    argv, path, error = {
+        "node-01.jsonl header": (check, trace, f"trace error: {trace}: cannot decode JSON: {decoder_error}"),
+        "manifest.json": (check, manifest, f"trace error: {manifest}: cannot decode JSON: {decoder_error}"),
+        "run --config": (["run", "--config", str(bad), "--out", str(tmp_path / "o")], bad, config_error),
+        "compare --a": (
+            ["compare", "--a", str(bad), "--b", str(write_config(tmp_path)), "--seeds", "1"], bad, config_error
+        ),
+    }[target]
+    if path == trace:
+        # The records stay; only the header line is replaced.
+        text += "\n" + trace.read_text().split("\n", 1)[1]
+    path.write_text(text)
+    capsys.readouterr()
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert err == error + "\n" and out == ""
+
+
 def test_check_without_traces_exits_two(tmp_path, capsys):
     out_dir = persisted_run(tmp_path)
     for trace in out_dir.glob("node-*.jsonl"):
@@ -282,10 +312,10 @@ def test_check_header_node_must_match_file_name(tmp_path, capsys):
 
 
 @malformed_records
-def test_check_malformed_record_exits_two(tmp_path, capsys, record, message):
+def test_check_malformed_record_exits_two(tmp_path, capsys, line, message):
     out_dir = persisted_run(tmp_path)
     trace = out_dir / "node-01.jsonl"
-    trace.write_text(trace.read_text() + json.dumps(record) + "\n")
+    trace.write_text(trace.read_text() + line + "\n")
     capsys.readouterr()
     assert main(["check", "--trace", str(out_dir)]) == 2
     out, err = capsys.readouterr()
@@ -294,11 +324,11 @@ def test_check_malformed_record_exits_two(tmp_path, capsys, record, message):
 
 
 @malformed_records
-def test_check_malformed_record_past_the_first_batch_exits_two(tmp_path, capsys, record, message):
+def test_check_malformed_record_past_the_first_batch_exits_two(tmp_path, capsys, line, message):
     out_dir = persisted_run(tmp_path)
     trace = out_dir / "node-01.jsonl"
     padding = json.dumps({"at": 0, "kind": "leader-timeout", "round": 1}) + "\n"
-    trace.write_text(trace.read_text() + padding * _BATCH + json.dumps(record) + "\n")
+    trace.write_text(trace.read_text() + padding * _BATCH + line + "\n")
     capsys.readouterr()
     assert main(["check", "--trace", str(out_dir)]) == 2
     out, err = capsys.readouterr()

@@ -13,7 +13,7 @@ from repdag.commit import (
     update_schedule,
 )
 from repdag.committee import new_committee
-from repdag.dag import DagState, VertexId
+from repdag.dag import DagState
 from repdag.reputation import Schedule, ScheduleBook, select_swap_sets
 
 from .conftest import full_dag, mk_vertex, random_dag_vertices, replay
@@ -48,10 +48,10 @@ class TestTryCommitting:
 
     def build(self, committee, linking_parents):
         dag = full_dag(committee, 2)
-        anchor = VertexId(2, 1)  # leader(2) = 1 under slots (0, 1, 2, 3)
+        anchor = (2, 1)  # leader(2) = 1 under slots (0, 1, 2, 3)
         parents = []
         for s in range(3):
-            links = [0, anchor.source, 2] if s < linking_parents else [0, 2, 3]
+            links = [0, anchor[1], 2] if s < linking_parents else [0, 2, 3]
             parents.append(mk_vertex(3, s, links))
             dag.insert(parents[-1])
         committer = mk_vertex(4, 0, [p.source for p in parents])
@@ -73,7 +73,7 @@ class TestTryCommitting:
     def test_odd_round_is_a_no_op(self, committee4):
         dag = full_dag(committee4, 3)
         state = fresh_state(committee4)
-        v = dag.get(VertexId(3, 0))
+        v = dag.get((3, 0))
         tr = tracer0()
         assert try_committing(state, dag, v, tr) is None
         assert commit_log(tr.records) == []
@@ -81,12 +81,12 @@ class TestTryCommitting:
     def test_genesis_round_is_a_no_op(self, committee4):
         dag = full_dag(committee4, 0)
         state = fresh_state(committee4)
-        assert try_committing(state, dag, dag.get(VertexId(0, 0)), tracer0()) is None
+        assert try_committing(state, dag, dag.get((0, 0)), tracer0()) is None
 
     def test_absent_anchor_returns_none(self, committee4):
         dag = full_dag(committee4, 2, absent={(0, 0)})
         state = fresh_state(committee4)
-        v = dag.get(VertexId(2, 0))
+        v = dag.get((2, 0))
         assert try_committing(state, dag, v, tracer0()) is None
 
 
@@ -107,7 +107,7 @@ class TestAnchorVotes:
                 if v.round < 2:
                     continue
                 for anchor in dag.vertices_at(v.round - 2).values():
-                    parents = [VertexId(v.round - 1, s) for s in parent_sources(v)]
+                    parents = [(v.round - 1, s) for s in parent_sources(v)]
                     want = sum(naive_path(dag, parent, anchor.id) for parent in parents)
                     assert anchor_votes(dag, v, anchor.id) == want
                     counts.add((want, len(parents)))
@@ -121,7 +121,7 @@ class TestOrderAnchors:
         dag = full_dag(committee4, 4)
         state = fresh_state(committee4)
         tr = tracer0()
-        committed = try_committing(state, dag, dag.get(VertexId(4, 0)), tr)
+        committed = try_committing(state, dag, dag.get((4, 0)), tr)
         assert committed == 2
         assert state.last_ordered_round == 2
         assert committed_anchors(tr) == [(2, 1, True)]
@@ -130,7 +130,7 @@ class TestOrderAnchors:
         dag = full_dag(committee4, 8)
         state = fresh_state(committee4)
         tr = tracer0()
-        assert try_committing(state, dag, dag.get(VertexId(8, 0)), tr) == 6
+        assert try_committing(state, dag, dag.get((8, 0)), tr) == 6
         # oldest first: 2 and 4 indirectly, 6 directly
         assert committed_anchors(tr) == [(2, 1, False), (4, 2, False), (6, 3, True)]
         assert state.last_ordered_round == 6
@@ -140,18 +140,18 @@ class TestOrderAnchors:
         dag = full_dag(committee4, 8, absent={(4, 2)})
         state = fresh_state(committee4)
         tr = tracer0()
-        assert try_committing(state, dag, dag.get(VertexId(8, 0)), tr) == 6
+        assert try_committing(state, dag, dag.get((8, 0)), tr) == 6
         assert committed_anchors(tr) == [(2, 1, False), (6, 3, True)]
 
     def test_second_certifier_of_a_decided_round_is_a_no_op(self, committee4):
         dag = full_dag(committee4, 8)
         state = fresh_state(committee4)
         tr = tracer0()
-        assert try_committing(state, dag, dag.get(VertexId(8, 0)), tr) == 6
+        assert try_committing(state, dag, dag.get((8, 0)), tr) == 6
         log_before = commit_log(tr.records)
         records_before = len(tr.records)
         # (8, 1) also certifies the round-6 anchor, which is already ordered
-        assert try_committing(state, dag, dag.get(VertexId(8, 1)), tr) is None
+        assert try_committing(state, dag, dag.get((8, 1)), tr) is None
         assert commit_log(tr.records) == log_before
         assert len(tr.records) == records_before
 
@@ -161,20 +161,20 @@ class TestOrderHistory:
         dag = full_dag(committee4, 4)
         state = fresh_state(committee4)
         tr = tracer0()
-        try_committing(state, dag, dag.get(VertexId(4, 0)), tr)
+        try_committing(state, dag, dag.get((4, 0)), tr)
         log = commit_log(tr.records)
         ordered = [vid for vid, _ in log]
         # (round, source) ascending: all genesis, all round-1, then the anchor
-        assert ordered[:4] == [VertexId(0, s) for s in range(4)]
-        assert ordered[4:8] == [VertexId(1, s) for s in range(4)]
-        assert ordered[8] == VertexId(2, 1)
+        assert ordered[:4] == [(0, s) for s in range(4)]
+        assert ordered[4:8] == [(1, s) for s in range(4)]
+        assert ordered[8] == (2, 1)
         assert {r for _, r in log} == {2}
 
     def test_histories_partition_without_duplicates(self, committee4):
         dag = full_dag(committee4, 8)
         state = fresh_state(committee4)
         tr = tracer0()
-        try_committing(state, dag, dag.get(VertexId(8, 0)), tr)
+        try_committing(state, dag, dag.get((8, 0)), tr)
         # No vertex is ordered twice: the histories the anchors record
         # concatenate to the log without repeats, oldest anchor first.
         log = commit_log(tr.records)
@@ -189,17 +189,17 @@ class TestOrderHistory:
         dag = full_dag(committee4, 8)
         state = fresh_state(committee4)
         tr = tracer0()
-        try_committing(state, dag, dag.get(VertexId(8, 0)), tr)
+        try_committing(state, dag, dag.get((8, 0)), tr)
         position = {vid: i for i, vid in enumerate(ordered_sequence(tr.records))}
         for vid in position:
             for s in parent_sources(dag.get(vid)):
-                assert position[VertexId(vid.round - 1, s)] < position[vid]
+                assert position[(vid[0] - 1, s)] < position[vid]
 
     def test_switch_orders_trigger_history_first(self, committee4):
         dag = full_dag(committee4, 4)
         state = fresh_state(committee4, span=2)
         tr = tracer0()
-        assert try_committing(state, dag, dag.get(VertexId(4, 0)), tr) == 2
+        assert try_committing(state, dag, dag.get((4, 0)), tr) == 2
         # scores over [0, 2): every validator voted for leader(0), full tie,
         # so the fixed rule demotes 3 and promotes 0
         assert state.book.epoch_count == 2
@@ -225,7 +225,7 @@ class TestUpdateSchedule:
     def test_faultless_switch_is_exactly_the_tie_swap(self, committee4):
         dag = full_dag(committee4, 4)
         state = fresh_state(committee4, span=2)
-        schedule, _ = update_schedule(state, dag, dag.get(VertexId(2, 1)))
+        schedule, _ = update_schedule(state, dag, dag.get((2, 1)))
         assert schedule.epoch == 1
         assert schedule.initial_round == 4
         assert schedule.slots == (0, 1, 2, 0)
@@ -235,7 +235,7 @@ class TestUpdateSchedule:
         dag = full_dag(committee4, 8, absent=absent)
         # leader(6) = 2 is alive and triggers; crashed 3 scored nothing
         state = fresh_state(committee4, slots=(0, 1, 3, 2), span=6)
-        schedule, scores = update_schedule(state, dag, dag.get(VertexId(6, 2)))
+        schedule, scores = update_schedule(state, dag, dag.get((6, 2)))
         assert scores == {0: 2, 1: 2, 2: 2, 3: 0}
         assert select_swap_sets(committee4, scores, state.exclusion_fraction)[0] == [3]
         assert 3 not in schedule.slots
@@ -244,10 +244,10 @@ class TestUpdateSchedule:
     def test_premature_switch_rejected(self, committee4):
         dag = full_dag(committee4, 4)
         state = fresh_state(committee4, span=10)
-        assert update_schedule(state, dag, dag.get(VertexId(2, 1))) is None
+        assert update_schedule(state, dag, dag.get((2, 1))) is None
         # Round-robin never switches.
         state = fresh_state(committee4, span=None)
-        assert update_schedule(state, dag, dag.get(VertexId(2, 1))) is None
+        assert update_schedule(state, dag, dag.get((2, 1))) is None
 
 
 class TestRetroRecheck:
@@ -265,7 +265,7 @@ class TestRetroRecheck:
         tr = tracer0()
         # drive ordinary commits up to round 8
         for r in (4, 6, 8, 10):
-            v = dag.get(VertexId(r, 0))
+            v = dag.get((r, 0))
             try_committing(state, dag, v, tr)
         assert state.last_ordered_round == 8
         # a switch arrives: epoch 1 hands round 10 to validator 1
@@ -278,7 +278,7 @@ class TestRetroRecheck:
         dag = full_dag(committee4, 6)
         state = fresh_state(committee4)
         tr = tracer0()
-        try_committing(state, dag, dag.get(VertexId(6, 0)), tr)
+        try_committing(state, dag, dag.get((6, 0)), tr)
         state.book.append(Schedule(epoch=1, initial_round=6, slots=(3, 0, 1, 2)))
         # same leaders for every buffered round: slots shifted so that
         # leader(6) = 3 matches the old schedule's assignment
@@ -290,7 +290,7 @@ class TestRetroRecheck:
         dag, state = self.build_crashed_leader_dag(committee4)
         tr = tracer0()
         for r in (4, 6, 8):
-            try_committing(state, dag, dag.get(VertexId(r, 0)), tr)
+            try_committing(state, dag, dag.get((r, 0)), tr)
         # leader(6) is the crashed validator, so only anchors 2 and 4 landed
         assert state.last_ordered_round == 4
         state.book.append(Schedule(epoch=1, initial_round=10, slots=(1, 2, 0, 1)))

@@ -11,7 +11,6 @@ from repdag.dag import (
     InsertOutcome,
     UnknownVertex,
     Vertex,
-    VertexId,
     causal_history,
     path,
 )
@@ -30,8 +29,8 @@ from .oracles import naive_path, parent_sources, parents_complete
 def grouped(vids):
     """Vertex ids as ``causal_history`` rows hold them: one row per round,
     highest round first, each row in ascending source order."""
-    rounds = sorted({vid.round for vid in vids}, reverse=True)
-    return [sorted(vid for vid in vids if vid.round == r) for r in rounds]
+    rounds = sorted({vid[0] for vid in vids}, reverse=True)
+    return [sorted(vid for vid in vids if vid[0] == r) for r in rounds]
 
 
 def row_ids(rows):
@@ -42,7 +41,7 @@ def source_masks(vids):
     """Per round, the sources of ``vids`` as a bitmask: the form of ``exclude``."""
     masks = {}
     for vid in vids:
-        masks[vid.round] = masks.get(vid.round, 0) | 1 << vid.source
+        masks[vid[0]] = masks.get(vid[0], 0) | 1 << vid[1]
     return masks
 
 
@@ -50,7 +49,7 @@ class TestInsert:
     def test_genesis_into_empty_dag(self, committee4):
         dag = DagState(committee4)
         assert dag.insert(mk_vertex(0, 0)) is InsertOutcome.INSERTED
-        assert VertexId(0, 0) in dag
+        assert (0, 0) in dag
         assert dag.highest_round == 0
 
     def test_round_one_with_quorum_edges(self, committee4):
@@ -89,11 +88,11 @@ class TestInsert:
         # A negative parent has no bit, so a negative mask stands in for it.
         for source, mask in ((0, -1), (-1, 0b111)):
             with pytest.raises(ValueError, match="malformed vertex"):
-                Vertex(VertexId(1, source), mask)
+                Vertex((1, source), mask)
 
     def test_a_vertex_is_an_immutable_value(self):
         v = mk_vertex(1, 2, [0, 1, 3])
-        assert (v.id, v.mask, v.round, v.source) == (VertexId(1, 2), 0b1011, 1, 2)
+        assert (v.id, v.mask, v.round, v.source) == ((1, 2), 0b1011, 1, 2)
         assert v == mk_vertex(1, 2, [3, 1, 0]) and hash(v) == hash(mk_vertex(1, 2, [0, 1, 3]))
         assert v != mk_vertex(1, 2, [0, 1, 2])
         for field in ("id", "mask", "round", "source"):
@@ -172,7 +171,7 @@ class TestPath:
     def test_reflexive(self, committee4):
         dag = DagState(committee4)
         dag.insert(mk_vertex(0, 0))
-        assert path(dag, VertexId(0, 0), VertexId(0, 0))
+        assert path(dag, (0, 0), (0, 0))
 
     def test_linear_chain(self):
         from repdag.committee import new_committee
@@ -191,12 +190,12 @@ class TestPath:
         dag = DagState(committee4)
         dag.insert(mk_vertex(0, 0))
         dag.insert(mk_vertex(0, 1))
-        assert not path(dag, VertexId(0, 0), VertexId(0, 1))
+        assert not path(dag, (0, 0), (0, 1))
 
     def test_unknown_start_raises(self, committee4):
         dag = DagState(committee4)
         with pytest.raises(UnknownVertex):
-            path(dag, VertexId(0, 0), VertexId(0, 1))
+            path(dag, (0, 0), (0, 1))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -226,7 +225,7 @@ class TestPath:
         # A union of histories is downward closed, like a node's ordered set.
         closed = set().union(*(ancestors(v.id) for v in rng.sample(vertices, k=2)))
         for a in probes:
-            want = {vid for vid in ancestors(a.id) if vid.round >= min_round}
+            want = {vid for vid in ancestors(a.id) if vid[0] >= min_round}
             assert row_ids(causal_history(dag, a.id, min_round=min_round)) == grouped(want)
             got = causal_history(dag, a.id, min_round=min_round, exclude=source_masks(closed))
             assert row_ids(got) == grouped(want - closed)
@@ -290,11 +289,11 @@ class TestPath:
         dag = full_dag(committee4, 4)
         for r, row in dag.by_round.items():
             for s in row:
-                rows = causal_history(dag, VertexId(r, s))
+                rows = causal_history(dag, (r, s))
                 assert all(v is dag.get(v.id) for got in rows for v in got)
                 # Every vertex names every vertex one round below it.
-                below = [[VertexId(q, t) for t in committee4.members] for q in range(r - 1, -1, -1)]
-                assert row_ids(rows) == [[VertexId(r, s)], *below]
+                below = [[(q, t) for t in committee4.members] for q in range(r - 1, -1, -1)]
+                assert row_ids(rows) == [[(r, s)], *below]
 
 
 class TestAnchorReach:
@@ -362,7 +361,7 @@ class TestGetAnchor:
         dag = full_dag(committee4, 2)
         book = ScheduleBook(Schedule(epoch=0, initial_round=0, slots=(0, 1, 2, 3)))
         anchor = get_anchor(dag, book, 2)
-        assert anchor is not None and anchor.id == VertexId(2, 1)
+        assert anchor is not None and anchor.id == (2, 1)
 
     def test_crashed_leader_absent(self, committee4):
         dag = full_dag(committee4, 2, absent={(2, 1)})

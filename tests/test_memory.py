@@ -2,13 +2,15 @@
 
 ``load_run`` parses each trace one batch of lines at a time, so the memory
 it needs beyond the records it returns does not grow with a trace's length.
-``run_scenario`` drops each node's replica state as soon as the simulation
-ends, before the metrics and the encoder allocate.
+``run_in_memory``, and so ``run_scenario`` too, drops each node's replica
+state as soon as the simulation ends, before the metrics allocate.
 """
 
 import json
 import tracemalloc
 import weakref
+
+import pytest
 
 from repdag import harness
 from repdag.config import parse_config
@@ -66,7 +68,14 @@ def test_load_run_transient_does_not_grow_with_the_trace(tmp_path, monkeypatch):
     assert long < 1.5 * short, (short, long)
 
 
-def test_replica_state_is_freed_before_the_metrics(tmp_path, monkeypatch):
+def run_and_persist(cfg, out_dir):
+    """``run_in_memory``, then its traces written as ``run_scenario`` writes them."""
+    metrics, result = harness.run_in_memory(cfg)
+    return metrics, harness.write_run(result, out_dir)
+
+
+@pytest.mark.parametrize("entry", [harness.run_scenario, run_and_persist], ids=["run_scenario", "run_in_memory"])
+def test_replica_state_is_freed_before_the_metrics(tmp_path, monkeypatch, entry):
     cfg = parse_config({"stakes": [1] * 4, "faultPlan": [[3, 20]], "stop": {"maxRound": 16}, "seed": 3})
     dags = []
     simulate, compute = harness.run, harness.compute_metrics
@@ -82,13 +91,13 @@ def test_replica_state_is_freed_before_the_metrics(tmp_path, monkeypatch):
 
     monkeypatch.setattr(harness, "run", watched_run)
     monkeypatch.setattr(harness, "compute_metrics", checked_metrics)
-    metrics, run_dir = harness.run_scenario(cfg, tmp_path / "run")
+    metrics, run_dir = entry(cfg, tmp_path / "run")
     monkeypatch.undo()
     assert len(dags) == cfg.n
     # The manifest and the metrics are those of the whole result.
-    metrics_in_memory, result = harness.run_in_memory(cfg)
+    result = harness.run(cfg)
     whole = harness.write_run(result, tmp_path / "whole")
     assert {path.name: path.read_text() for path in run_dir.iterdir() if path.name != "metrics.json"} == {
         path.name: path.read_text() for path in whole.iterdir()
     }
-    assert metrics == metrics_in_memory
+    assert metrics == harness.compute_metrics(result.records_by_node, {"config": cfg.to_json_dict()})

@@ -3,7 +3,6 @@ from collections import Counter
 import pytest
 
 from repdag.config import parse_config
-from repdag.dag import VertexId
 from repdag.node import Effects, Node
 from repdag.reputation import Schedule
 from repdag.simnet import Simulation
@@ -38,7 +37,7 @@ class TestDelivery:
     def test_quorum_with_leader_advances_immediately(self, committee4):
         node = make_node(committee4)
         node.boot(0)
-        node.on_deliver(node.dag.get(VertexId(0, 3)) or mk_vertex(0, 3), 0)  # self delivery
+        node.on_deliver(node.dag.get((0, 3)) or mk_vertex(0, 3), 0)  # self delivery
         node.on_deliver(mk_vertex(0, 0), 1)  # leader(0) = 0 present
         effects = node.on_deliver(mk_vertex(0, 1), 2)
         assert node.current_round == 1
@@ -82,7 +81,7 @@ class TestDelivery:
         node.crashed = True
         assert node.on_deliver(mk_vertex(0, 0), 0) is None
         assert node.boot(0) is None and node.on_timer(0) is None
-        assert VertexId(0, 0) not in node.dag and node.tracer.records == []
+        assert (0, 0) not in node.dag and node.tracer.records == []
 
     def test_commit_only_copy_returns_none(self, committee4):
         # Full rounds 0-3, the node's own vertices fed back to it; its own
@@ -93,7 +92,7 @@ class TestDelivery:
             for v in [own[-1]] + [mk_vertex(r, s, range(4) if r else []) for s in (0, 1, 2)]:
                 if (effects := node.on_deliver(v, r + 1)) is not None:
                     own += effects.broadcasts
-        assert own[-1].id == VertexId(4, 3) and node.current_round == 4
+        assert own[-1].id == (4, 3) and node.current_round == 4
         before = len(node.tracer.records)
         assert node.on_deliver(own[-1], 5) is None
         assert kinds(node)[before:] == ["vertex-delivered", "anchor-committed"]
@@ -142,7 +141,7 @@ class TestLeaderWait:
         effects = node.on_deliver(mk_vertex(0, 1), 0)
         assert node.current_round == 1
         own1 = effects.broadcasts[-1]
-        assert own1.id == VertexId(1, 3)
+        assert own1.id == (1, 3)
         node.on_deliver(own1, 1)  # self delivery of our round-1 vertex
         genesis = [0, 1, 3]
         node.on_deliver(mk_vertex(1, 0, genesis), 2)
@@ -150,7 +149,7 @@ class TestLeaderWait:
         # quorum at the odd round: the round-2 vertex goes out with no
         # leader gate and no timer
         assert node.current_round == 2
-        assert effects.broadcasts[-1].id == VertexId(2, 3)
+        assert effects.broadcasts[-1].id == (2, 3)
         assert effects.timers == []
 
     def test_round_cap_stops_vertex_creation(self, committee4):
@@ -165,7 +164,7 @@ class TestCreateVertex:
     def test_empty_queue_heartbeat(self, committee4):
         node = make_node(committee4, supply=lambda me, now: 0)
         v = node.boot(0).broadcasts[0]
-        assert v.id == VertexId(0, 3)
+        assert v.id == (0, 3)
         assert node.tracer.records[0]["txCount"] == 0
 
     def test_batch_caps_drain(self, committee4):
@@ -181,7 +180,7 @@ class TestCreateVertex:
         effects = [node.on_deliver(mk_vertex(0, s), 1) for s in (0, 1, 2)]
         # Below quorum, the quorum advance, then a copy past quorum.
         assert effects[0] is None and effects[2] is None
-        own1 = [v for v in effects[1].broadcasts if v.id == VertexId(1, 3)]
+        own1 = [v for v in effects[1].broadcasts if v.id == (1, 3)]
         assert len(own1) == 1, "round-1 vertex should have been created once"
         assert node.current_round == 1
         # The quorum formed with genesis 1; genesis 2 came after the vertex was made.

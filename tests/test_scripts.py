@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from .test_traces import TOO_DEEP, TOO_LONG_INT
+
 ROOT = Path(__file__).resolve().parent.parent
 # A config file argument: the test writes TINY_CONFIG there.
 CONFIG = "<config>"
@@ -77,6 +79,18 @@ def test_bad_arguments_exit_two(name, args, config):
     assert done.returncode == 2, done.stderr
     assert "Traceback" not in done.stderr
     assert done.stderr
+
+
+@pytest.mark.parametrize(
+    "text", [TOO_DEEP, '{"stakes":[1,1,1,1],"seed":' + TOO_LONG_INT + "}"], ids=["nested-too-deep", "over-long-integer"]
+)
+def test_peak_rss_refuses_json_the_decoder_cannot_hold(tmp_path, text):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    done = run_script("peak_rss.py", ["--config", str(path)])
+    assert done.returncode == 2
+    assert done.stderr.startswith("config error: not valid JSON:") and "Traceback" not in done.stderr
+    assert done.stdout == ""
 
 
 def test_fault_tolerance_takes_delta():

@@ -12,7 +12,7 @@ from repdag.checks import (
     check_total_order,
 )
 from repdag.config import parse_config
-from repdag.dag import Vertex, VertexId
+from repdag.dag import Vertex
 from repdag.reputation import initial_schedule
 from repdag.simnet import BOOT, CRASH, DELIVER, TIMER, Simulation, client_supply, run
 from repdag.traces import serialize
@@ -427,7 +427,7 @@ class TestBroadcastEquivalence:
         # Nothing but a sender's own copy lands before GST + 1, so runs echo
         # only after GST; the pre-GST regimes are pinned here alone.
         cfg = parse_config({"stakes": [1] * 5, "seed": 3, **raw})
-        now, v = 10, Vertex(VertexId(0, 0), 0)
+        now, v = 10, Vertex((0, 0), 0)
         sim = Simulation(cfg)
         sim._queue.clear()
         sim._buckets.clear()
@@ -465,7 +465,7 @@ class TestCommitLog:
             want = []
             for rec in node.tracer.records:
                 if rec["kind"] == "anchor-committed":
-                    history = naive_ancestors(node.dag, VertexId(rec["round"], rec["leader"]))
+                    history = naive_ancestors(node.dag, (rec["round"], rec["leader"]))
                     want.extend(sorted(history - set(want)))
             log = commit_log(node.tracer.records)
             seq = [vid for vid, _ in log]
@@ -609,7 +609,7 @@ class TestGoldenRun:
             position = {vid: i for i, (vid, _) in enumerate(commit_log(node.tracer.records))}
             for vid in position:
                 for s in parent_sources(node.dag.get(vid)):
-                    assert position[VertexId(vid.round - 1, s)] < position[vid]
+                    assert position[(vid[0] - 1, s)] < position[vid]
 
 
 class TestCrashPatterns:

@@ -14,6 +14,16 @@ from .conftest import quick_run
 from .test_dag import source_masks
 from .test_golden import CORPUS, PERSISTED
 
+# JSON the decoder cannot hold, with the decoder's message: nesting past its
+# recursion limit, and an integer past int's default limit of 4300 digits.
+TOO_DEEP = "[" * 200_000 + "]" * 200_000
+TOO_DEEP_ERROR = "maximum recursion depth exceeded while decoding a JSON array from a unicode string"
+TOO_LONG_INT = "1" * 5000
+TOO_LONG_ERROR = (
+    "Exceeds the limit (4300 digits) for integer string conversion: "
+    "value has 5000 digits; use sys.set_int_max_str_digits() to increase the limit"
+)
+
 
 def test_round_trip_is_bit_exact():
     for raw in [{"seed": 5, "stop": {"maxRound": 10}}, *(CORPUS[name][0] for name in PERSISTED)]:
@@ -24,6 +34,11 @@ def test_round_trip_is_bit_exact():
             assert node == tracer.node
             assert records == tracer.records, raw
             assert serialize(node, records) == text
+            # One id type: a plain tuple in memory and once parsed.
+            in_memory = [vid for rec in tracer.records for vid in vertex_ids(rec)]
+            assert in_memory and all(type(vid) is tuple for vid in in_memory), raw
+            parsed = [vid for rec in records for vid in vertex_ids(rec)]
+            assert parsed == in_memory and list(map(type, parsed)) == list(map(type, in_memory)), raw
 
 
 def test_parsed_kinds_are_the_shared_strings():
@@ -37,35 +52,42 @@ def test_parsed_kinds_are_the_shared_strings():
             assert any(rec["kind"] is kind for kind in RECORD_KINDS), rec
 
 
-# Records that parse refuses, each after a valid record, with its message.
+# Record lines that parse refuses, each after a valid record, with its message.
 MALFORMED_RECORDS = {
-    "unknown-kind": ({"at": 3, "kind": "vertex-teleported"}, "unknown record kinds: ['vertex-teleported']"),
-    "missing-kind": ({"at": 3, "round": 4}, "a record is not an object with a hashable 'kind'"),
-    "unhashable-kind": ({"at": 3, "kind": []}, "a record is not an object with a hashable 'kind'"),
-    "not-an-object": ([3, "leader-timeout"], "a record is not an object with a hashable 'kind'"),
+    "unknown-kind": (json.dumps({"at": 3, "kind": "vertex-teleported"}), "unknown record kinds: ['vertex-teleported']"),
+    "missing-kind": (json.dumps({"at": 3, "round": 4}), "a record is not an object with a hashable 'kind'"),
+    "unhashable-kind": (json.dumps({"at": 3, "kind": []}), "a record is not an object with a hashable 'kind'"),
+    "not-an-object": (json.dumps([3, "leader-timeout"]), "a record is not an object with a hashable 'kind'"),
     "id-not-two-ints": (
-        {"at": 3, "kind": "vertex-created", "id": ["1", 2], "txCount": 1},
+        json.dumps({"at": 3, "kind": "vertex-created", "id": ["1", 2], "txCount": 1}),
         "a record lacks a vertex id or holds a malformed one: TypeError(\"vertex id ['1', 2] is not two integers\")",
     ),
     "ordered-id-not-integral": (
-        {"at": 3, "kind": "anchor-committed", "round": 2, "leader": 0, "direct": True, "ordered": [[1.5, 0]]},
+        json.dumps(
+            {"at": 3, "kind": "anchor-committed", "round": 2, "leader": 0, "direct": True, "ordered": [[1.5, 0]]}
+        ),
         "a record lacks a vertex id or holds a malformed one: TypeError('vertex id [1.5, 0] is not two integers')",
     ),
     "no-ordered-list": (
-        {"at": 3, "kind": "anchor-committed", "round": 2, "leader": 0, "direct": True},
+        json.dumps({"at": 3, "kind": "anchor-committed", "round": 2, "leader": 0, "direct": True}),
         "a record lacks a vertex id or holds a malformed one: KeyError('ordered')",
+    ),
+    "nested-too-deep": (TOO_DEEP, f"cannot decode JSON: {TOO_DEEP_ERROR}"),
+    "over-long-integer": (
+        '{"at":' + TOO_LONG_INT + ',"kind":"leader-timeout","round":2}',
+        f"cannot decode JSON: {TOO_LONG_ERROR}",
     ),
 }
 malformed_records = pytest.mark.parametrize(
-    "record, message", list(MALFORMED_RECORDS.values()), ids=list(MALFORMED_RECORDS)
+    "line, message", list(MALFORMED_RECORDS.values()), ids=list(MALFORMED_RECORDS)
 )
 
 
 @malformed_records
-def test_parse_messages_for_malformed_records(record, message):
+def test_parse_messages_for_malformed_records(line, message):
     valid = [{"at": 1, "kind": "leader-timeout", "round": 2}, {"at": 1, "kind": "vertex-delivered", "id": [1, 0]}]
     # Written line by line: serialize refuses a record that is not an object.
-    text = "\n".join([header_line(1), *map(json.dumps, valid), json.dumps(record)]) + "\n"
+    text = "\n".join([header_line(1), *map(json.dumps, valid), line]) + "\n"
     with pytest.raises(ValueError) as exc:
         parse(io.StringIO(text))
     assert str(exc.value) == message
@@ -241,6 +263,11 @@ SECOND_BATCH_FAULTS = {
     "two-records-in-a-line": (
         '{"at":3,"kind":"leader-timeout","round":2},{"at":3,"kind":"leader-timeout","round":2}',
         "9 record lines hold 10 records",
+    ),
+    "nested-too-deep": (TOO_DEEP, f"cannot decode JSON: {TOO_DEEP_ERROR}"),
+    "over-long-integer": (
+        '{"at":3,"kind":"vertex-delivered","id":[' + TOO_LONG_INT + ",0]}",
+        f"cannot decode JSON: {TOO_LONG_ERROR}",
     ),
 }
 
