@@ -171,10 +171,10 @@ def parse_config(raw: dict[str, Any]) -> SimConfig:
             if crash_at < 0:
                 raise ConfigInvalid("faultPlan", f"crashAt must be >= 0, got {crash_at}")
             crashed.add(validator)
-        crashed_stake = sum(stakes[v] for v in crashed)
-        if crashed_stake > (sum(stakes) - 1) // 3:
+        # Quorums and votes count validators, not stake.
+        if len(crashed) > (n - 1) // 3:
             warnings.warn(
-                f"fault plan crashes {crashed_stake} stake, above the tolerated bound; "
+                f"fault plan crashes {len(crashed)} of {n} validators, above the tolerated bound; "
                 "property checks are not meaningful for this run",
                 stacklevel=2,
             )

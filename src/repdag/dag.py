@@ -78,7 +78,6 @@ class DagState:
         self.by_round: dict[int, dict[ValidatorId, Vertex]] = {}
         # Per round, the sources held there as a bitmask (bit s for source s).
         self.held: dict[int, int] = {}
-        self.highest_round = -1
 
     def __contains__(self, vid: VertexId) -> bool:
         return vid[1] in self.by_round.get(vid[0], ())
@@ -91,11 +90,13 @@ class DagState:
 
     def even_vertices_from(self, round: int) -> list[Vertex]:
         """Even-round vertices with round >= the given bound, (round, source) ascending."""
+        # Rows run from round 0 without a gap: past round 0, a vertex is
+        # inserted only above its parents' row.
         out: list[Vertex] = []
-        for r in range(round + round % 2, self.highest_round + 1, 2):
-            row = self.by_round.get(r)
-            if row:
-                out.extend(row[s] for s in sorted(row))
+        by_round = self.by_round
+        for r in range(round + round % 2, len(by_round), 2):
+            row = by_round[r]
+            out.extend(row[s] for s in sorted(row))
         return out
 
     def insert(self, v: Vertex) -> InsertOutcome:
@@ -121,8 +122,6 @@ class DagState:
             row = self.by_round[r] = {}
         row[source] = v
         held[r] = held.get(r, 0) | 1 << source
-        if r > self.highest_round:
-            self.highest_round = r
         return INSERTED
 
 

@@ -4,8 +4,8 @@ One node owns one dag and one commit state. It reacts to three stimuli:
 boot (create the genesis vertex), delivery of a vertex, and timer expiry.
 Each handler runs to completion and returns the broadcasts and timer
 requests it produced as an ``Effects``, or None when it produced neither (a
-duplicate, a copy to a crashed node, and most deliveries, which only fill a
-DAG row); all inter-node effects travel through the simulator.
+duplicate, and most deliveries, which only fill a DAG row); all inter-node
+effects travel through the simulator.
 Relaying a delivered vertex to the peers (the reliable-broadcast echo) is the
 simulator's job too, as in Narwhal, where dissemination lives in the
 transport: a node returns only the vertices it creates.
@@ -31,7 +31,8 @@ class Effects:
 
 
 class Node:
-    """A single validator. Crash is absorbing: no actions after it."""
+    """A single validator. Crash is absorbing: from its crash tick on, the
+    simulator calls no handler, and it sets ``crashed`` at that tick."""
 
     def __init__(
         self,
@@ -65,15 +66,11 @@ class Node:
     # -- stimuli ---------------------------------------------------------
 
     def boot(self, now: int) -> Effects | None:
-        if self.crashed:
-            return None
         effects = Effects()
         effects.broadcasts.append(self._make_vertex(0, now))
         return effects
 
     def on_deliver(self, v: Vertex, now: int) -> Effects | None:
-        if self.crashed:
-            return None
         vid, seen = v.id, self._seen
         if vid in seen:
             # Reliable-broadcast integrity: duplicates change nothing.
@@ -98,8 +95,6 @@ class Node:
         return self._try_advance(now)
 
     def on_timer(self, now: int) -> Effects | None:
-        if self.crashed:
-            return None
         return self._try_advance(now)
 
     # -- internals -------------------------------------------------------

@@ -29,14 +29,16 @@ earliest landing or crash tick), which only ``broadcast`` changes. An echo at
 maximum is at or below ``max(now, GST) + 1``, the earliest tick a copy can
 land; after GST with Delta 1 that holds for every echo.
 
-A queued copy can still be overtaken by a faster echo queued after it
-(Delta >= 2). When it pops, its target has already seen the vertex, so it is
-retired without running and without counting in ``events_executed``, which
-counts every other event popped: boots, crashes, first deliveries and every
-timer, also those that act on nothing (a leader-wait timer whose round its
-node has left, a timer or boot at a crashed node). ``now`` after a drained
-run is the tick of the last counted event. ``run`` pauses the cyclic garbage
-collector (``gc_paused``).
+Boots and leader-wait timers follow the same rule: none is queued for a
+validator at or after its crash tick, so the simulator alone keeps a crashed
+validator inert. A copy can still be overtaken by a faster echo queued after
+it (Delta >= 2), and a timer outlives its round when the anchor arrives
+first; both are retired when they pop, without running, as the copy's target
+has seen the vertex and the timer's tick is no longer its node's leader-wait
+deadline (a later round's is never earlier). A crash only marks its node
+crashed. So ``events_executed`` counts exactly the handler calls, and ``now``
+after a drained run is the tick of the last one. ``run`` pauses the cyclic
+garbage collector (``gc_paused``).
 """
 
 from __future__ import annotations
@@ -57,8 +59,8 @@ from .node import Node
 from .reputation import initial_schedule
 from .traces import Tracer
 
-# Event kinds; a crash runs before a boot at the same tick, because fault-plan
-# events are queued first.
+# Event kinds; a crash pops before anything else queued at its tick, because
+# fault-plan events are queued first.
 CRASH, BOOT, DELIVER, TIMER = 0, 1, 2, 3
 # A tick later than any run reaches: "no crash" and "no copy yet".
 _NEVER = 1 << 62
@@ -174,7 +176,8 @@ class Simulation:
         self._arrival_max: dict[VertexId, int] = {}
         self._in_flight: dict[VertexId, int] = {}
         for v in self.committee.members:
-            self._push(0, BOOT, v, None)
+            if self._crash_at[v] > 0:
+                self._push(0, BOOT, v, None)
 
     def _push(self, at: int, kind: int, target: int, vertex: Vertex | None) -> None:
         ev = SimEvent(at, kind, target, vertex)
@@ -235,9 +238,10 @@ class Simulation:
         """Pop and handle the next event; None once the queue is empty.
 
         A copy that runs at a peer other than the vertex's creator is echoed.
-        An overtaken copy (see the module docstring) is retired without moving
-        ``now`` and still returned: a returned ``DELIVER`` ran exactly when
-        ``events_executed`` grew across the call.
+        A crash only sets its node's flag, and an overtaken copy or a timer
+        whose round has passed is retired (see the module docstring). None of
+        these moves ``now``, and each is returned: a returned event of any
+        kind ran exactly when ``events_executed`` grew across the call.
         """
         queue = self._queue
         if not queue:
@@ -278,23 +282,23 @@ class Simulation:
             if not runs:
                 return ev
         else:
-            self.now = at
-            self.events_executed += 1
             node = self.nodes[target]
             if kind == CRASH:
                 node.crashed = True
                 return ev
-            if node.crashed:
-                # Timers to crashed nodes are dropped at execution.
+            if kind == TIMER and at != node.leader_wait_deadline:
+                # Its node has left the round the timer was armed for.
                 return ev
-            self.tracers[target].now = at
+            self.now = self.tracers[target].now = at
+            self.events_executed += 1
             effects = node.on_timer(at) if kind == TIMER else node.boot(at)
         # None: the node created no vertex and armed no timer.
         if effects is not None:
             for v in effects.broadcasts:
                 self.broadcast(target, v, at)
             for deadline in effects.timers:
-                self._push(deadline, TIMER, target, None)
+                if deadline < self._crash_at[target]:
+                    self._push(deadline, TIMER, target, None)
         return ev
 
 

@@ -134,18 +134,25 @@ class PerCopyLoop:
     It keeps its own queue, a heap of ``(at, seq, event)`` entries with a
     counter for ``seq``, and its own rows of earliest landing ticks, which it
     never drops. It takes the simulation's initial events out of the calendar
-    and queues its own: the fault plan's crashes, then every boot. Only the
-    nodes, tracers, clock and random stream of ``sim`` are shared.
+    and queues its own: the fault plan's crashes, then the boot of every
+    validator not crashed at 0. Only the nodes, tracers, clock and random
+    stream of ``sim`` are shared.
     """
 
     def __init__(self, sim):
         self.sim, self.heap, self.seq, self.arrivals = sim, [], 0, {}
+        self.crash_at = dict(sim.cfg.fault_plan)
         sim._queue.clear()
         sim._buckets.clear()
         for validator, at in sim.cfg.fault_plan:
             self.push(at, CRASH, validator, None)
         for validator in range(sim.cfg.n):
-            self.push(0, BOOT, validator, None)
+            if self.alive(validator, 0):
+                self.push(0, BOOT, validator, None)
+
+    def alive(self, validator, at):
+        """Whether ``validator`` has not crashed by tick ``at``."""
+        return at < self.crash_at.get(validator, float("inf"))
 
     def push(self, at, kind, target, vertex):
         heapq.heappush(self.heap, (at, self.seq, SimEvent(at, kind, target, vertex)))
@@ -164,7 +171,6 @@ class PerCopyLoop:
         any other copy of ``v`` headed to that peer.
         """
         cfg = self.sim.cfg
-        crash_at = dict(cfg.fault_plan)
         arrivals = self.arrivals.setdefault(v.id, [float("inf")] * cfg.n)
         for peer in range(cfg.n):
             if peer == sender:
@@ -173,18 +179,20 @@ class PerCopyLoop:
                 at = now + 1
             else:
                 at = per_copy_delay(self.sim.rng, cfg, now)
-            if at < arrivals[peer] and at < crash_at.get(peer, float("inf")):
+            if at < arrivals[peer] and self.alive(peer, at):
                 arrivals[peer] = at
                 self.push(at, DELIVER, peer, v)
 
     def step(self):
         """Pop one event and handle it; None once the queue is empty.
 
-        Every queued copy is its own event. A copy whose target has already
-        seen the vertex was overtaken and is retired without running or
-        counting. Every other copy runs, and its receiver, unless it created
-        the vertex, echoes it through :meth:`broadcast`, whether or not the
-        echo can queue anything.
+        Every queued copy is its own event. A crash marks its node crashed and
+        nothing more. A copy whose target has already seen the vertex was
+        overtaken, and a timer whose node waits on no deadline that has come
+        outlived its round: both are retired. None of these runs or counts.
+        Every other copy runs, and its receiver, unless it created the vertex,
+        echoes it through :meth:`broadcast`, whether or not the echo can queue
+        anything. A timer is queued only for a tick before its node's crash.
         """
         if not self.heap:
             return None
@@ -192,15 +200,16 @@ class PerCopyLoop:
         ev = heapq.heappop(self.heap)[2]
         at, kind, target, vertex = ev
         node = sim.nodes[target]
-        if kind == DELIVER and vertex.id in node._seen:
-            return ev
-        sim.now = at
-        sim.events_executed += 1
         if kind == CRASH:
             node.crashed = True
             return ev
-        if node.crashed:
+        if kind == DELIVER and vertex.id in node._seen:
             return ev
+        deadline = node.leader_wait_deadline
+        if kind == TIMER and (deadline is None or deadline > at):
+            return ev
+        sim.now = at
+        sim.events_executed += 1
         sim.tracers[target].now = at
         if kind == DELIVER:
             effects = node.on_deliver(vertex, at)
@@ -214,7 +223,8 @@ class PerCopyLoop:
             for v in effects.broadcasts:
                 self.broadcast(target, v, at)
             for deadline in effects.timers:
-                self.push(deadline, TIMER, target, None)
+                if self.alive(target, deadline):
+                    self.push(deadline, TIMER, target, None)
         return ev
 
 

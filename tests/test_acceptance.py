@@ -213,13 +213,14 @@ def test_criterion_6_oracle_equivalence():
         # reachability: both the plain search and the memoized per-anchor set
         probes = rng.sample(vertices, k=min(6, len(vertices)))
         target = rng.choice(vertices)
-        reach = AnchorReach(dag, target.id, max_round=dag.highest_round)
+        reach = AnchorReach(dag, target.id, max_round=len(dag.by_round) - 1)
         for a in probes:
             assert path(dag, a.id, target.id) == naive_path(dag, a.id, target.id)
             assert reach.covers(a.id) == naive_path(dag, a.id, target.id)
 
         # vote scoring against literal enumeration
-        top = dag.highest_round - dag.highest_round % 2
+        top = len(dag.by_round) - 1
+        top -= top % 2
         to_round = rng.randrange(2, top + 2, 2) if top >= 2 else 0
         if to_round:
             got = compute_scores(dag, book, 0, to_round)

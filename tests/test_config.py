@@ -1,5 +1,6 @@
 import json
 import pickle
+import warnings
 
 import pytest
 
@@ -89,6 +90,20 @@ def test_round_robin_never_switches():
 def test_overloaded_fault_plan_warns():
     with pytest.warns(UserWarning):
         parse_config(minimal(faultPlan=[[0, 0], [1, 0]]))
+
+
+# Quorums and votes count validators, not stake, and so does the fault bound.
+def test_crashing_more_than_f_validators_warns_whatever_their_stake():
+    # Four of seven crashed halt every round, with 4 of 34 stake.
+    with pytest.warns(UserWarning, match="^fault plan crashes 4 of 7 validators"):
+        parse_config(minimal(stakes=[10, 10, 10, 1, 1, 1, 1], faultPlan=[[v, 0] for v in (3, 4, 5, 6)]))
+
+
+def test_crashing_f_validators_does_not_warn_whatever_their_stake():
+    # One of four crashed leaves every live node advancing, with 10 of 13 stake.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        parse_config(minimal(stakes=[10, 1, 1, 1], faultPlan=[[0, 0]]))
 
 
 def test_json_round_trip():

@@ -50,7 +50,7 @@ class TestInsert:
         dag = DagState(committee4)
         assert dag.insert(mk_vertex(0, 0)) is InsertOutcome.INSERTED
         assert (0, 0) in dag
-        assert dag.highest_round == 0
+        assert list(dag.by_round) == [0]
 
     def test_round_one_with_quorum_edges(self, committee4):
         dag = DagState(committee4)
@@ -59,7 +59,7 @@ class TestInsert:
             dag.insert(g)
         v = mk_vertex(1, 0, [g.source for g in genesis])
         assert dag.insert(v) is InsertOutcome.INSERTED
-        assert dag.highest_round == 1
+        assert list(dag.by_round) == [0, 1]
 
     def test_missing_parent_rejected(self, committee4):
         dag = full_dag(committee4, 1, absent={(1, 3)})
@@ -165,6 +165,8 @@ class TestInsert:
                 pending = [p for p in pending if p.id not in dag]
         assert set(outcomes) == set(InsertOutcome)
         assert dag.held == {r: sum(1 << s for s in row) for r, row in dag.by_round.items()}
+        # Rows run from round 0 without a gap, as even_vertices_from assumes.
+        assert list(dag.by_round) == list(range(len(dag.by_round)))
 
 
 class TestPath:
@@ -304,7 +306,7 @@ class TestAnchorReach:
         for v in vertices:
             dag.insert(v)
         target = vertices[2].id
-        reach = AnchorReach(dag, target, max_round=dag.highest_round)
+        reach = AnchorReach(dag, target, max_round=len(dag.by_round) - 1)
         for v in vertices:
             assert reach.covers(v.id) == path(dag, v.id, target)
 
@@ -350,7 +352,7 @@ class TestLeaders:
         pending = shuffled
         while pending:
             pending = [v for v in pending if dag_b.insert(v) is not InsertOutcome.INSERTED]
-        for r in range(0, dag_a.highest_round + 1, 2):
+        for r in range(0, len(dag_a.by_round), 2):
             va = get_anchor(dag_a, book, r)
             vb = get_anchor(dag_b, book, r)
             assert (va.id if va else None) == (vb.id if vb else None)

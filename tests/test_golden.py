@@ -3,9 +3,11 @@
 Node traces are the behaviour contract: a refactor or optimisation must leave
 them byte-identical. ``manifest.json`` is left out on purpose, because its
 ``endTime`` and ``eventsExecuted`` describe the event loop, not the protocol.
-They are pinned on their own instead, in ``COUNTERS``: the digests cannot
-see which popped events the loop retires without running, or how it counts
-the ones it runs.
+They are pinned on their own instead, in ``COUNTERS``, as the digests cannot
+see them: ``eventsExecuted`` is the number of handler calls (boots, first
+deliveries and leader timeouts) and ``endTime`` the tick of the last one. The
+events the loop retires without a call (crashes, overtaken copies, timers
+whose round has passed) count in neither.
 
 The corpus covers the cases where delivery order is subtle: Delta 3 and 5,
 where an echo can reach a peer before the direct copy; ``random:`` and
@@ -137,32 +139,33 @@ CORPUS = {
     ),
 }
 
-# (end_time, events_executed) of each corpus run.
+# (end_time, events_executed) of each corpus run: the tick of the last
+# handler call, and the number of handler calls.
 COUNTERS = {
-    "n10-crash-mid": (70, 1363),
-    "n10-rr-crash-zero": (113, 1645),
-    "n31-crash-mid": (36, 13869),
-    "n4-crash-zero": (55, 233),
-    "n4-d2": (40, 413),
-    "n4-d3": (64, 518),
-    "n4-d5-rr": (77, 410),
-    "n4-epochs": (69, 513),
-    "n4-hold-gst": (85, 417),
-    "n4-maxtime": (90, 946),
-    "n4-maxtime-crash": (60, 120),
-    "n4-split-160": (138, 1034),
-    "n4-split-804": (259, 1011),
-    "n4-t2-long-crash-zero": (569, 2717),
-    "n5-slots-no-tx": (70, 640),
-    "n7-crash-late-random": (164, 862),
-    "n7-d1": (31, 1548),
-    "n7-d1-gst-crash": (61, 1145),
-    "n7-d5": (80, 1272),
-    "n7-excl15-crash": (126, 1726),
-    "n7-random-gst": (78, 1251),
-    "n7-random0-gst": (73, 1249),
-    "n7-random30-gst": (92, 1558),
-    "n7-weighted": (53, 1253),
+    "n10-crash-mid": (70, 1359),
+    "n10-rr-crash-zero": (107, 1632),
+    "n31-crash-mid": (35, 13825),
+    "n4-crash-zero": (55, 231),
+    "n4-d2": (40, 404),
+    "n4-d3": (63, 500),
+    "n4-d5-rr": (75, 404),
+    "n4-epochs": (69, 500),
+    "n4-hold-gst": (85, 404),
+    "n4-maxtime": (90, 918),
+    "n4-maxtime-crash": (60, 118),
+    "n4-split-160": (138, 990),
+    "n4-split-804": (259, 994),
+    "n4-t2-long-crash-zero": (569, 2715),
+    "n5-slots-no-tx": (70, 630),
+    "n7-crash-late-random": (164, 855),
+    "n7-d1": (31, 1526),
+    "n7-d1-gst-crash": (61, 1130),
+    "n7-d5": (77, 1232),
+    "n7-excl15-crash": (126, 1706),
+    "n7-random-gst": (76, 1232),
+    "n7-random0-gst": (73, 1232),
+    "n7-random30-gst": (92, 1526),
+    "n7-weighted": (53, 1232),
 }
 
 # Per split-view config: the anchors each node discards, and the anchors

@@ -76,13 +76,6 @@ class TestDelivery:
         assert node.on_deliver(own, 0) is None
         assert own.id in node.dag
 
-    def test_crashed_node_is_inert(self, committee4):
-        node = make_node(committee4)
-        node.crashed = True
-        assert node.on_deliver(mk_vertex(0, 0), 0) is None
-        assert node.boot(0) is None and node.on_timer(0) is None
-        assert (0, 0) not in node.dag and node.tracer.records == []
-
     def test_commit_only_copy_returns_none(self, committee4):
         # Full rounds 0-3, the node's own vertices fed back to it; its own
         # round-4 vertex then commits the round-2 anchor and creates nothing.
@@ -247,6 +240,8 @@ class TestReturnContract:
         while sim.step() is not None:
             pass
         booted = sum(at > 0 for at in sim._crash_at)
-        assert seen["boot", "effects", "vertex"] == booted
+        # A validator crashed at 0 is never booted.
+        boots = {key: count for key, count in seen.items() if key[0] == "boot"}
+        assert boots == {("boot", "effects", "vertex"): booted}
         for outcome in (("none", "quiet"), ("none", "commit"), ("effects", "vertex"), ("effects", "timer")):
             assert seen[("deliver", *outcome)] > 0, (outcome, seen)

@@ -67,24 +67,25 @@ class TestDeliveryTiming:
 
 class TestStep:
     def test_events_at_one_tick_run_in_push_order(self):
-        # The fault plan's crash is queued before the boots, so it runs first.
-        # Each boot queues its sender's own copy at the tick being drained,
-        # behind the boots already there.
+        # The fault plan's crash is queued before the boots, so it pops first;
+        # validator 2, crashed at 0, gets no boot. Each boot queues its
+        # sender's own copy at the tick being drained, behind the boots
+        # already there. The crash runs no handler, so it is not counted.
         cfg = parse_config({"stakes": [1] * 4, "faultPlan": [[2, 0]], "Delta": 2, "seed": 0})
         sim = Simulation(cfg)
-        events = [sim.step() for _ in range(8)]
+        events = [sim.step() for _ in range(7)]
         assert [(ev.at, ev.kind, ev.target) for ev in events] == [
             (0, CRASH, 2),
             (0, BOOT, 0),
             (0, BOOT, 1),
-            (0, BOOT, 2),
             (0, BOOT, 3),
             (0, DELIVER, 0),
             (0, DELIVER, 1),
             (0, DELIVER, 3),
         ]
-        assert [ev.vertex.id for ev in events[5:]] == [(0, 0), (0, 1), (0, 3)]
+        assert [ev.vertex.id for ev in events[4:]] == [(0, 0), (0, 1), (0, 3)]
         assert sim._queue[0] == 1 and 0 not in sim._buckets
+        assert sim.nodes[2].crashed and sim.events_executed == 6
 
     def test_a_push_to_a_just_emptied_tick_runs_first(self):
         # The lone boot empties tick 0's bucket; its own copy then opens a new
@@ -110,8 +111,8 @@ class TestStep:
         result = run(cfg)
         node = result.nodes[2]
         assert node.crashed
-        # no trace records after the crash tick
-        assert all(rec["at"] <= 5 for rec in result.tracers[2].records)
+        # no trace records at or after the crash tick
+        assert all(rec["at"] < 5 for rec in result.tracers[2].records)
 
     def test_empty_queue_terminates(self):
         cfg = parse_config({"stakes": [1, 1, 1, 1], "stop": {"maxRound": 4}})
@@ -138,11 +139,14 @@ class TestQueuedCopies:
         while (ev := sim.step()) is not None:
             events.append(ev)
         deliveries = Counter((ev.vertex.id, ev.target) for ev in events if ev.kind == DELIVER)
-        vertices = sum(r["kind"] == "vertex-created" for t in sim.tracers for r in t.records)
-        timers = sum(ev.kind == TIMER for ev in events)
+        records = [r["kind"] for t in sim.tracers for r in t.records]
+        vertices, timeouts = records.count("vertex-created"), records.count("leader-timeout")
         assert set(deliveries.values()) == {1}
         assert len(deliveries) == cfg.n * vertices
-        assert sim.events_executed == cfg.n * vertices + cfg.n + timers
+        # One call per copy and per boot, and one per timer that timed its
+        # round out; the others outlived their round and were retired.
+        assert sim.events_executed == cfg.n * vertices + cfg.n + timeouts
+        assert sum(ev.kind == TIMER for ev in events) > timeouts
 
     def test_no_copy_is_queued_for_a_crashed_peer(self):
         # Delta 4, then Delta 1, whose copies after GST share one tick.
@@ -235,10 +239,12 @@ class TestQueuedCopies:
             popped[ev.kind] += 1
         assert calls["repeat"] == 0
         # Some copies were overtaken: they popped, never ran, and are not
-        # counted as executed.
+        # counted as executed; neither are the timers that outlived their
+        # round, one per leader-wait timer that did not time its round out.
         retired = popped[DELIVER] - calls["first"]
         assert retired > 0
-        assert sim.events_executed == sum(popped.values()) - retired
+        timeouts = sum(r["kind"] == "leader-timeout" for t in sim.tracers for r in t.records)
+        assert sim.events_executed == popped[BOOT] + calls["first"] + timeouts
 
     @pytest.mark.parametrize(
         "raw",
@@ -474,6 +480,57 @@ class TestCommitLog:
             anchor_rounds = [r for _, r in log]
             assert anchor_rounds == sorted(anchor_rounds)
             assert node.commit.ordered_sources == source_masks(seq)
+
+class TestHandlerCalls:
+    """Every counted event calls a handler, and every call acts: the simulator
+    alone keeps a crashed validator inert and retires timers whose round has
+    passed."""
+
+    @staticmethod
+    def check_every_counted_event_acts(raw):
+        cfg = parse_config(raw)
+        crash_at = dict(cfg.fault_plan)
+        sim = Simulation(cfg)
+        calls = []
+        for node in sim.nodes:
+            for name in ("boot", "on_deliver", "on_timer"):
+
+                def call(*args, node=node, name=name, handler=getattr(node, name)):
+                    now, wait_round, before = args[-1], node.current_round, len(node.tracer.records)
+                    assert now < crash_at.get(node.me, float("inf")), (name, node.me, now)
+                    effects = handler(*args)
+                    if name == "on_timer":
+                        timeouts = [r for r in node.tracer.records[before:] if r["kind"] == "leader-timeout"]
+                        assert timeouts == [{"at": now, "kind": "leader-timeout", "round": wait_round}]
+                    calls.append(now)
+                    return effects
+
+                setattr(node, name, call)
+        stop = cfg.max_time if cfg.max_time is not None else float("inf")
+        while sim._queue and sim._queue[0] <= stop:
+            sim.step()
+        assert sim.events_executed == len(calls)
+        assert sim.now == (calls[-1] if calls else 0)
+
+    @pytest.mark.filterwarnings("ignore:fault plan crashes")
+    @settings(max_examples=60, deadline=None)
+    @given(equivalence_scenarios)
+    @lone_creator
+    @delta_one_across_gst
+    @crashes_cut_by_max_time
+    def test_every_counted_event_acts(self, raw):
+        self.check_every_counted_event_acts(raw)
+
+    @pytest.mark.filterwarnings("ignore:fault plan crashes")
+    @pytest.mark.parametrize("name", sorted(CORPUS))
+    def test_every_counted_event_acts_on_the_corpus(self, name):
+        self.check_every_counted_event_acts(CORPUS[name][0])
+
+    def test_a_crash_after_the_run_does_not_move_the_end(self):
+        late = run(parse_config({"stakes": [1] * 4, "faultPlan": [[0, 10**6]], "stop": {"maxRound": 10}}))
+        assert late.end_time == 19
+        assert late.nodes[0].crashed
+
 
 class TestEcho:
     """The simulator, not the node, echoes each first delivery."""
