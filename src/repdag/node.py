@@ -6,9 +6,9 @@ Each handler runs to completion and returns the broadcasts and timer
 requests it produced as an ``Effects``, or None when it produced neither (a
 duplicate, and most deliveries, which only fill a DAG row); all inter-node
 effects travel through the simulator.
-Relaying a delivered vertex to the peers (the reliable-broadcast echo) is the
-simulator's job too, as in Narwhal, where dissemination lives in the
-transport: a node returns only the vertices it creates.
+Sending a vertex to the peers is the simulator's job too, as in Narwhal,
+where dissemination lives in the transport: a node returns only the vertices
+it creates, and the simulator hands each one to every live peer once.
 """
 
 from __future__ import annotations

@@ -11,34 +11,24 @@ bucket per tick that holds events, and a heap of those ticks. Events run in
 tick order and, within a tick, in the order they were queued; an event queued
 for the tick being drained joins the end of its bucket.
 
-Every receiver echoes a vertex to all peers. The simulator issues the echo
-itself when a copy runs at a peer other than the vertex's creator (Narwhal
-likewise leaves dissemination to the transport, not to the consensus node).
-A copy is queued only when it can change its receiver: copies that would land
-at or after the receiver's crash, or at or after another copy of the same
-vertex already headed there, are never queued, so every copy that runs is a
-first delivery at a live node. Every copy's delay is still drawn, so the
-random stream and the traces do not depend on this; after GST with Delta 1
-every draw would be 0, so none is made (the stream feeds only delivery
-delays, so no later draw can tell).
-
-Whether an echo can queue anything is an O(1) test in ``step``: per vertex in
-flight the simulator keeps the latest tick of its arrivals row (per peer, the
-earliest landing or crash tick), which only ``broadcast`` changes. An echo at
-``now`` queues nothing, and only advances the stream by its draws, once that
-maximum is at or below ``max(now, GST) + 1``, the earliest tick a copy can
-land; after GST with Delta 1 that holds for every echo.
+Each vertex is broadcast once, by its creator: one copy per validator, the
+creator's own landing at the send tick. Every copy is queued at the send
+tick and a crash cancels none in flight, so reliable broadcast's validity,
+agreement and integrity and the delivery bound above hold without a relay.
+A copy is queued only when it lands before its receiver's crash, so every
+copy that pops is a first delivery at a live node and runs. Every peer's
+delay is drawn, queued or not, so a receiver's crash never moves a later
+draw; after GST with Delta 1 every draw would be 0, so none is made (the
+stream feeds only delivery delays, so no later draw can tell).
 
 Boots and leader-wait timers follow the same rule: none is queued for a
 validator at or after its crash tick, so the simulator alone keeps a crashed
-validator inert. A copy can still be overtaken by a faster echo queued after
-it (Delta >= 2), and a timer outlives its round when the anchor arrives
-first; both are retired when they pop, without running, as the copy's target
-has seen the vertex and the timer's tick is no longer its node's leader-wait
-deadline (a later round's is never earlier). A crash only marks its node
-crashed. So ``events_executed`` counts exactly the handler calls, and ``now``
-after a drained run is the tick of the last one. ``run`` pauses the cyclic
-garbage collector (``gc_paused``).
+validator inert. A timer outlives its round when the anchor arrives first;
+it is retired when it pops, without running, as its tick is no longer its
+node's leader-wait deadline (a later round's is never earlier). A crash only
+marks its node crashed. So ``events_executed`` counts exactly the handler
+calls, and ``now`` after a drained run is the tick of the last one. ``run``
+pauses the cyclic garbage collector (``gc_paused``).
 """
 
 from __future__ import annotations
@@ -54,7 +44,7 @@ from typing import Any, NamedTuple
 
 from .committee import Committee, ValidatorId, new_committee
 from .config import SimConfig
-from .dag import Vertex, VertexId
+from .dag import Vertex
 from .node import Node
 from .reputation import initial_schedule
 from .traces import Tracer
@@ -62,7 +52,7 @@ from .traces import Tracer
 # Event kinds; a crash pops before anything else queued at its tick, because
 # fault-plan events are queued first.
 CRASH, BOOT, DELIVER, TIMER = 0, 1, 2, 3
-# A tick later than any run reaches: "no crash" and "no copy yet".
+# A tick later than any run reaches: "no crash".
 _NEVER = 1 << 62
 
 
@@ -163,18 +153,9 @@ class Simulation:
         ]
         self.now = 0
         self.events_executed = 0
-        # Per-run constants of the hot paths: the peers a broadcast draws for,
-        # the random bits a skipped echo advances the stream by after and
-        # before GST (random() takes two 32-bit words), and the random:k bound.
+        # Per-run constants of the hot paths: the peers a broadcast draws for
+        # and the random:k bound.
         self._gst, self._peers, self._pre_max = cfg.gst, self.committee.n - 1, cfg.pre_gst_max
-        pre_gst_draws = 1 if self._pre_max is None else 2
-        self._skip_bits = (64 * self._peers * (cfg.delta > 1), 64 * self._peers * pre_gst_draws)
-        # Per vertex with copies in flight: per peer, the earliest tick a copy
-        # lands (queued or executed) or it crashes; that row's maximum; and
-        # the copies queued.
-        self._arrivals: dict[VertexId, list[int]] = {}
-        self._arrival_max: dict[VertexId, int] = {}
-        self._in_flight: dict[VertexId, int] = {}
         for v in self.committee.members:
             if self._crash_at[v] > 0:
                 self._push(0, BOOT, v, None)
@@ -205,25 +186,15 @@ class Simulation:
         ]
 
     def broadcast(self, sender: ValidatorId, v: Vertex, now: int) -> None:
-        """Send ``v`` to every peer, queueing only the copies that can act.
-
-        A copy is dropped when its peer crashes at or before it lands (crash
-        events are queued first, so they pop first) or when a copy of ``v``
-        already lands there at or before it (that copy pops first, so this
-        one would hit ``_seen``). The sender's own copy lands at ``now``.
-        """
-        vid = v.id
-        arrivals = self._arrivals.get(vid)
-        if arrivals is None:
-            arrivals = self._arrivals[vid] = self._crash_at.copy()
+        """Send ``v`` to every validator, queueing each copy that lands before
+        its receiver's crash (crash events are queued first, so they pop
+        first). The sender's own copy lands at ``now``."""
         ticks = self._delivery_times(now, self._peers)
         ticks.insert(sender, now)
         # tuple.__new__ skips the NamedTuple's Python-level constructor.
-        new, buckets, queue, queued = tuple.__new__, self._buckets, self._queue, 0
+        new, buckets, queue, crash_at = tuple.__new__, self._buckets, self._queue, self._crash_at
         for peer, at in enumerate(ticks):
-            if at < arrivals[peer]:
-                arrivals[peer] = at
-                queued += 1
+            if at < crash_at[peer]:
                 ev = new(SimEvent, (at, DELIVER, peer, v))
                 bucket = buckets.get(at)
                 if bucket is None:
@@ -231,17 +202,14 @@ class Simulation:
                     heapq.heappush(queue, at)
                 else:
                     bucket.append(ev)
-        self._arrival_max[vid] = max(arrivals)
-        self._in_flight[vid] = self._in_flight.get(vid, 0) + queued
 
     def step(self) -> SimEvent | None:
         """Pop and handle the next event; None once the queue is empty.
 
-        A copy that runs at a peer other than the vertex's creator is echoed.
-        A crash only sets its node's flag, and an overtaken copy or a timer
-        whose round has passed is retired (see the module docstring). None of
-        these moves ``now``, and each is returned: a returned event of any
-        kind ran exactly when ``events_executed`` grew across the call.
+        Every copy and boot runs. A crash only sets its node's flag, and a
+        timer whose round has passed is retired (see the module docstring);
+        neither moves ``now``. Each event is returned: a returned event of
+        any kind ran exactly when ``events_executed`` grew across the call.
         """
         queue = self._queue
         if not queue:
@@ -253,45 +221,21 @@ class Simulation:
             heapq.heappop(queue)
             del self._buckets[at]
         _, kind, target, vertex = ev
+        node = self.nodes[target]
+        if kind == CRASH:
+            node.crashed = True
+            return ev
+        if kind == TIMER and at != node.leader_wait_deadline:
+            # Its node has left the round the timer was armed for.
+            return ev
+        self.now = self.tracers[target].now = at
+        self.events_executed += 1
         if kind == DELIVER:
-            # It runs unless an earlier copy overtook it; no copy is ever
-            # queued for a crashed peer, so none reaches one here.
-            vid = vertex.id
-            runs = self._arrivals[vid][target] >= at
-            if runs:
-                self.now = self.tracers[target].now = at
-                self.events_executed += 1
-                effects = self.nodes[target].on_deliver(vertex, at)
-                if target != vertex.source:
-                    # No copy lands before max(at, GST) + 1: an echo whose
-                    # row is already no later has nothing to queue, and skips
-                    # its draws; getrandbits(64 * k) takes exactly the 2 * k
-                    # words of k random() draws.
-                    gst = self._gst
-                    if self._arrival_max[vid] > (at if at > gst else gst) + 1:
-                        self.broadcast(target, vertex, at)
-                    elif skip := self._skip_bits[at < gst]:
-                        self.rng.getrandbits(skip)
-            # One queued copy is gone; with none left, no copy can deliver
-            # the vertex first anywhere, so nobody can echo it again.
-            left = self._in_flight[vid] - 1
-            if left:
-                self._in_flight[vid] = left
-            else:
-                del self._in_flight[vid], self._arrivals[vid], self._arrival_max[vid]
-            if not runs:
-                return ev
+            effects = node.on_deliver(vertex, at)
+        elif kind == TIMER:
+            effects = node.on_timer(at)
         else:
-            node = self.nodes[target]
-            if kind == CRASH:
-                node.crashed = True
-                return ev
-            if kind == TIMER and at != node.leader_wait_deadline:
-                # Its node has left the round the timer was armed for.
-                return ev
-            self.now = self.tracers[target].now = at
-            self.events_executed += 1
-            effects = node.on_timer(at) if kind == TIMER else node.boot(at)
+            effects = node.boot(at)
         # None: the node created no vertex and armed no timer.
         if effects is not None:
             for v in effects.broadcasts:

@@ -132,15 +132,14 @@ class PerCopyLoop:
     """``Simulation.step`` and ``broadcast`` as a plain per-copy loop.
 
     It keeps its own queue, a heap of ``(at, seq, event)`` entries with a
-    counter for ``seq``, and its own rows of earliest landing ticks, which it
-    never drops. It takes the simulation's initial events out of the calendar
-    and queues its own: the fault plan's crashes, then the boot of every
-    validator not crashed at 0. Only the nodes, tracers, clock and random
-    stream of ``sim`` are shared.
+    counter for ``seq``. It takes the simulation's initial events out of the
+    calendar and queues its own: the fault plan's crashes, then the boot of
+    every validator not crashed at 0. Only the nodes, tracers, clock and
+    random stream of ``sim`` are shared.
     """
 
     def __init__(self, sim):
-        self.sim, self.heap, self.seq, self.arrivals = sim, [], 0, {}
+        self.sim, self.heap, self.seq = sim, [], 0
         self.crash_at = dict(sim.cfg.fault_plan)
         sim._queue.clear()
         sim._buckets.clear()
@@ -167,11 +166,9 @@ class PerCopyLoop:
 
         Each copy gets its own delay draw, in peer order (none after GST with
         Delta 1, where every copy lands at ``now + 1``), and is queued as its
-        own ``DELIVER`` event when it lands before the peer's crash and before
-        any other copy of ``v`` headed to that peer.
+        own ``DELIVER`` event when it lands before the peer's crash.
         """
         cfg = self.sim.cfg
-        arrivals = self.arrivals.setdefault(v.id, [float("inf")] * cfg.n)
         for peer in range(cfg.n):
             if peer == sender:
                 at = now
@@ -179,20 +176,17 @@ class PerCopyLoop:
                 at = now + 1
             else:
                 at = per_copy_delay(self.sim.rng, cfg, now)
-            if at < arrivals[peer] and self.alive(peer, at):
-                arrivals[peer] = at
+            if self.alive(peer, at):
                 self.push(at, DELIVER, peer, v)
 
     def step(self):
         """Pop one event and handle it; None once the queue is empty.
 
-        Every queued copy is its own event. A crash marks its node crashed and
-        nothing more. A copy whose target has already seen the vertex was
-        overtaken, and a timer whose node waits on no deadline that has come
-        outlived its round: both are retired. None of these runs or counts.
-        Every other copy runs, and its receiver, unless it created the vertex,
-        echoes it through :meth:`broadcast`, whether or not the echo can queue
-        anything. A timer is queued only for a tick before its node's crash.
+        Every queued copy is its own event, and every one runs. A crash marks
+        its node crashed and nothing more, and a timer whose node waits on no
+        deadline that has come outlived its round and is retired; neither
+        runs or counts. A timer is queued only for a tick before its node's
+        crash.
         """
         if not self.heap:
             return None
@@ -203,8 +197,6 @@ class PerCopyLoop:
         if kind == CRASH:
             node.crashed = True
             return ev
-        if kind == DELIVER and vertex.id in node._seen:
-            return ev
         deadline = node.leader_wait_deadline
         if kind == TIMER and (deadline is None or deadline > at):
             return ev
@@ -213,8 +205,6 @@ class PerCopyLoop:
         sim.tracers[target].now = at
         if kind == DELIVER:
             effects = node.on_deliver(vertex, at)
-            if vertex.source != target:
-                self.broadcast(target, vertex, at)
         elif kind == TIMER:
             effects = node.on_timer(at)
         else:

@@ -6,11 +6,11 @@ them byte-identical. ``manifest.json`` is left out on purpose, because its
 They are pinned on their own instead, in ``COUNTERS``, as the digests cannot
 see them: ``eventsExecuted`` is the number of handler calls (boots, first
 deliveries and leader timeouts) and ``endTime`` the tick of the last one. The
-events the loop retires without a call (crashes, overtaken copies, timers
-whose round has passed) count in neither.
+events the loop retires without a call (crashes, timers whose round has
+passed) count in neither.
 
 The corpus covers the cases where delivery order is subtle: Delta 3 and 5,
-where an echo can reach a peer before the direct copy; ``random:`` and
+where the copies of one vertex land at different ticks; ``random:`` and
 ``hold`` pre-GST policies; crashes at t=0 and mid-run, with copies still in
 flight to the crashed validator; a ``maxTime`` stop; round-robin mode; Delta 1
 across GST, where post-GST delays are fixed and draw nothing; 75 schedule
@@ -25,9 +25,11 @@ policy, whose zero bound still takes one draw per copy and adds no delay.
 No copy lands before GST + 1, so a ``random:k`` bound below GST never shows
 in a trace: ``n7-random30-gst`` is the one config whose bound exceeds GST.
 Two configs pin the schedule-switch safety paths, where replicas commit in
-different views: ``n4-split-160`` discards one anchor per node and commits
-four anchors in ``retro_recheck``, and ``n4-split-804`` is a split view in
-which three nodes discard an anchor that the fourth commits.
+different views: ``n4-split-10`` discards one anchor per node and commits
+four anchors in ``retro_recheck``, and ``n4-split-689`` is a split view in
+which one node counts the votes for an anchor under the outgoing schedule,
+discards it at the switch, and commits in ``retro_recheck`` the anchor that
+the other three commit directly.
 ``SPLIT_PATHS`` asserts that both still reach these paths.
 """
 
@@ -43,7 +45,7 @@ from repdag.simnet import run
 CORPUS = {
     "n4-d2": (
         {"stakes": [1] * 4, "Delta": 2, "stop": {"maxRound": 24}, "seed": 0},
-        "4563fc3b83498db79700f44d2fbeefcd4166e4b03dcebd57bb5454c1435e314f",
+        "981ae232656021b6e8c190711b635ed1fbb50630fbdc602ea4318c2d8ea0f6d7",
     ),
     "n7-d1": (
         {"stakes": [1] * 7, "Delta": 1, "stop": {"maxRound": 30}, "seed": 11},
@@ -51,59 +53,59 @@ CORPUS = {
     ),
     "n4-d3": (
         {"stakes": [1] * 4, "Delta": 3, "stop": {"maxRound": 30}, "seed": 1},
-        "5aee7b4b0974254ca82c542d9b342a0a604dce8024016689864b5698711c6e1d",
+        "704aeb1746a32a7a0df141ff0761f44fa373a030f1da444ef2af6f617d094fdd",
     ),
     "n7-d5": (
         {"stakes": [1] * 7, "Delta": 5, "stop": {"maxRound": 24}, "seed": 2},
-        "e655469eb7a0ce6e74875d9769a0da2ecd3c4d46f1ecae945859f01af0473c1e",
+        "6b21f74e2ef0116224da2e1f2b4487e3d0276c26b371cae3cf048cf3c47cf9c9",
     ),
     "n4-d5-rr": (
         {"stakes": [1] * 4, "mode": "round-robin", "Delta": 5, "stop": {"maxRound": 24}, "seed": 3},
-        "2bf373e3f5f9cf8b397d05b0bb440abba6249a4bdd5cfc7d926642dddaa949be",
+        "f9c1d3d34acd1a8dd00339ffecb2589851d4b8e14a56910d61364fbd4cebaec2",
     ),
     "n7-random-gst": (
         {"stakes": [1] * 7, "GST": 25, "preGstPolicy": "random:9", "Delta": 3, "stop": {"maxRound": 24}, "seed": 4},
-        "8f95f20ea6e63ad38d339e3df84f17bf14e6994ea9ed6e957b28f90f3938cc8b",
+        "9754683e33fb60acca7731d06fc4d2647e8bbc7ebdb9dc266a81a3ac453e956b",
     ),
     "n4-hold-gst": (
         {"stakes": [1] * 4, "GST": 30, "Delta": 3, "stop": {"maxRound": 24}, "seed": 5},
-        "ee75ddbbf88478ee5ce7b278e1f2aed19e84128851ffa0ffba8ebc1be095fa09",
+        "a0902ab4fe320adddb74326e8d3fd65b2fb7a81b181b1cf7567be30311837c26",
     ),
     "n10-crash-mid": (
         {"stakes": [1] * 10, "Delta": 3, "faultPlan": [[9, 5], [8, 5], [7, 5]], "stop": {"maxRound": 24}, "seed": 6},
-        "4f5197c0af6145c547305e9cf2d74e1069663662b62f674792945927055c805a",
+        "a6972be2daec89187772c52162ee8cb16f0885ff5bbba82abf9a25e63797781a",
     ),
     "n4-crash-zero": (
         {"stakes": [1] * 4, "leaderTimeout": 9, "faultPlan": [[0, 0]], "stop": {"maxRound": 24}, "seed": 29},
-        "db7eb1ad8018d8dc473cd00e73a77ed64a9443046d676f94822643935c832c30",
+        "5842435b37357106c982820e97752825be34a7828922df5bcc3af936b044d7eb",
     ),
     "n7-crash-late-random": (
         {"stakes": [1] * 7, "GST": 20, "preGstPolicy": "random:12", "Delta": 5, "faultPlan": [[3, 40], [5, 17]], "stop": {"maxRound": 30}, "seed": 7},
-        "5c98fc2b78b9787826cebd7ba62b9488cafcd6603941ae979461854a6064cd0c",
+        "cb18809137406ed610bdabd3185feb9b67b05556b3f58d1b74b0294c60e190ff",
     ),
     "n4-maxtime": (
         {"stakes": [1] * 4, "stop": {"maxTime": 90}, "seed": 17},
-        "ded066d9d8871e6c71d9a950e2ae5029d3b08c8cc1528bd36257b0e793913c9b",
+        "9975b0f88459d5d2713309e360d6ab363a47ece017604d5cd767ebf8673c39c5",
     ),
     "n4-maxtime-crash": (
         {"stakes": [1] * 4, "GST": 20, "preGstPolicy": "random:6", "Delta": 5, "faultPlan": [[2, 30]], "stop": {"maxTime": 60}, "seed": 8},
-        "c8919f883872148dabf87f3ddf038feeb041b13ff4bb0dbf8ce804bce5e08ad5",
+        "fef8805f74b7df0096a1351f5568eab1b977d03f22cb0af2a1c054124c9385ee",
     ),
     "n4-epochs": (
         {"stakes": [1] * 4, "T": 4, "Delta": 3, "stop": {"maxRound": 30}, "seed": 21},
-        "69b1a9298cc9254a653e022ad9c618acabbacaa0c818d8d397bd2e205fa50e80",
+        "4191360ed3329530089995ff8094a1a0662c2a9aec330bf6ab4a52fc88b3bf6e",
     ),
     "n7-weighted": (
         {"stakes": [3, 1, 1, 1, 1, 1, 1], "Delta": 3, "stop": {"maxRound": 24}, "seed": 8},
-        "da8a4a452f682a28bc05b365197c06303f8ef9458498b29d6318e3c5f2aec93a",
+        "ab7b94ad05197f4d4b50df6f35e80075d46fccfc3e634384dabcbfd38fde0d16",
     ),
     "n10-rr-crash-zero": (
         {"stakes": [1] * 10, "mode": "round-robin", "GST": 10, "preGstPolicy": "random:8", "Delta": 3, "leaderTimeout": 12, "faultPlan": [[9, 0], [2, 0]], "stop": {"maxRound": 24}, "seed": 9},
-        "6ccae395b813d1588d4717a66ab58b2aff5396ae02f4705e886638df005b2cb9",
+        "a173b43e936e36e3b9879bb6a2bdb07706bb95c402aaaff86af82894762bb6b6",
     ),
     "n5-slots-no-tx": (
         {"stakes": [2, 2, 1, 1, 1], "L": 10, "Delta": 4, "txRatePerNode": 0, "stop": {"maxRound": 24}, "seed": 13},
-        "54cda835286f64949f2dc79cefecb42513e7429ec95239102af32f76140e8cd0",
+        "0a1d0e9fd09200d1b7048136cf3b15c7246a405f9ba45c486625e07a5d71feb9",
     ),
     "n7-d1-gst-crash": (
         {"stakes": [1] * 7, "GST": 30, "preGstPolicy": "random:9", "Delta": 1, "faultPlan": [[4, 18]], "stop": {"maxRound": 30}, "seed": 10},
@@ -111,68 +113,68 @@ CORPUS = {
     ),
     "n4-t2-long-crash-zero": (
         {"stakes": [1] * 4, "T": 2, "faultPlan": [[2, 0]], "stop": {"maxRound": 300}, "seed": 12},
-        "a7a85c56b9fc460d12e5db63fc6270924792863cd72977054b3c9935fff9d8bc",
+        "8bd124e2c742b5fc27c0c0d37e1ce7c8c82c9ae9efdc2106540c1e0ba25ebe08",
     ),
     "n31-crash-mid": (
         {"stakes": [1] * 31, "Delta": 3, "faultPlan": [[30, 6], [29, 6], [28, 6]], "stop": {"maxRound": 16}, "seed": 9},
-        "733cc753806028f82a965c17d86941b1afe10f9674f3f29524e05408e864ee86",
+        "58799b673cd5b2e658b3332165590c46c6e74eaae71ef931cd3d9bf4993c6631",
     ),
     "n7-excl15-crash": (
         {"stakes": [1] * 7, "T": 4, "exclusionFraction": 0.15, "faultPlan": [[5, 0], [6, 30]], "stop": {"maxRound": 60}, "seed": 5},
-        "077e5f30c7b9ce0530b8f3c857eeaae761c23fa3ba5801abcb63ac127ce2c078",
+        "18be62e02ac7ec7a2587bc430f0bf69f50f4d6d431c7d7e41e631658d5835258",
     ),
     "n7-random0-gst": (
         {"stakes": [1] * 7, "GST": 20, "preGstPolicy": "random:0", "Delta": 3, "stop": {"maxRound": 24}, "seed": 14},
-        "4b642cdf7953167562f46deaa1ace6a7e3dbebe785f0517d18fd547fd1dbaa27",
+        "c8d7c550b692a7e1ba5a4eee8163e3e1ab50cc3f3d08d49cbfc6b2f93ad79dd4",
     ),
     "n7-random30-gst": (
         {"stakes": [1] * 7, "GST": 25, "preGstPolicy": "random:30", "Delta": 3, "stop": {"maxRound": 30}, "seed": 4},
-        "6b5146aa593aaefbf91ad900e9601c2570d2b52c66aebf9073b928ec33ec7cc4",
+        "97672cd4f56c1d4452ee7c9e9d389485cdc661b76dbd4ca38eebd002b3e3194a",
     ),
-    "n4-split-160": (
-        {"stakes": [1, 5, 1, 2], "Delta": 3, "leaderTimeout": 1, "GST": 10, "preGstPolicy": "random:8", "T": 4, "stop": {"maxRound": 60}, "seed": 160},
-        "e339079d5c8f4e7eb1f79d82e95428df23aacf520dc5bacd780752d09350ac53",
+    "n4-split-10": (
+        {"stakes": [1, 5, 1, 2], "Delta": 3, "leaderTimeout": 1, "GST": 10, "preGstPolicy": "random:8", "T": 4, "stop": {"maxRound": 60}, "seed": 10},
+        "92e29c7da1a611b3bc579e52ea2c407dec89825e2b990e71dd6832ccfa43aca1",
     ),
-    "n4-split-804": (
-        {"stakes": [1, 1, 1, 2], "Delta": 8, "leaderTimeout": 1, "GST": 0, "preGstPolicy": "random:8", "T": 2, "stop": {"maxRound": 60}, "seed": 804},
-        "08513b5aea43ac78242fd16a3eacfce38335a9fa88609e65930ce129a9603edb",
+    "n4-split-689": (
+        {"stakes": [1, 1, 1, 2], "Delta": 8, "leaderTimeout": 1, "GST": 0, "preGstPolicy": "random:8", "T": 2, "stop": {"maxRound": 60}, "seed": 689},
+        "11c054f0012dd6994c16da4f337b01738cc6e4b9860fafb31b74c85d30cce996",
     ),
 }
 
 # (end_time, events_executed) of each corpus run: the tick of the last
 # handler call, and the number of handler calls.
 COUNTERS = {
-    "n10-crash-mid": (70, 1359),
-    "n10-rr-crash-zero": (107, 1632),
-    "n31-crash-mid": (35, 13825),
-    "n4-crash-zero": (55, 231),
+    "n10-crash-mid": (79, 1349),
+    "n10-rr-crash-zero": (118, 1632),
+    "n31-crash-mid": (46, 13786),
+    "n4-crash-zero": (56, 231),
     "n4-d2": (40, 404),
-    "n4-d3": (63, 500),
-    "n4-d5-rr": (75, 404),
-    "n4-epochs": (69, 500),
-    "n4-hold-gst": (85, 404),
-    "n4-maxtime": (90, 918),
-    "n4-maxtime-crash": (60, 118),
-    "n4-split-160": (138, 990),
-    "n4-split-804": (259, 994),
-    "n4-t2-long-crash-zero": (569, 2715),
-    "n5-slots-no-tx": (70, 630),
-    "n7-crash-late-random": (164, 855),
+    "n4-d3": (70, 500),
+    "n4-d5-rr": (85, 404),
+    "n4-epochs": (68, 500),
+    "n4-hold-gst": (87, 404),
+    "n4-maxtime": (90, 951),
+    "n4-maxtime-crash": (60, 120),
+    "n4-split-10": (142, 986),
+    "n4-split-689": (294, 992),
+    "n4-t2-long-crash-zero": (576, 2715),
+    "n5-slots-no-tx": (72, 630),
+    "n7-crash-late-random": (172, 848),
     "n7-d1": (31, 1526),
     "n7-d1-gst-crash": (61, 1130),
-    "n7-d5": (77, 1232),
-    "n7-excl15-crash": (126, 1706),
-    "n7-random-gst": (76, 1232),
-    "n7-random0-gst": (73, 1232),
-    "n7-random30-gst": (92, 1526),
-    "n7-weighted": (53, 1232),
+    "n7-d5": (91, 1232),
+    "n7-excl15-crash": (123, 1717),
+    "n7-random-gst": (86, 1232),
+    "n7-random0-gst": (81, 1232),
+    "n7-random30-gst": (100, 1526),
+    "n7-weighted": (61, 1232),
 }
 
 # Per split-view config: the anchors each node discards, and the anchors
 # that ``retro_recheck`` commits over all nodes.
 SPLIT_PATHS = {
-    "n4-split-160": ([1, 1, 1, 1], 4),
-    "n4-split-804": ([1, 0, 1, 1], 0),
+    "n4-split-10": ([1, 1, 1, 1], 4),
+    "n4-split-689": ([1, 0, 0, 0], 1),
 }
 
 # Scenarios that the trace round-trip and stored-metrics tests also run:

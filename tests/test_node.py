@@ -57,9 +57,8 @@ class TestDelivery:
         assert early.id in node.dag
         assert not node.pending
 
-    # The echo of a delivered vertex is the simulator's, so a node returns
-    # only what it creates (tests/test_simnet.py::TestEcho), and None when it
-    # creates nothing and arms no timer.
+    # Sending vertices is the simulator's job, so a node returns only what
+    # it creates, and None when it creates nothing and arms no timer.
     def test_duplicate_delivery_changes_nothing(self, committee4):
         node = make_node(committee4)
         v = mk_vertex(0, 0)

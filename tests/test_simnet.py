@@ -1,5 +1,4 @@
-import random
-from collections import Counter
+from collections import Counter, defaultdict
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,7 +11,6 @@ from repdag.checks import (
     check_total_order,
 )
 from repdag.config import parse_config
-from repdag.dag import Vertex
 from repdag.reputation import initial_schedule
 from repdag.simnet import BOOT, CRASH, DELIVER, TIMER, Simulation, client_supply, run
 from repdag.traces import serialize
@@ -130,7 +128,7 @@ class TestStep:
 
 
 class TestQueuedCopies:
-    """Only copies that can change their receiver are queued."""
+    """A copy is queued exactly when it lands before its receiver's crash."""
 
     def test_delta_one_delivers_each_vertex_once_per_peer(self):
         cfg = parse_config({"stakes": [1] * 7, "Delta": 1, "stop": {"maxRound": 30}, "seed": 5})
@@ -213,57 +211,6 @@ class TestQueuedCopies:
         for tracer in sim.tracers:
             if tracer.node not in (1, 4):
                 assert (20, tracer.node) in [r["id"] for r in tracer.records if r["kind"] == "vertex-created"]
-
-    def test_overtaken_copies_do_not_reach_the_node(self):
-        cfg = parse_config(
-            {
-                "stakes": [1] * 7,
-                "Delta": 3,
-                "GST": 30,
-                "preGstPolicy": "random:9",
-                "stop": {"maxRound": 30},
-                "seed": 3,
-            }
-        )
-        sim = Simulation(cfg)
-        calls = Counter()
-        for node in sim.nodes:
-
-            def on_deliver(v, now, node=node, deliver=node.on_deliver):
-                calls["repeat" if v.id in node._seen else "first"] += 1
-                return deliver(v, now)
-
-            node.on_deliver = on_deliver
-        popped = Counter()
-        while (ev := sim.step()) is not None:
-            popped[ev.kind] += 1
-        assert calls["repeat"] == 0
-        # Some copies were overtaken: they popped, never ran, and are not
-        # counted as executed; neither are the timers that outlived their
-        # round, one per leader-wait timer that did not time its round out.
-        retired = popped[DELIVER] - calls["first"]
-        assert retired > 0
-        timeouts = sum(r["kind"] == "leader-timeout" for t in sim.tracers for r in t.records)
-        assert sim.events_executed == popped[BOOT] + calls["first"] + timeouts
-
-    @pytest.mark.parametrize(
-        "raw",
-        [
-            {"stakes": [1] * 7, "Delta": 1, "seed": 2},
-            {"stakes": [1] * 4, "Delta": 3, "faultPlan": [[3, 40]], "seed": 2},
-            {"stakes": [1] * 7, "Delta": 3, "faultPlan": [[1, 0], [4, 0]], "seed": 2},
-        ],
-    )
-    def test_arrival_map_stays_bounded(self, raw):
-        def peak(rounds):
-            sim = Simulation(parse_config({**raw, "stop": {"maxRound": rounds}}))
-            high = 0
-            while sim.step() is not None:
-                high = max(high, len(sim._arrivals))
-            assert not sim._arrivals and not sim._arrival_max and not sim._in_flight
-            return high
-
-        assert peak(100) == peak(400)
 
 
 def drive(cfg, per_copy=False):
@@ -350,8 +297,8 @@ crashes_cut_by_max_time = example(
 
 
 class TestBroadcastEquivalence:
-    """Skipping dead echoes and queueing by per-tick buckets change nothing a
-    run shows, the random stream included."""
+    """Queueing by per-tick buckets changes nothing a run shows, the random
+    stream included."""
 
     @pytest.mark.filterwarnings("ignore:fault plan crashes")
     @settings(max_examples=100, deadline=None)
@@ -360,8 +307,7 @@ class TestBroadcastEquivalence:
     @delta_one_across_gst
     @crashes_cut_by_max_time
     def test_matches_the_per_copy_loop(self, raw):
-        # The reference queues every copy on its own in a (time, seq) heap and
-        # sends every echo, dead or not, through the per-copy broadcast.
+        # The reference queues every copy on its own in a (time, seq) heap.
         cfg = parse_config(raw)
         (fast, fast_events), (slow, slow_events) = drive(cfg), drive(cfg, per_copy=True)
         assert [serialize(t.node, t.records) for t in fast.tracers] == [
@@ -402,54 +348,57 @@ class TestBroadcastEquivalence:
                 executed.append((ev.at, ev.target, ev.vertex.id))
         assert executed == delivered
 
+
+class TestOneCopyPerPeer:
+    """Each vertex reaches each validator alive when its copy lands exactly
+    once, by the synchrony bound, and every copy that pops runs."""
+
+    @staticmethod
+    def check_one_copy_per_live_peer(raw):
+        cfg = parse_config(raw)
+        crash_at = dict(cfg.fault_plan)
+        sim = Simulation(cfg)
+        stop = cfg.max_time if cfg.max_time is not None else float("inf")
+        landings = defaultdict(list)
+        while sim._queue and sim._queue[0] <= stop:
+            executed = sim.events_executed
+            ev = sim.step()
+            if ev.kind == DELIVER:
+                assert sim.events_executed == executed + 1, ev
+                landings[ev.vertex.id, ev.target].append(ev.at)
+        # A maxTime stop leaves copies queued; they count as sent.
+        for bucket in sim._buckets.values():
+            for ev in bucket:
+                if ev.kind == DELIVER:
+                    landings[ev.vertex.id, ev.target].append(ev.at)
+        sent = {r["id"]: r["at"] for t in sim.tracers for r in t.records if r["kind"] == "vertex-created"}
+        assert {vid for vid, _ in landings} == sent.keys()
+        for vid, sent_at in sent.items():
+            bound = max(sent_at, cfg.gst) + cfg.delta
+            for peer in range(cfg.n):
+                dies = crash_at.get(peer, float("inf"))
+                ticks = landings.get((vid, peer))
+                if ticks is None:
+                    # Its copy would have landed at or after its crash.
+                    assert dies <= bound, (vid, peer)
+                    continue
+                [at] = ticks
+                assert at < dies, (vid, peer, at)
+                assert at == sent_at if peer == vid[1] else sent_at < at <= bound, (vid, peer, at)
+
     @pytest.mark.filterwarnings("ignore:fault plan crashes")
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(equivalence_scenarios)
     @lone_creator
     @delta_one_across_gst
     @crashes_cut_by_max_time
-    def test_running_maximum_tracks_the_arrivals_row(self, raw):
-        # The dead-echo test reads the maximum instead of the row.
-        cfg = parse_config(raw)
-        sim = Simulation(cfg)
-        stop = cfg.max_time if cfg.max_time is not None else float("inf")
-        while sim._queue and sim._queue[0] <= stop:
-            sim.step()
-            assert sim._arrival_max == {vid: max(row) for vid, row in sim._arrivals.items()}
-        if cfg.max_time is None:
-            assert not sim._arrivals and not sim._arrival_max
+    def test_one_copy_per_live_peer(self, raw):
+        self.check_one_copy_per_live_peer(raw)
 
-    @pytest.mark.parametrize(
-        "raw, draws_per_copy",
-        [
-            ({"GST": 0, "Delta": 3}, 1),
-            ({"GST": 50, "Delta": 3}, 1),
-            ({"GST": 50, "Delta": 3, "preGstPolicy": "random:7"}, 2),
-            ({"GST": 0, "Delta": 1}, 0),
-        ],
-        ids=["post-gst", "pre-gst-hold", "pre-gst-random", "post-gst-delta-1"],
-    )
-    def test_skipped_echo_advances_the_stream_like_its_draws(self, raw, draws_per_copy):
-        # Nothing but a sender's own copy lands before GST + 1, so runs echo
-        # only after GST; the pre-GST regimes are pinned here alone.
-        cfg = parse_config({"stakes": [1] * 5, "seed": 3, **raw})
-        now, v = 10, Vertex((0, 0), 0)
-        sim = Simulation(cfg)
-        sim._queue.clear()
-        sim._buckets.clear()
-        # Every peer already has a copy at ``now``; the one to 2 runs.
-        sim._arrivals[v.id] = [now] * cfg.n
-        sim._arrival_max[v.id] = now
-        sim._in_flight[v.id] = 1
-        sim._push(now, DELIVER, 2, v)
-        sim.broadcast = lambda *args: pytest.fail("a dead echo reached broadcast")
-        assert sim.step().target == 2 and sim.events_executed == 1
-        assert sim._queue == [] and sim._buckets == {}
-        words = random.Random(cfg.seed)
-        for _ in range((cfg.n - 1) * draws_per_copy):
-            words.random()
-        assert sim.rng.getstate() == words.getstate()
-
+    @pytest.mark.filterwarnings("ignore:fault plan crashes")
+    @pytest.mark.parametrize("name", sorted(CORPUS))
+    def test_one_copy_per_live_peer_on_the_corpus(self, name):
+        self.check_one_copy_per_live_peer(CORPUS[name][0])
 
 
 class TestCommitLog:
@@ -462,8 +411,8 @@ class TestCommitLog:
     @delta_one_across_gst
     @crashes_cut_by_max_time
     # Split views: back-chained commits, discarded anchors, schedule switches.
-    @example(CORPUS["n4-split-160"][0])
-    @example(CORPUS["n4-split-804"][0])
+    @example(CORPUS["n4-split-10"][0])
+    @example(CORPUS["n4-split-689"][0])
     def test_ordered_log_is_each_new_history_sorted(self, raw):
         # Each committed anchor appends its causal history minus the log so
         # far, sorted by (round, source).
@@ -527,90 +476,12 @@ class TestHandlerCalls:
         self.check_every_counted_event_acts(CORPUS[name][0])
 
     def test_a_crash_after_the_run_does_not_move_the_end(self):
-        late = run(parse_config({"stakes": [1] * 4, "faultPlan": [[0, 10**6]], "stop": {"maxRound": 10}}))
-        assert late.end_time == 19
+        # The run ends as it does without the crash, at tick 20: vertex
+        # (10, 3), made at 18, reaches two peers after the full Delta of 2.
+        raw = {"stakes": [1] * 4, "stop": {"maxRound": 10}}
+        late = run(parse_config({**raw, "faultPlan": [[0, 10**6]]}))
+        assert late.end_time == run(parse_config(raw)).end_time == 20
         assert late.nodes[0].crashed
-
-
-class TestEcho:
-    """The simulator, not the node, echoes each first delivery."""
-
-    @staticmethod
-    def echo_signals(sim):
-        """Count, per step, the echoes ``step`` issues: a ``broadcast`` of a
-        vertex by a peer other than its creator, or a dead echo's skip."""
-        signals = []
-        broadcast, getrandbits = sim.broadcast, sim.rng.getrandbits
-
-        def spy_broadcast(sender, v, now):
-            if sender != v.source:
-                signals.append(("live", sender, v.id, now))
-            broadcast(sender, v, now)
-
-        def spy_getrandbits(k):
-            signals.append(("dead",))
-            return getrandbits(k)
-
-        sim.broadcast, sim.rng.getrandbits = spy_broadcast, spy_getrandbits
-        return signals
-
-    def test_each_copy_that_runs_is_echoed_once_unless_at_its_creator(self):
-        # Delta 3: a dead echo after GST still skips its draws, so it shows.
-        cfg = parse_config(
-            {
-                "stakes": [1] * 7,
-                "Delta": 3,
-                "GST": 10,
-                "faultPlan": [[4, 30]],
-                "stop": {"maxRound": 20},
-                "seed": 1,
-            }
-        )
-        sim = Simulation(cfg)
-        signals = self.echo_signals(sim)
-        kinds = Counter()
-        own = 0
-        while True:
-            executed, before = sim.events_executed, len(signals)
-            if (ev := sim.step()) is None:
-                break
-            issued = signals[before:]
-            ran = sim.events_executed > executed
-            if ev.kind == DELIVER and ran and ev.target != ev.vertex.source:
-                assert len(issued) == 1, (ev, issued)
-                assert issued[0][0] == "dead" or issued[0][1:] == (ev.target, ev.vertex.id, ev.at)
-                kinds[issued[0][0]] += 1
-            else:
-                # The creator's own copy, an overtaken copy, boot, timer or crash.
-                own += ev.kind == DELIVER and ran and ev.target == ev.vertex.source
-                assert issued == [], (ev, issued)
-        assert kinds["live"] > 0 and kinds["dead"] > 0
-        assert own == sum(r["kind"] == "vertex-created" for t in sim.tracers for r in t.records)
-
-    def test_delta_one_echoes_never_reach_broadcast(self):
-        # After GST with Delta 1 every echo is dead and skips no draw, so
-        # broadcast sees only creations.
-        cfg = parse_config({"stakes": [1] * 7, "Delta": 1, "stop": {"maxRound": 12}, "seed": 2})
-        sim = Simulation(cfg)
-        signals = self.echo_signals(sim)
-        calls = Counter()
-        broadcast = sim.broadcast
-        sim.broadcast = lambda sender, v, now: calls.update([v.source == sender]) or broadcast(sender, v, now)
-        while sim.step() is not None:
-            pass
-        created = sum(r["kind"] == "vertex-created" for t in sim.tracers for r in t.records)
-        assert calls == {True: created} and signals == []
-
-    def test_duplicate_delivery_emits_nothing(self):
-        cfg = parse_config({"stakes": [1] * 4, "Delta": 2, "stop": {"maxRound": 6}, "seed": 0})
-        sim = Simulation(cfg)
-        while sim.step() is not None:
-            pass
-        node = sim.nodes[1]
-        records = list(node.tracer.records)
-        for vid in sorted(node._seen):
-            assert node.on_deliver(node.dag.get(vid) or node.pending[vid], sim.now + 1) is None
-        assert node.tracer.records == records
 
 
 class TestDeterminism:
